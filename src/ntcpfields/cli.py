@@ -5,7 +5,8 @@ Subcommands: ntcp, threshold, dose, simulate, estimate, experiment.
 All numeric output is printed with 9 significant digits as ``key value``
 lines (``--format csv`` gives ``key,value`` rows under a header,
 ``--format json`` a single object).  Exit status: 0 success, 1 domain
-errors, 2 I/O or config errors (also used by the argument parser).
+and capacity errors, 2 I/O or config errors (also used by the argument
+parser).
 """
 
 from __future__ import annotations

@@ -60,8 +60,6 @@ class EstimatorConfig:
     def bandwidth_for(self, n: int) -> int:
         if self.bandwidth is not None:
             return self.bandwidth
-        if self.eta == 1.0 / 3.0:
-            return default_bandwidth(n)
         b = math.ceil(n**self.eta - 1e-9)
         return min(max(1, b), max(1, n - 1))
 

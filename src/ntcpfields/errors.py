@@ -26,5 +26,5 @@ class ShapeError(ValueError):
     """Array / region dimensions do not match."""
 
 
-class CapacityError(RuntimeError):
+class CapacityError(ValueError):
     """A requested allocation exceeds the configured cell cap."""

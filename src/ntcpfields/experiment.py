@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .cv_ntcp import normal_cdf, normal_quantile
-from .dependent_clt import EstimatorConfig, _variance_estimator_batch
+from .dependent_clt import _CHUNK_CELLS, EstimatorConfig, _variance_estimator_batch
 from .errors import DegenerateError, DomainError, ShapeError
 from .lattice_fields import (
     FieldModel,
@@ -30,8 +30,6 @@ from .lattice_fields import (
     model_to_dict,
     sample_fields_batch,
 )
-
-_CHUNK_CELLS = 1 << 24
 
 #: Fixed column order of the report CSV.
 REPORT_COLUMNS = (
@@ -65,8 +63,14 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "n_schedule", tuple(self.n_schedule))
         object.__setattr__(self, "levels", tuple(self.levels))
+        if not (1 <= self.d <= 3):
+            raise DomainError("dimension d must be 1, 2 or 3")
+        if not self.n_schedule:
+            raise DomainError("n_schedule must not be empty")
         if list(self.n_schedule) != sorted(set(self.n_schedule)):
             raise DomainError("n_schedule must be strictly increasing")
+        if self.n_schedule[0] < 1:
+            raise DomainError("every n in n_schedule must be >= 1")
         if self.replicates < 2:
             raise DomainError("replicates must be >= 2")
         for lv in self.levels:

@@ -21,6 +21,7 @@ and consistent under cube enlargement without storing noise arrays.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
+from .cv_ntcp import _binomial_pmf
 from .errors import CapacityError, DomainError, ParameterError, ShapeError
 
 #: Refuse to allocate enlarged noise grids beyond this many cells.
@@ -88,17 +90,14 @@ def _site_uniforms(seeds: np.ndarray, coord_axes: Sequence[np.ndarray]) -> np.nd
     return out[0] if scalar_seed else out
 
 
-def derive_seed(master_seed: int, *indices: int) -> int:
-    """Deterministic child seed from a master seed and integer indices."""
-    h = _mix64(np.full(1, master_seed & (2**64 - 1), dtype=np.uint64) ^ _TAG_REPLICATE)
-    for k, idx in enumerate(indices):
-        c = np.full(1, idx, dtype=np.int64).astype(np.uint64)
-        h = _mix64(h ^ (c * _AXIS_KEYS[k % len(_AXIS_KEYS)]))
-    return int(h[0])
+def derive_seed(master_seed: int, group: int, index: int) -> int:
+    """Deterministic child seed from a master seed, a group and an index."""
+    return int(derive_seeds(master_seed, group, [index])[0])
 
 
 def derive_seeds(master_seed: int, group: int, indices) -> np.ndarray:
-    """Vectorized derive_seed(master_seed, group, i) for an array of indices."""
+    """Deterministic child seeds from a master seed, a group and an array of
+    indices."""
     indices = np.asarray(indices, dtype=np.int64)
     h = _mix64(
         np.full(indices.shape, master_seed & (2**64 - 1), dtype=np.uint64)
@@ -247,14 +246,14 @@ def _valid_window_sum(a: np.ndarray, w: int, axis: int) -> np.ndarray:
     return np.moveaxis(out, -1, axis)
 
 
-def _window_values(model: FieldModel, window_sums: np.ndarray, d: int) -> np.ndarray:
-    """Map window noise sums to field values."""
+def _rule_on_counts(model: FieldModel, counts: np.ndarray, d: int) -> np.ndarray:
+    """Map window noise counts to field values."""
     if isinstance(model, MovingWindowThreshold):
-        return (window_sums >= model.k_min).astype(np.float64)
+        return (counts >= model.k_min).astype(np.float64)
     if isinstance(model, MovingWindowLevels):
         w_size = (2 * model.window_radius + 1) ** d
         steps = model.levels - 1
-        return np.round(window_sums / w_size * steps) / steps
+        return np.round(counts / w_size * steps) / steps
     raise ParameterError(f"not a window model: {model!r}")
 
 
@@ -281,7 +280,7 @@ def _sample_values(model: FieldModel, cube: LatticeCube, seeds) -> np.ndarray:
     spatial_start = seeds_arr.ndim
     for k in range(cube.d):
         sums = _valid_window_sum(sums, 2 * m + 1, spatial_start + k)
-    return _window_values(model, sums, cube.d)
+    return _rule_on_counts(model, sums, cube.d)
 
 
 def sample_field(model: FieldModel, cube: LatticeCube, seed: int) -> FieldSample:
@@ -305,33 +304,18 @@ def sample_fields_batch(
 # Exact moments by enumeration
 # ---------------------------------------------------------------------------
 
-def _binom_pmf_small(n: int, p: float) -> np.ndarray:
-    k = np.arange(n + 1)
-    return np.array(
-        [math.comb(n, int(i)) * p**int(i) * (1 - p) ** int(n - i) for i in k]
-    )
-
-
-def _rule_on_counts(model: FieldModel, counts: np.ndarray, d: int) -> np.ndarray:
-    if isinstance(model, MovingWindowThreshold):
-        return (counts >= model.k_min).astype(np.float64)
-    if isinstance(model, MovingWindowLevels):
-        w_size = (2 * model.window_radius + 1) ** d
-        steps = model.levels - 1
-        return np.round(counts / w_size * steps) / steps
-    raise ParameterError(f"not a window model: {model!r}")
-
-
 def model_mean(model: FieldModel, d: int = 1) -> float:
     """E X_0 by exhaustive enumeration over one window's noise states.
 
     The window rules are symmetric in the window noise, so configurations
     are grouped by their noise count (binomial weights); the value is exact.
     """
+    if not (1 <= d <= 3):
+        raise DomainError("dimension d must be 1, 2 or 3")
     if isinstance(model, IidBernoulli):
         return model.p
     w_size = (2 * model.window_radius + 1) ** d
-    pmf = _binom_pmf_small(w_size, model.theta)
+    pmf = _binomial_pmf(w_size, model.theta)
     vals = _rule_on_counts(model, np.arange(w_size + 1), d)
     return float(pmf @ vals)
 
@@ -361,33 +345,37 @@ def covariance_at_lag(model: FieldModel, lag: Sequence[int]) -> float:
     if shared == 0:
         return 0.0
     only = w_size - shared
-    pmf_shared = _binom_pmf_small(shared, model.theta)
-    pmf_only = _binom_pmf_small(only, model.theta)
+    pmf_shared = _binomial_pmf(shared, model.theta)
+    pmf_only = _binomial_pmf(only, model.theta)
     counts = np.arange(shared + 1)[:, None] + np.arange(only + 1)[None, :]
     vals = _rule_on_counts(model, counts, d)
-    # g(a) = E[f(a + private count)]; E X_0 X_j = E_a[g(a)^2]
+    # g(a) = E[f(a + private count)]; X_0 and X_j are independent given the
+    # shared count a, so cov = Var_a(g(a)), summed centered to avoid the
+    # cancellation of E[g^2] - mu^2 when the covariance is far below mu^2
     g = vals @ pmf_only
-    e_joint = float(pmf_shared @ (g * g))
-    mu = model_mean(model, d)
-    return e_joint - mu * mu
+    centered = g - pmf_shared @ g
+    return float(pmf_shared @ (centered * centered))
 
 
 def model_sigma2(model: FieldModel, d: int = 1) -> Sigma2Result:
-    """sigma^2 = sum of cov(X_0, X_j) over all lags; finite by m-dependence."""
-    if isinstance(model, IidBernoulli):
-        value = model.p * (1.0 - model.p)
-        return Sigma2Result(value=value, degenerate=value < SIGMA2_EPSILON)
-    m = model.window_radius
+    """sigma^2 = sum of cov(X_0, X_j) over all lags; finite by m-dependence.
+
+    cov(X_0, X_j) depends on j only through the shared-window count
+    prod_k (w - |j_k|), so the nonnegative lags are grouped by that count,
+    each standing for 2^(nonzero components) signed lags, and one
+    covariance is computed per group.  The first lag is the zero lag, so an
+    unsupported d fails in ``covariance_at_lag`` before the enumeration.
+    """
+    w = 2 * model.window_radius + 1
+    groups = {}  # shared-window count -> [covariance, number of signed lags]
+    for lag in itertools.product(range(w), repeat=d):
+        shared = math.prod(w - j for j in lag)
+        if shared not in groups:
+            groups[shared] = [covariance_at_lag(model, lag), 0]
+        groups[shared][1] += 2 ** sum(1 for j in lag if j)
     total = 0.0
-    rng = range(-2 * m, 2 * m + 1)
-    if d == 1:
-        lags = [(i,) for i in rng]
-    elif d == 2:
-        lags = [(i, j) for i in rng for j in rng]
-    else:
-        lags = [(i, j, k) for i in rng for j in rng for k in rng]
-    for lag in lags:
-        total += covariance_at_lag(model, lag)
+    for cov, count in groups.values():
+        total += count * cov
     return Sigma2Result(value=total, degenerate=abs(total) < SIGMA2_EPSILON)
 
 

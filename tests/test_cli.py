@@ -150,6 +150,15 @@ class TestSimulateEstimate:
         _, second, _ = run(capsys, "estimate", "--sample", path)
         assert first == second
 
+    def test_capacity_error_exit_one(self, capsys, tmp_path):
+        out_path = tmp_path / "x"
+        code, _, err = run(capsys, "simulate", "--field", "iid", "--p", "0.5",
+                           "--d", "3", "--n", "300", "--seed", "1",
+                           "--out", str(out_path))
+        assert code == 1
+        assert err.startswith("error") and "Traceback" not in err
+        assert not out_path.exists()
+
     def test_missing_sample_exit_two(self, capsys, tmp_path):
         missing = str(tmp_path / "nope.dat")
         code, _, err = run(capsys, "estimate", "--sample", missing)

@@ -128,6 +128,16 @@ class TestRunCltExperiment:
         with pytest.raises(DomainError):
             small_config(n_schedule=(40, 20))
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(d=0), dict(d=4), dict(n_schedule=()), dict(n_schedule=(0, 20))],
+        ids=["d0", "d4", "empty_schedule", "n0"],
+    )
+    def test_invalid_config_rejected(self, overrides):
+        # rejected when the config is built, before sigma^2 or any sampling
+        with pytest.raises(DomainError):
+            small_config(**overrides)
+
 
 class TestConsistencyAndCoverage:
     def test_consistency_summary_fields(self):

@@ -1,10 +1,12 @@
+import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ntcpfields.errors import CapacityError, ParameterError, ShapeError
+from ntcpfields.errors import CapacityError, DomainError, ParameterError, ShapeError
 from ntcpfields.lattice_fields import (
     FieldSample,
     IidBernoulli,
@@ -52,6 +54,33 @@ def brute_force_moments(model, d, lag):
         e1 += weight * x1
         e01 += weight * x0 * x1
     return e0, e1, e01
+
+
+def exact_threshold_sigma2(model, d):
+    """Independent oracle in exact rational arithmetic: cov(X_0, X_j)
+    summed lag by lag over all (4m+1)^d lags, with math.comb weights on the
+    shared and private noise counts of the two windows."""
+    w = 2 * model.window_radius + 1
+    w_size = w**d
+    theta = Fraction(model.theta)
+
+    @functools.lru_cache(maxsize=None)
+    def pmf(n):
+        return [math.comb(n, k) * theta**k * (1 - theta) ** (n - k) for k in range(n + 1)]
+
+    def tail(n, k):  # P(Binomial(n, theta) >= k)
+        return sum(pmf(n)[max(k, 0):], Fraction(0))
+
+    mu = tail(w_size, model.k_min)
+    total = Fraction(0)
+    for lag in itertools.product(range(1 - w, w), repeat=d):
+        shared = math.prod(w - abs(j) for j in lag)
+        only = w_size - shared
+        for a, weight in enumerate(pmf(shared)):
+            g = tail(only, model.k_min - a)
+            total += weight * g * g
+        total -= mu * mu
+    return total
 
 
 class TestCube:
@@ -116,6 +145,12 @@ class TestSampling:
         for r in range(5):
             assert int(batch[r]) == derive_seed(42, 7, r)
 
+    def test_derived_seeds_pinned(self):
+        # the seed contract: these values key every stored sample and report
+        assert [derive_seed(42, 7, r) for r in range(3)] == [
+            2967919971110318135, 8147493018865561009, 10752337263636993473]
+        assert derive_seed(2**64 + 5, -3, -1) == 18122371284059940793
+
 
 class TestMoments:
     def test_iid_mean_and_cov(self):
@@ -174,6 +209,46 @@ class TestMoments:
         res = model_sigma2(frozen, 1)
         assert res.value == pytest.approx(0.0, abs=1e-15)
         assert res.degenerate
+
+    @pytest.mark.parametrize("d,m", [(2, 2), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("kind", ["threshold", "levels"])
+    def test_sigma2_equals_per_lag_sum(self, d, m, kind):
+        w_size = (2 * m + 1) ** d
+        if kind == "threshold":
+            model = MovingWindowThreshold(window_radius=m, theta=0.4, k_min=int(0.4 * w_size))
+        else:
+            model = MovingWindowLevels(window_radius=m, theta=0.4, levels=5)
+        reference = 0.0
+        for lag in itertools.product(range(-2 * m, 2 * m + 1), repeat=d):
+            reference += covariance_at_lag(model, lag)
+        assert model_sigma2(model, d).value == pytest.approx(reference, rel=1e-12, abs=0)
+
+    def test_wide_window_mean_closed_form(self):
+        # levels = |window| + 1 makes X_0 exactly the window noise mean, so
+        # E X_0 = theta and sigma^2 = Var(one noise site) = theta (1 - theta)
+        model = MovingWindowLevels(window_radius=5, theta=0.45, levels=11**3 + 1)
+        assert model_mean(model, 3) == pytest.approx(0.45, rel=1e-9)
+        res = model_sigma2(model, 3)
+        assert res.value == pytest.approx(0.45 * 0.55, rel=1e-9)
+        assert not res.degenerate
+
+    @pytest.mark.parametrize(
+        "m,theta,k_min,d",
+        [(2, 0.6, 3, 2), (10, 0.7, 3, 1), (1, 0.8, 3, 3), (1, 0.4, 5, 3)],
+    )
+    def test_sigma2_vs_exact_rational(self, m, theta, k_min, d):
+        # near-degenerate fields (mean close to 1) keep full relative accuracy
+        model = MovingWindowThreshold(window_radius=m, theta=theta, k_min=k_min)
+        exact = exact_threshold_sigma2(model, d)
+        assert model_sigma2(model, d).value == pytest.approx(float(exact), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("d", [0, 4])
+    def test_moments_reject_unsupported_dimension(self, d):
+        for model in (MAJORITY, IidBernoulli(p=0.3)):
+            with pytest.raises(DomainError):
+                model_sigma2(model, d)
+            with pytest.raises(DomainError):
+                model_mean(model, d)
 
 
 class TestSerialization:
