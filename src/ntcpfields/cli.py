@@ -18,7 +18,7 @@ import sys
 from typing import List, Optional, Sequence, Tuple
 
 from . import cv_ntcp, dependent_clt, dose_response, experiment, lattice_fields
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 
 
 def _f(value: float) -> str:
@@ -275,7 +275,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         pairs = args.run(args)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -126,12 +126,12 @@ def _truncated_window_sum(a: np.ndarray, b: int, axis: int) -> np.ndarray:
     a = np.moveaxis(a, axis, -1)
     cs = np.cumsum(a, axis=-1)
     size = a.shape[-1]
-    i = np.arange(size)
-    hi = np.minimum(i + b, size - 1)
-    lo = i - b
-    upper = cs[..., hi]
-    lower = np.where(lo > 0, cs[..., np.maximum(lo - 1, 0)], 0.0)
-    return np.moveaxis(upper - lower, -1, axis)
+    out = np.empty_like(cs)
+    # sum[i] = cs[min(i+b, size-1)] - cs[i-b-1], the second term where i-b-1 >= 0
+    out[..., : max(size - b, 0)] = cs[..., b:]
+    out[..., max(size - b, 0):] = cs[..., -1:]
+    out[..., b + 1:] -= cs[..., : max(size - b - 1, 0)]
+    return np.moveaxis(out, -1, axis)
 
 
 def _window_counts(side: int, b: int, d: int) -> np.ndarray:

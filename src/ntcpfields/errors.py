@@ -2,7 +2,7 @@
 
 Everything derives from ValueError so callers that do not care about the
 finer distinctions can catch a single type; the CLI maps these to exit
-code 1 and genuine I/O or config problems to exit code 2.
+code 1, and ConfigError and genuine I/O problems to exit code 2.
 """
 
 
@@ -28,3 +28,7 @@ class ShapeError(ValueError):
 
 class CapacityError(ValueError):
     """A requested allocation exceeds the configured cell cap."""
+
+
+class ConfigError(ValueError):
+    """A config or file-header field has the wrong type."""

@@ -19,10 +19,11 @@ import numpy as np
 
 from .cv_ntcp import normal_cdf, normal_quantile
 from .dependent_clt import _CHUNK_CELLS, EstimatorConfig, _variance_estimator_batch
-from .errors import DegenerateError, DomainError, ShapeError
+from .errors import ConfigError, DegenerateError, DomainError, ShapeError
 from .lattice_fields import (
     FieldModel,
     LatticeCube,
+    _number,
     derive_seeds,
     model_from_dict,
     model_mean,
@@ -105,28 +106,43 @@ class ExperimentConfig:
         }
 
 
+def _numbers(value, name: str, integer: bool = False) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return [_number(v, name, integer) for v in value]
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
+    """Config from its JSON form: a wrongly typed field raises ConfigError, a
+    well-typed value outside its domain DomainError."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"config must be an object, got {data!r}")
     bandwidth = data.get("bandwidth", {})
+    if not isinstance(bandwidth, dict):
+        raise ConfigError(f"bandwidth must be an object, got {bandwidth!r}")
     if "b" in bandwidth:
-        estimator = EstimatorConfig(bandwidth=int(bandwidth["b"]))
+        estimator = EstimatorConfig(bandwidth=int(_number(bandwidth["b"], "b", integer=True)))
     elif "eta" in bandwidth:
-        estimator = EstimatorConfig(eta=float(bandwidth["eta"]))
+        estimator = EstimatorConfig(eta=float(_number(bandwidth["eta"], "eta")))
     else:
         estimator = EstimatorConfig()
     mean_source = data.get("mean_source", "model")
     if isinstance(mean_source, dict):
-        mean_source = float(mean_source["hypothesized"])
+        mean_source = float(_number(mean_source["hypothesized"], "hypothesized"))
+    elif not isinstance(mean_source, str):
+        raise ConfigError(f"mean_source must be a string or an object, got {mean_source!r}")
     elif mean_source != "model":
         raise DomainError("mean_source must be 'model' or {'hypothesized': value}")
+    n_schedule = _numbers(data["n_schedule"], "n_schedule", integer=True)
     return ExperimentConfig(
         model=model_from_dict(data["model"]),
-        d=int(data["d"]),
-        n_schedule=tuple(int(v) for v in data["n_schedule"]),
-        replicates=int(data["replicates"]),
-        master_seed=int(data["master_seed"]),
+        d=int(_number(data["d"], "d", integer=True)),
+        n_schedule=tuple(int(v) for v in n_schedule),
+        replicates=int(_number(data["replicates"], "replicates", integer=True)),
+        master_seed=int(_number(data["master_seed"], "master_seed", integer=True)),
         estimator=estimator,
         mean_source=mean_source,
-        levels=tuple(float(v) for v in data.get("levels", [0.95])),
+        levels=tuple(float(v) for v in _numbers(data.get("levels", [0.95]), "levels")),
     )
 
 

@@ -16,7 +16,12 @@ construction:
 Noise is drawn from a counter-based generator keyed by (seed, site
 coordinates): the value at a lattice site is a pure hash of the seed and
 the coordinates, so samples are reproducible, embarrassingly parallel,
-and consistent under cube enlargement without storing noise arrays.
+and consistent under cube enlargement without storing noise arrays.  A
+site's noise is 1 when u < theta for the uniform u = (h >> 11) * 2^-53 of
+its 64-bit hash h, evaluated exactly in integers as
+(h >> 11) < ceil(theta * 2^53).  A replicate batch is computed in blocks of
+seeds whose noise grids hold about 2^16 cells, so the working set stays in
+cache and peak memory is about the output array.
 """
 
 from __future__ import annotations
@@ -24,16 +29,21 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
 
 import numpy as np
 
 from .cv_ntcp import _binomial_pmf
-from .errors import CapacityError, DomainError, ParameterError, ShapeError
+from .errors import CapacityError, ConfigError, DomainError, ParameterError, ShapeError
 
 #: Refuse to allocate enlarged noise grids beyond this many cells.
 MAX_CELLS = 1 << 26
+
+#: Noise cells hashed at once when sampling a batch: a block of seeds whose
+#: hash, noise and window-sum arrays stay in cache.
+_BLOCK_CELLS = 1 << 16
 
 #: Treat |sigma^2| below this as the degenerate sigma = 0 case.
 SIGMA2_EPSILON = 1e-12
@@ -57,37 +67,44 @@ _AXIS_KEYS = (
 
 
 def _mix64(h: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, elementwise on uint64 arrays."""
-    h = h ^ (h >> _U64(30))
-    h = h * _MIX_C1
-    h = h ^ (h >> _U64(27))
-    h = h * _MIX_C2
-    h = h ^ (h >> _U64(31))
+    """splitmix64 finalizer, elementwise and in place on a uint64 array."""
+    h ^= h >> _U64(30)
+    h *= _MIX_C1
+    h ^= h >> _U64(27)
+    h *= _MIX_C2
+    h ^= h >> _U64(31)
     return h
 
 
-def _site_uniforms(seeds: np.ndarray, coord_axes: Sequence[np.ndarray]) -> np.ndarray:
-    """Uniform(0,1) noise on the grid spanned by ``coord_axes``.
+def _site_hash(seeds: np.ndarray, coord_axes: Sequence[np.ndarray]) -> np.ndarray:
+    """uint64 hashes on the grid spanned by ``coord_axes``, for a 1-d batch
+    of seeds; the result has shape ``seeds.shape + grid_shape``.
 
-    ``seeds`` may be a scalar array or a 1-d batch; the result has shape
-    ``seeds.shape + grid_shape``.  Each value depends only on (seed, site
-    coordinates), which is what makes nested cubes agree.
+    Each value depends only on (seed, site coordinates), which is what makes
+    nested cubes agree and lets a batch be computed in any blocking.
     """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    scalar_seed = seeds.ndim == 0
-    if scalar_seed:
-        seeds = seeds.reshape(1)  # keep ops on >=1-d arrays (0-d ops decay to
-        # numpy scalars, whose uint64 overflow emits spurious warnings)
-    batch_ndim = seeds.ndim
     d = len(coord_axes)
-    h = _mix64(seeds ^ _TAG_NOISE)
-    h = h.reshape(seeds.shape + (1,) * d)
+    h = _mix64(seeds ^ _TAG_NOISE).reshape(seeds.shape + (1,) * d)
     for k, axis in enumerate(coord_axes):
         c = np.asarray(axis, dtype=np.int64).astype(np.uint64)
-        shape = (1,) * batch_ndim + (1,) * k + (len(axis),) + (1,) * (d - k - 1)
+        shape = (1,) * (1 + k) + (len(axis),) + (1,) * (d - k - 1)
         h = _mix64(h ^ (c.reshape(shape) * _AXIS_KEYS[k]))
-    out = (h >> _U64(11)) * (1.0 / (1 << 53))
-    return out[0] if scalar_seed else out
+    return h
+
+
+def _site_noise(
+    seeds: np.ndarray, coord_axes: Sequence[np.ndarray], theta: float
+) -> np.ndarray:
+    """Boolean Bernoulli(theta) noise on the grid, u < theta for the uniform
+    u = (h >> 11) * 2^-53 of each site hash h.
+
+    The comparison runs on integers: theta * 2^53 is exact for theta in
+    [0, 1] and h >> 11 is an integer below 2^53, so u < theta exactly when
+    h >> 11 < ceil(theta * 2^53).
+    """
+    h = _site_hash(seeds, coord_axes)
+    h >>= _U64(11)
+    return h < _U64(math.ceil(theta * 2**53))
 
 
 def derive_seed(master_seed: int, group: int, index: int) -> int:
@@ -238,9 +255,10 @@ def threshold_model_from_dose(
 # ---------------------------------------------------------------------------
 
 def _valid_window_sum(a: np.ndarray, w: int, axis: int) -> np.ndarray:
-    """Sliding sums of width w along one axis ('valid' mode), via cumsum."""
+    """Sliding integer sums of width w along one axis ('valid' mode), via
+    cumsum; int32 holds every partial sum of a grid of at most MAX_CELLS."""
     a = np.moveaxis(a, axis, -1)
-    cs = np.cumsum(a, axis=-1)
+    cs = np.cumsum(a, axis=-1, dtype=np.int32)
     out = cs[..., w - 1:].copy()
     out[..., 1:] -= cs[..., : cs.shape[-1] - w]
     return np.moveaxis(out, -1, axis)
@@ -258,7 +276,12 @@ def _rule_on_counts(model: FieldModel, counts: np.ndarray, d: int) -> np.ndarray
 
 
 def _sample_values(model: FieldModel, cube: LatticeCube, seeds) -> np.ndarray:
-    """Field values for one seed (scalar) or a batch of seeds (1-d array)."""
+    """Field values for one seed (scalar) or a batch of seeds (1-d array).
+
+    A batch is computed in blocks of seeds whose noise grids hold about
+    _BLOCK_CELLS cells, each written into one preallocated output; a scalar
+    seed is one block.
+    """
     seeds_arr = np.asarray(seeds, dtype=np.uint64)
     batch = max(1, seeds_arr.size)
     if isinstance(model, IidBernoulli):
@@ -273,14 +296,17 @@ def _sample_values(model: FieldModel, cube: LatticeCube, seeds) -> np.ndarray:
             f"{batch} x {enlarged} noise cells exceed the cap of {MAX_CELLS}"
         )
     axes = [np.arange(-cube.n - m, cube.n + m + 1)] * cube.d
-    noise = (_site_uniforms(seeds_arr, axes) < theta).astype(np.float64)
-    if isinstance(model, IidBernoulli):
-        return noise
-    sums = noise
-    spatial_start = seeds_arr.ndim
-    for k in range(cube.d):
-        sums = _valid_window_sum(sums, 2 * m + 1, spatial_start + k)
-    return _rule_on_counts(model, sums, cube.d)
+    flat_seeds = seeds_arr.reshape(-1)
+    out = np.empty(flat_seeds.shape + cube.shape)
+    step = max(1, _BLOCK_CELLS // enlarged)
+    for start in range(0, flat_seeds.size, step):
+        block = _site_noise(flat_seeds[start:start + step], axes, theta)
+        if not isinstance(model, IidBernoulli):
+            for k in range(cube.d):
+                block = _valid_window_sum(block, 2 * m + 1, 1 + k)
+            block = _rule_on_counts(model, block, cube.d)
+        out[start:start + step] = block
+    return out[0] if seeds_arr.ndim == 0 else out
 
 
 def sample_field(model: FieldModel, cube: LatticeCube, seed: int) -> FieldSample:
@@ -363,9 +389,10 @@ def model_sigma2(model: FieldModel, d: int = 1) -> Sigma2Result:
     cov(X_0, X_j) depends on j only through the shared-window count
     prod_k (w - |j_k|), so the nonnegative lags are grouped by that count,
     each standing for 2^(nonzero components) signed lags, and one
-    covariance is computed per group.  The first lag is the zero lag, so an
-    unsupported d fails in ``covariance_at_lag`` before the enumeration.
+    covariance is computed per group.
     """
+    if not (1 <= d <= 3):
+        raise DomainError("dimension d must be 1, 2 or 3")
     w = 2 * model.window_radius + 1
     groups = {}  # shared-window count -> [covariance, number of signed lags]
     for lag in itertools.product(range(w), repeat=d):
@@ -404,21 +431,33 @@ def model_to_dict(model: FieldModel) -> dict:
     raise ParameterError(f"unknown model {model!r}")
 
 
+def _number(value, name: str, integer: bool = False):
+    """``value`` unchanged if it is a number (an integer when ``integer``);
+    any other type in a config or header field raises ConfigError."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        expected = "an integer" if integer else "a number"
+        raise ConfigError(f"{name} must be {expected}, got {value!r}")
+    return value
+
+
 def model_from_dict(data: dict) -> FieldModel:
+    if not isinstance(data, dict):
+        raise ConfigError(f"model must be an object, got {data!r}")
     kind = data.get("type")
     if kind == "iid_bernoulli":
-        return IidBernoulli(p=data["p"])
+        return IidBernoulli(p=_number(data["p"], "p"))
     if kind == "moving_window_threshold":
         return MovingWindowThreshold(
-            window_radius=data["window_radius"],
-            theta=data["theta"],
-            k_min=data["k_min"],
+            window_radius=_number(data["window_radius"], "window_radius", integer=True),
+            theta=_number(data["theta"], "theta"),
+            k_min=_number(data["k_min"], "k_min", integer=True),
         )
     if kind == "moving_window_levels":
         return MovingWindowLevels(
-            window_radius=data["window_radius"],
-            theta=data["theta"],
-            levels=data.get("levels", 5),
+            window_radius=_number(data["window_radius"], "window_radius", integer=True),
+            theta=_number(data["theta"], "theta"),
+            levels=_number(data.get("levels", 5), "levels", integer=True),
         )
     raise ParameterError(f"unknown field model type {kind!r}")
 
@@ -440,7 +479,9 @@ def load_sample(path) -> FieldSample:
     with open(path) as fh:
         header = json.loads(fh.readline())
         values = np.array([float(line) for line in fh if line.strip()])
-    cube = LatticeCube(d=header["d"], n=header["n"])
+    cube = LatticeCube(
+        d=_number(header["d"], "d", integer=True), n=_number(header["n"], "n", integer=True)
+    )
     if values.size != cube.size:
         raise ShapeError(
             f"sample file holds {values.size} values, cube needs {cube.size}"

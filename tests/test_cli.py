@@ -159,11 +159,40 @@ class TestSimulateEstimate:
         assert err.startswith("error") and "Traceback" not in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("key,value", [("d", "2"), ("theta", "0.5")])
+    def test_wrongly_typed_header_exit_two(self, capsys, tmp_path, key, value):
+        path = tmp_path / "s.dat"
+        code, _, _ = run(capsys, "simulate", "--field", "window_threshold", "--theta", "0.5",
+                         "--k-min", "2", "--d", "2", "--n", "2", "--seed", "1",
+                         "--out", str(path))
+        assert code == 0
+        header, body = path.read_text().split("\n", 1)
+        header = json.loads(header)
+        target = header["model"] if key == "theta" else header
+        target[key] = value
+        path.write_text(json.dumps(header) + "\n" + body)
+        code, _, err = run(capsys, "estimate", "--sample", str(path))
+        assert code == 2
+        assert "error" in err and "Traceback" not in err
+
     def test_missing_sample_exit_two(self, capsys, tmp_path):
         missing = str(tmp_path / "nope.dat")
         code, _, err = run(capsys, "estimate", "--sample", missing)
         assert code == 2
         assert "nope.dat" in err
+
+
+def experiment_config(**fields):
+    config = {
+        "model": {"type": "moving_window_threshold",
+                  "window_radius": 1, "theta": 0.5, "k_min": 2},
+        "d": 1,
+        "n_schedule": [10, 20],
+        "replicates": 50,
+        "master_seed": 6,
+    }
+    config.update(fields)
+    return config
 
 
 class TestExperimentCommand:
@@ -200,6 +229,42 @@ class TestExperimentCommand:
         code, _, _ = run(capsys, "experiment", "--config", str(config_path),
                          "--out", str(tmp_path / "r.csv"))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "fields,code",
+        [
+            # wrongly typed fields are config errors: exit 2
+            ({"n_schedule": 10}, 2),
+            ({"d": "three"}, 2),
+            ({"d": 1.5}, 2),
+            ({"replicates": "50"}, 2),
+            ({"master_seed": None}, 2),
+            ({"levels": "0.95"}, 2),
+            ({"levels": [True]}, 2),
+            ({"bandwidth": 3}, 2),
+            ({"bandwidth": {"b": "2"}}, 2),
+            ({"mean_source": {"hypothesized": "half"}}, 2),
+            ({"model": "majority"}, 2),
+            ({"model": {"type": "moving_window_threshold",
+                        "window_radius": 1, "theta": "0.5", "k_min": 2}}, 2),
+            # well-typed values outside their domain: exit 1
+            ({"d": 4}, 1),
+            ({"n_schedule": [0, 10]}, 1),
+        ],
+        ids=lambda case: (
+            "-".join(f"{k}={v!r}" for k, v in case.items())
+            if isinstance(case, dict) else f"exit{case}"
+        ),
+    )
+    def test_config_error_exit_code(self, capsys, tmp_path, fields, code):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(experiment_config(**fields)))
+        out_path = tmp_path / "r.csv"
+        got, _, err = run(capsys, "experiment", "--config", str(config_path),
+                          "--out", str(out_path))
+        assert got == code
+        assert "error" in err and "Traceback" not in err
+        assert not out_path.exists()
 
 
 def test_no_subcommand_exit_two(capsys):

@@ -6,6 +6,8 @@ from scipy import special
 
 from ntcpfields.dependent_clt import (
     EstimatorConfig,
+    _truncated_window_sum,
+    _variance_estimator_batch,
     confidence_interval,
     default_bandwidth,
     ntcp_estimate,
@@ -19,6 +21,7 @@ from ntcpfields.lattice_fields import (
     FieldSample,
     IidBernoulli,
     LatticeCube,
+    MovingWindowLevels,
     MovingWindowThreshold,
     covariance_at_lag,
     sample_field,
@@ -50,6 +53,16 @@ def chat_brute_force(values, b):
         block = values[slices]
         total += block.size * (block.sum() / block.size - global_mean) ** 2
     return total / size
+
+
+def clipped_window_sum_brute_force(values, b, axis):
+    """Sum over [i-b, i+b] clipped to the array, index by index."""
+    moved = np.moveaxis(values, axis, -1)
+    out = np.empty_like(moved)
+    size = moved.shape[-1]
+    for i in range(size):
+        out[..., i] = moved[..., max(0, i - b):min(size, i + b + 1)].sum(axis=-1)
+    return np.moveaxis(out, -1, axis)
 
 
 class TestPartialSum:
@@ -134,6 +147,33 @@ class TestVarianceEstimator:
         for seed in range(20):
             sample = sample_field(IidBernoulli(p=0.2), LatticeCube(d=1, n=30), seed)
             assert variance_estimator(sample, EstimatorConfig()) >= 0.0
+
+    @pytest.mark.parametrize(
+        "side,b",
+        [(1, 1), (1, 3), (2, 1), (2, 2), (2, 4), (5, 1), (5, 2), (5, 4), (5, 5),
+         (5, 7), (9, 1), (9, 3), (9, 8), (9, 9), (9, 11)],
+    )
+    def test_truncated_window_sum_vs_brute_force(self, side, b):
+        # covers b = side - 1 and b >= side; side 1 is the n = 0 cube, where
+        # every b clips to the single site.  Small integers keep every sum
+        # exact, so the comparison is exact.
+        values = np.random.default_rng(side).integers(-9, 10, size=(3, side, side))
+        values = values.astype(np.float64)
+        for axis in (1, 2):
+            assert np.array_equal(
+                _truncated_window_sum(values, b, axis),
+                clipped_window_sum_brute_force(values, b, axis),
+            )
+
+    @pytest.mark.parametrize("d,n,b", [(1, 40, 3), (1, 200, 6), (2, 9, 2), (3, 4, 2), (3, 0, 1)])
+    def test_batch_rows_equal_single_estimates(self, d, n, b):
+        model = MovingWindowLevels(window_radius=1, theta=0.4, levels=5)
+        cube = LatticeCube(d=d, n=n)
+        seeds = list(range(12))
+        rows = _variance_estimator_batch(sample_fields_batch(model, cube, seeds), d, b)
+        config = EstimatorConfig(bandwidth=b)
+        singles = [variance_estimator(sample_field(model, cube, s), config) for s in seeds]
+        assert rows.tolist() == singles
 
     def test_iid_mean_near_pq(self):
         values = sample_fields_batch(IidBernoulli(p=0.3), LatticeCube(d=1, n=200), range(100))

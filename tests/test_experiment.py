@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from ntcpfields.errors import DegenerateError, DomainError, ShapeError
+from ntcpfields.errors import ConfigError, DegenerateError, DomainError, ShapeError
 from ntcpfields.experiment import (
     REPORT_COLUMNS,
     ExperimentConfig,
@@ -178,6 +178,23 @@ class TestConfigIO:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config.to_dict()))
         assert load_config(path) == config
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("d", "three"), ("d", 2.0), ("n_schedule", 10), ("n_schedule", [10, "20"]),
+         ("replicates", True), ("levels", 0.95), ("model", None), ("mean_source", 0.5)],
+    )
+    def test_wrongly_typed_field(self, key, value):
+        data = small_config().to_dict()
+        data[key] = value
+        with pytest.raises(ConfigError):
+            config_from_dict(data)
+
+    def test_numpy_numbers_accepted(self):
+        data = small_config().to_dict()
+        data["d"] = np.int64(data["d"])
+        data["levels"] = [np.float64(v) for v in data["levels"]]
+        assert config_from_dict(data) == small_config()
 
     def test_bad_mean_source(self):
         data = small_config().to_dict()

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -6,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ntcpfields import lattice_fields
 from ntcpfields.errors import CapacityError, DomainError, ParameterError, ShapeError
 from ntcpfields.lattice_fields import (
     FieldSample,
@@ -27,6 +29,32 @@ from ntcpfields.lattice_fields import (
 )
 
 MAJORITY = MovingWindowThreshold(window_radius=1, theta=0.5, k_min=2)
+
+# sha256 of the float64 bytes of sample_fields_batch over the derived seeds
+# derive_seeds(7, n, range(replicates)) and of sample_field at seed
+# 123456789: the sample bytes that stored samples and reports rest on, so
+# no change of blocking or noise arithmetic may move them; (d, n,
+# replicates) spans several seed blocks at every d
+GOLDEN_CUBES = {1: (40, 2000), 2: (12, 200), 3: (5, 64)}
+GOLDEN_DIGESTS = {
+    ("iid", 1): ("4926f41adfc9b4634f2a71fed0ee6592b22d760afb8ca9d63a641b08a65def8b", "4411d70277a82f1703f054396254f392a219f15abe50cae04b903de564723cad"),
+    ("threshold", 1): ("9dcc112980aa5c30e2b2b773596102a43d779dfbbbc0c84049d01fc9b90832cb", "d19cf9de461267522d041a581bf3dd85631bda7d0e150766dcfbb15e1b7416df"),
+    ("levels", 1): ("266963c8c75acc01001339eb39759ee188673fc3e6d0cd9641b3f7124c454e77", "a02c3b626703160c49812b2c1fc26d1e08f0fd11a76a1c6f62b1115fdc364483"),
+    ("iid", 2): ("5b5d470e4146b122d5aa7d55e8d1f72dda48fa6a479500a09d8dc5208000849c", "23156cad34271e70679811c2ca2d605ebf17006e86830d983090274df3e7d173"),
+    ("threshold", 2): ("935d12e4d387cf00ba7cc077400aacc65746f855e73c32e50af9c2084d11a81f", "cbbf3a204c238585208b93d63034b385d7f69cd812eafdbcddcca6ec8ead8324"),
+    ("levels", 2): ("a3f6a104c43918d6664cc5f99063d1b794c682b9f2be0207ea7dc1bd2e01d4fd", "e8f8e833cc53ae8db7dc5b2b3d82a5716a0c158b5cbd16400da1a2e77d463532"),
+    ("iid", 3): ("34a11f4ef7eb5d706f4b01e352d57a047f2dc4aa787a5cd32cbfa8905c71e97e", "2816cbc008e345333b8246e25b9cf21f4bda15f5ebfe95754a2842d69c480ec0"),
+    ("threshold", 3): ("f11e0f90bc977b19ba932d3e6a1350a572b859a3a3599f03607f9dc87480214d", "576e914a96587d0dd1c8c5e0791063978e7e7753dd111e9d710c295691f9f7dc"),
+    ("levels", 3): ("9c4d2d33f243094af8651c09b2af01229d78f05858e2ad62c8683ab744af9497", "d6eba82295c2c536a9406e27bb23caafe0ecd30e3583b9c7a15e270d7b075636"),
+}
+
+
+def golden_model(name, d):
+    if name == "iid":
+        return IidBernoulli(p=0.3)
+    if name == "threshold":
+        return MovingWindowThreshold(window_radius=1, theta=0.5, k_min=(3**d + 1) // 2)
+    return MovingWindowLevels(window_radius=1, theta=0.37, levels=5)
 
 
 def brute_force_moments(model, d, lag):
@@ -136,6 +164,44 @@ class TestSampling:
         assert sample.values.min() >= 0.0 and sample.values.max() <= 1.0
         assert set(np.unique(np.round(sample.values * 4)).tolist()) <= {0, 1, 2, 3, 4}
 
+    @pytest.mark.parametrize("name,d", sorted(GOLDEN_DIGESTS))
+    def test_golden_digests(self, name, d):
+        model = golden_model(name, d)
+        n, replicates = GOLDEN_CUBES[d]
+        cube = LatticeCube(d=d, n=n)
+        batch = sample_fields_batch(model, cube, derive_seeds(7, n, np.arange(replicates)))
+        single = sample_field(model, cube, 123456789).values
+        assert (
+            hashlib.sha256(batch.tobytes()).hexdigest(),
+            hashlib.sha256(single.tobytes()).hexdigest(),
+        ) == GOLDEN_DIGESTS[(name, d)]
+
+    @pytest.mark.parametrize("d,n", [(1, 30), (2, 9), (3, 4)])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_batch_matches_singles_across_blocks(self, d, n, extra):
+        model = MovingWindowLevels(window_radius=2, theta=0.45, levels=4)
+        cube = LatticeCube(d=d, n=n)
+        block = lattice_fields._BLOCK_CELLS // (cube.side + 4) ** d
+        seeds = [int(s) for s in derive_seeds(11, n, np.arange(block + extra))]
+        batch = sample_fields_batch(model, cube, seeds)
+        assert batch.shape == (len(seeds),) + cube.shape
+        for row, seed in zip(batch, seeds):
+            assert np.array_equal(row, sample_field(model, cube, seed).values)
+
+    def test_noise_rule_matches_float_rule(self):
+        seeds = derive_seeds(3, 0, np.arange(8))
+        axes = [np.arange(-40, 41)] * 2
+        k = lattice_fields._site_hash(seeds, axes) >> np.uint64(11)
+        u = k * 2.0**-53  # the float rule the integer rule replaces: u < theta
+        thetas = [0.0, 1.0, 2.0**-53, 5e-324]
+        for site in (0, 17, 4000, k.size - 1):
+            exact = float(k.flat[site]) * 2.0**-53
+            thetas += [np.nextafter(exact, 0.0), exact, np.nextafter(exact, 1.0)]
+        for theta in thetas:
+            noise = lattice_fields._site_noise(seeds, axes, theta)
+            assert noise.dtype == bool
+            assert np.array_equal(noise, u < theta), theta
+
     def test_capacity_cap(self):
         with pytest.raises(CapacityError):
             sample_field(IidBernoulli(p=0.5), LatticeCube(d=3, n=300), 1)
@@ -242,7 +308,7 @@ class TestMoments:
         exact = exact_threshold_sigma2(model, d)
         assert model_sigma2(model, d).value == pytest.approx(float(exact), rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("d", [0, 4])
+    @pytest.mark.parametrize("d", [-1, 0, 4])
     def test_moments_reject_unsupported_dimension(self, d):
         for model in (MAJORITY, IidBernoulli(p=0.3)):
             with pytest.raises(DomainError):
