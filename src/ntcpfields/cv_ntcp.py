@@ -154,8 +154,6 @@ def ntcp_exact(n: int, p: float, threshold: int) -> float:
     """Exact binomial upper tail P(S_n >= threshold)."""
     if not (0 <= threshold <= n + 1):
         raise DomainError(f"threshold must lie in [0, {n + 1}], got {threshold}")
-    if threshold == 0:
-        return 1.0
     return float(ntcp_exact_all_thresholds(n, p)[threshold])
 
 
@@ -273,14 +271,16 @@ def invert_fraction(kappa: float, c: float) -> float:
 
     The quadratic obtained by squaring kappa - p = c sqrt(p(1-p)) has two
     roots; only the smaller one satisfies kappa - p >= 0, so the negative
-    branch is taken.  The round-trip test pins this choice.
+    branch is taken.  The round-trip test pins this choice.  The smaller
+    root is computed as kappa^2 / ((1 + c^2) p_+) from the larger root p_+,
+    which avoids the cancellation of the direct formula when kappa << c.
     """
     if not (0.0 < kappa < 1.0):
         raise DomainError("kappa must be in (0, 1)")
     if c < 0:
         raise DomainError("c must be >= 0")
     disc = kappa - kappa * kappa + 0.25 * c * c
-    return (kappa + 0.5 * c * c - c * math.sqrt(disc)) / (1.0 + c * c)
+    return kappa * (kappa / (kappa + 0.5 * c * c + c * math.sqrt(disc)))
 
 
 def dose_for_fraction(model, cells, kappa: float, n: int, gamma: float,

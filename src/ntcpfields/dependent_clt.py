@@ -32,16 +32,15 @@ from .lattice_fields import (
     sample_fields_batch,
 )
 
-#: Soft cap on cells held in memory at once when batching replicates.
+#: Soft cap on cells held in memory at once when streaming replicates.
 _CHUNK_CELLS = 1 << 24
 
 
 def default_bandwidth(n: int) -> int:
-    """ceil(n^(1/3)) clamped to [1, max(1, n-1)]."""
+    """ceil(n^(1/3)) clamped to [1, max(1, n-1)]: the default schedule."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    b = math.ceil(n ** (1.0 / 3.0) - 1e-9)
-    return min(max(1, b), max(1, n - 1))
+    return EstimatorConfig().bandwidth_for(n)
 
 
 @dataclass(frozen=True)
@@ -240,8 +239,24 @@ def ntcp_estimate(
 
 
 # ---------------------------------------------------------------------------
-# Variance-gap decay (finite-cube vs long-run variance)
+# The replicate stream and the variance-gap decay
 # ---------------------------------------------------------------------------
+
+def _replicate_batches(model: FieldModel, cube: LatticeCube, replicates: int,
+                       master_seed: int):
+    """Replicates 0..replicates-1 of one cube in chunks of about _CHUNK_CELLS
+    cells; replicate r is sampled with seed derive_seeds(master_seed, n, r).
+
+    Yields (start, values, row_sums): the chunk's first replicate index, its
+    values of shape (chunk,) + cube.shape and each replicate's sum S(U).
+    Both calls go through this module's names, which perfbench/spans.py wraps.
+    """
+    chunk = max(1, _CHUNK_CELLS // max(1, cube.size))
+    for start in range(0, replicates, chunk):
+        indices = np.arange(start, min(start + chunk, replicates))
+        values = sample_fields_batch(model, cube, derive_seeds(master_seed, cube.n, indices))
+        yield start, values, values.reshape(len(indices), -1).sum(axis=1)
+
 
 def variance_gap(
     model: FieldModel,
@@ -263,15 +278,9 @@ def variance_gap(
     points = []
     for n in n_schedule:
         cube = LatticeCube(d=d, n=n)
-        chunk = max(1, _CHUNK_CELLS // max(1, cube.size))
         acc = 0.0
         acc_sq = 0.0
-        for start in range(0, replicates, chunk):
-            seeds = derive_seeds(
-                master_seed, n, np.arange(start, min(start + chunk, replicates))
-            )
-            values = sample_fields_batch(model, cube, seeds)
-            sums = values.reshape(len(seeds), -1).sum(axis=1)
+        for _, _, sums in _replicate_batches(model, cube, replicates, master_seed):
             acc += float(sums.sum())
             acc_sq += float((sums * sums).sum())
         var_s = (acc_sq - acc * acc / replicates) / (replicates - 1)

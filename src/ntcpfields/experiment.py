@@ -1,10 +1,11 @@
 """Seeded Monte Carlo campaigns: empirical CLT verification, estimator
 consistency, confidence-interval coverage, and convergence-rate fitting.
 
-Every campaign is a pure function of (config, master_seed): replicate r of
-cube half-width n uses the derived seed ``derive_seed(master_seed, n, r)``,
-so reports are reproducible byte for byte and replicates can be computed
-in parallel or in any chunking without changing the result.
+Every campaign is a pure function of (config, master_seed): cube half-width
+n streams its replicates from ``dependent_clt._replicate_batches``, in which
+replicate r uses the seed ``derive_seeds(master_seed, n, r)``, so reports
+are reproducible byte for byte and replicates can be computed in parallel or
+in any chunking without changing the result.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .cv_ntcp import normal_cdf, normal_quantile
-from .dependent_clt import _CHUNK_CELLS, EstimatorConfig, _variance_estimator_batch
+from .dependent_clt import EstimatorConfig, _replicate_batches, _variance_estimator_batch
 from .errors import ConfigError, DegenerateError, DomainError, ShapeError
+# derive_seeds and sample_fields_batch stay imported: perfbench/spans.py wraps them here
 from .lattice_fields import (
     FieldModel,
     LatticeCube,
@@ -247,14 +249,13 @@ def _run_campaign(config: ExperimentConfig) -> Tuple[List[_PerN], float]:
     for n in config.n_schedule:
         cube = LatticeCube(d=config.d, n=n)
         b = config.estimator.bandwidth_for(n)
-        chunk = max(1, _CHUNK_CELLS // max(1, cube.size))
         sums = np.empty(config.replicates)
         chats = np.empty(config.replicates)
-        for start in range(0, config.replicates, chunk):
-            stop = min(start + chunk, config.replicates)
-            seeds = derive_seeds(config.master_seed, n, np.arange(start, stop))
-            values = sample_fields_batch(config.model, cube, seeds)
-            sums[start:stop] = values.reshape(len(seeds), -1).sum(axis=1)
+        for start, values, row_sums in _replicate_batches(
+            config.model, cube, config.replicates, config.master_seed
+        ):
+            stop = start + len(row_sums)
+            sums[start:stop] = row_sums
             chats[start:stop] = _variance_estimator_batch(values, config.d, b)
         if np.any(chats <= 0.0):
             raise DegenerateError(

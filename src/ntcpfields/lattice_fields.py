@@ -19,9 +19,10 @@ the coordinates, so samples are reproducible, embarrassingly parallel,
 and consistent under cube enlargement without storing noise arrays.  A
 site's noise is 1 when u < theta for the uniform u = (h >> 11) * 2^-53 of
 its 64-bit hash h, evaluated exactly in integers as
-(h >> 11) < ceil(theta * 2^53).  A replicate batch is computed in blocks of
-seeds whose noise grids hold about 2^16 cells, so the working set stays in
-cache and peak memory is about the output array.
+(h >> 11) < ceil(theta * 2^53).  Seeds are taken modulo 2^64, in a batch as
+for a single sample, which is a batch of one.  A batch is computed in
+blocks of seeds whose noise grids hold about 2^16 cells, so the working set
+stays in cache and peak memory is about the output array.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import itertools
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
 
@@ -275,55 +277,43 @@ def _rule_on_counts(model: FieldModel, counts: np.ndarray, d: int) -> np.ndarray
     raise ParameterError(f"not a window model: {model!r}")
 
 
-def _sample_values(model: FieldModel, cube: LatticeCube, seeds) -> np.ndarray:
-    """Field values for one seed (scalar) or a batch of seeds (1-d array).
-
-    A batch is computed in blocks of seeds whose noise grids hold about
-    _BLOCK_CELLS cells, each written into one preallocated output; a scalar
-    seed is one block.
-    """
-    seeds_arr = np.asarray(seeds, dtype=np.uint64)
-    batch = max(1, seeds_arr.size)
-    if isinstance(model, IidBernoulli):
-        m = 0
-        theta = model.p
-    else:
-        m = model.window_radius
-        theta = model.theta
-    enlarged = (2 * cube.n + 1 + 2 * m) ** cube.d
-    if batch * enlarged > MAX_CELLS:
-        raise CapacityError(
-            f"{batch} x {enlarged} noise cells exceed the cap of {MAX_CELLS}"
-        )
-    axes = [np.arange(-cube.n - m, cube.n + m + 1)] * cube.d
-    flat_seeds = seeds_arr.reshape(-1)
-    out = np.empty(flat_seeds.shape + cube.shape)
-    step = max(1, _BLOCK_CELLS // enlarged)
-    for start in range(0, flat_seeds.size, step):
-        block = _site_noise(flat_seeds[start:start + step], axes, theta)
-        if not isinstance(model, IidBernoulli):
-            for k in range(cube.d):
-                block = _valid_window_sum(block, 2 * m + 1, 1 + k)
-            block = _rule_on_counts(model, block, cube.d)
-        out[start:start + step] = block
-    return out[0] if seeds_arr.ndim == 0 else out
-
-
-def sample_field(model: FieldModel, cube: LatticeCube, seed: int) -> FieldSample:
-    """Draw one field realization; deterministic given (model, cube, seed)."""
-    values = _sample_values(model, cube, np.uint64(seed & (2**64 - 1)))
-    return FieldSample(cube=cube, values=values, model=model, seed=int(seed))
-
-
 def sample_fields_batch(
     model: FieldModel, cube: LatticeCube, seeds: Sequence[int]
 ) -> np.ndarray:
     """Values for many seeds at once, shape (len(seeds),) + cube.shape.
 
-    Row r is bit-identical to ``sample_field(model, cube, seeds[r]).values``.
+    Seeds are integers taken modulo 2^64, and row r is bit-identical to
+    ``sample_field(model, cube, seeds[r]).values``.  The batch is computed
+    in blocks of seeds whose noise grids hold about _BLOCK_CELLS cells.
     """
-    seeds_arr = np.asarray(list(seeds), dtype=np.uint64)
-    return _sample_values(model, cube, seeds_arr)
+    if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
+        seeds = seeds.astype(np.uint64, copy=False)  # wraps modulo 2^64
+    else:
+        seeds = np.array([operator.index(s) & (2**64 - 1) for s in seeds], dtype=np.uint64)
+    m = model.window_radius
+    theta = model.p if isinstance(model, IidBernoulli) else model.theta
+    enlarged = (2 * cube.n + 1 + 2 * m) ** cube.d
+    if seeds.size * enlarged > MAX_CELLS:
+        raise CapacityError(
+            f"{seeds.size} x {enlarged} noise cells exceed the cap of {MAX_CELLS}"
+        )
+    axes = [np.arange(-cube.n - m, cube.n + m + 1)] * cube.d
+    out = np.empty(seeds.shape + cube.shape)
+    step = max(1, _BLOCK_CELLS // enlarged)
+    for start in range(0, seeds.size, step):
+        block = _site_noise(seeds[start:start + step], axes, theta)
+        if not isinstance(model, IidBernoulli):
+            for k in range(cube.d):
+                block = _valid_window_sum(block, 2 * m + 1, 1 + k)
+            block = _rule_on_counts(model, block, cube.d)
+        out[start:start + step] = block
+    return out
+
+
+def sample_field(model: FieldModel, cube: LatticeCube, seed: int) -> FieldSample:
+    """Draw one field realization; deterministic given (model, cube, seed)."""
+    values = sample_fields_batch(model, cube, [seed])[0]
+    return FieldSample(cube=cube, values=values, model=model, seed=int(seed))
 
 
 # ---------------------------------------------------------------------------

@@ -47,9 +47,13 @@ class TestNtcpCommand:
         assert code == 0
         assert parse_pairs(out)["weiss_error_bound"] == "unavailable"
 
-    def test_domain_error_exit_one(self, capsys):
+    @pytest.mark.parametrize("n, p, threshold", [
+        pytest.param("10", "1.5", "5", id="p_above_1"),
+        pytest.param("5", "2.0", "0", id="L0_p_above_1"),
+    ])
+    def test_domain_error_exit_one(self, capsys, n, p, threshold):
         code, _, err = run(
-            capsys, "ntcp", "--n", "10", "--p", "1.5", "--L", "5", "--method", "exact"
+            capsys, "ntcp", "--n", n, "--p", p, "--L", threshold, "--method", "exact"
         )
         assert code == 1
         assert "error" in err

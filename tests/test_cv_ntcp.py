@@ -77,9 +77,15 @@ class TestNtcpExact:
             stats.binom.sf(499999, 10**6, 0.5), abs=1e-9
         )
 
-    def test_threshold_range(self):
+    @pytest.mark.parametrize("n, p, threshold", [
+        pytest.param(10, 0.5, 12, id="L_above_n_plus_1"),
+        pytest.param(5, 2.0, 0, id="L0_p_above_1"),
+        pytest.param(0, 0.5, 0, id="L0_n_0"),
+        pytest.param(5, math.nan, 0, id="L0_p_nan"),
+    ])
+    def test_threshold_range(self, n, p, threshold):
         with pytest.raises(DomainError):
-            ntcp_exact(10, 0.5, 12)
+            ntcp_exact(n, p, threshold)
 
 
 class TestNtcpNormal:

@@ -206,6 +206,14 @@ class TestSampling:
         with pytest.raises(CapacityError):
             sample_field(IidBernoulli(p=0.5), LatticeCube(d=3, n=300), 1)
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3"])
+    def test_non_integer_seed_rejected(self, seed):
+        cube = LatticeCube(d=1, n=2)
+        with pytest.raises(TypeError):
+            sample_fields_batch(MAJORITY, cube, [seed])
+        with pytest.raises(TypeError):
+            sample_field(MAJORITY, cube, seed)
+
     def test_derive_seeds_matches_scalar(self):
         batch = derive_seeds(42, 7, np.arange(5))
         for r in range(5):

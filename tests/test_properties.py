@@ -1,11 +1,24 @@
-"""Property tests for the sampler's identities: a replicate batch equals the
-corresponding single samples (field values and C_hat alike), and enlarging
-the cube with the same seed keeps the interior values."""
+"""Property tests: a replicate batch equals the corresponding single samples
+(field values and C_hat alike, for any integer seeds), enlarging the cube
+with the same seed keeps the interior values, samples round-trip through
+their file format bit for bit, invert_fraction inverts kill_fraction, and
+the normal and Weiss certificates bound the error of the exact tail."""
+
+import math
+import os
+import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
+from ntcpfields.cv_ntcp import (
+    invert_fraction,
+    kill_fraction,
+    ntcp_normal,
+    ntcp_weiss_tail,
+)
 from ntcpfields.dependent_clt import (
     EstimatorConfig,
     _variance_estimator_batch,
@@ -16,14 +29,17 @@ from ntcpfields.lattice_fields import (
     LatticeCube,
     MovingWindowLevels,
     MovingWindowThreshold,
+    load_sample,
     sample_field,
     sample_fields_batch,
+    save_sample,
 )
 
 # few, fixed examples: these run in Tier-1
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
 unit = st.floats(min_value=0.0, max_value=1.0)
+unit_open = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
 radius = st.integers(min_value=0, max_value=2)
 models = st.one_of(
     st.builds(IidBernoulli, p=unit),
@@ -34,12 +50,16 @@ models = st.one_of(
 )
 dims = st.integers(min_value=1, max_value=3)
 half_widths = st.integers(min_value=0, max_value=5)
-seed = st.integers(min_value=0, max_value=2**64 - 1)
+# any integer: seeds are taken modulo 2^64, in a batch as for one sample
+seed = st.integers(min_value=-2**64, max_value=2**65)
 
 
 @PROPERTY
 @given(model=models, d=dims, n=half_widths,
        seeds=st.lists(seed, min_size=1, max_size=40))
+@example(model=MovingWindowThreshold(1, 0.5, 2), d=1, n=3, seeds=[-1])
+@example(model=MovingWindowThreshold(1, 0.5, 2), d=2, n=2, seeds=[2**64 + 5, 5])
+@example(model=IidBernoulli(0.5), d=1, n=4, seeds=np.array([-1, 2**62], dtype=np.int64))
 def test_batch_equals_single(model, d, n, seeds):
     cube = LatticeCube(d=d, n=n)
     batch = sample_fields_batch(model, cube, seeds)
@@ -68,3 +88,47 @@ def test_nested_cube_interior_agrees(model, d, n, grow, s):
     big = sample_field(model, LatticeCube(d=d, n=n + grow), s).values
     interior = (slice(grow, grow + 2 * n + 1),) * d
     assert np.array_equal(big[interior], small)
+
+
+@PROPERTY
+@given(model=models, d=dims, n=half_widths, s=seed)
+def test_save_load_round_trip(model, d, n, s):
+    sample = sample_field(model, LatticeCube(d=d, n=n), s)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sample.dat")
+        save_sample(sample, path)
+        loaded = load_sample(path)
+    assert (loaded.cube, loaded.model, loaded.seed) == (sample.cube, sample.model, s)
+    assert loaded.values.dtype == sample.values.dtype
+    assert loaded.values.tobytes() == sample.values.tobytes()
+
+
+@PROPERTY
+@given(kappa=unit_open, c=st.floats(min_value=0.0, max_value=100.0))
+@example(kappa=1e-6, c=1.0)
+@example(kappa=1e-10, c=1.0)
+def test_invert_fraction_round_trip(kappa, c):
+    p = invert_fraction(kappa, c)
+    assert 0.0 <= p <= kappa
+    assert abs(kill_fraction(p, c) - kappa) <= 1e-15
+
+
+@PROPERTY
+@given(n=st.integers(min_value=1, max_value=2000), p=unit_open)
+def test_normal_certificate_bounds_exact_tail(n, p):
+    exact = stats.binom.sf(np.arange(-1, n + 1), n, p)  # P(S_n >= L), L = 0..n+1
+    for threshold, tail in enumerate(exact):
+        res = ntcp_normal(n, p, threshold)
+        assert abs(res.value - tail) <= res.error_bound
+
+
+@PROPERTY
+@given(p=st.floats(min_value=1e-3, max_value=1.0 - 1e-3),
+       extra=st.integers(min_value=0, max_value=3000))
+def test_weiss_certificate_bounds_exact_tail(p, extra):
+    n = math.ceil(25.0 / (p * (1.0 - p))) + extra  # sigma >= 5, n at most ~28k
+    assume(math.sqrt(n * p * (1.0 - p)) >= 5.0)
+    exact = stats.binom.sf(np.arange(-1, n + 1), n, p)
+    for threshold, tail in enumerate(exact):
+        res = ntcp_weiss_tail(n, p, threshold)
+        assert abs(res.value - tail) <= res.error_bound
