@@ -156,24 +156,23 @@ def _cmd_estimate(args) -> List[Tuple[str, object]]:
         config = dependent_clt.EstimatorConfig(bandwidth=args.bandwidth)
     else:
         config = dependent_clt.EstimatorConfig(eta=args.eta)
+    size = sample.cube.size
     total = dependent_clt.partial_sum(sample)
     c_hat = dependent_clt.variance_estimator(sample, config)
     out: List[Tuple[str, object]] = [
         ("sum", total),
-        ("mean", total / sample.cube.size),
+        ("mean", total / size),
         ("chat", c_hat),
     ]
     for level in args.level:
-        lo, hi = dependent_clt.confidence_interval(sample, level, config)
-        out.append((f"ci_{_f(level)}_lo", lo))
-        out.append((f"ci_{_f(level)}_hi", hi))
+        half = dependent_clt._half_width(level, c_hat, size)
+        out.append((f"ci_{_f(level)}_lo", total / size - half))
+        out.append((f"ci_{_f(level)}_hi", total / size + half))
     if args.x is not None:
         if args.mean is None:
             raise DomainError("--x requires --mean (the model mean E X_0)")
-        out.append(
-            ("ntcp_estimate",
-             dependent_clt.ntcp_estimate(sample, args.x, args.mean, config))
-        )
+        xi = dependent_clt._standardized(args.x, size, args.mean, c_hat)
+        out.append(("ntcp_estimate", cv_ntcp.normal_cdf(-xi)))
     return out
 
 

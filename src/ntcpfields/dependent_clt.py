@@ -9,8 +9,10 @@ block means from the global mean:
 with Q_j = U intersect K_j(b), K_j(b) the sup-norm ball of radius b at j.
 Boundary sites use the truncated Q_j exactly as written: no padding, no
 wraparound.  With a bandwidth schedule b_n -> infinity, b_n = o(n), C_hat
-is consistent for sigma^2 and can replace it in the CLT normalizer
-(random normalization).
+is consistent for sigma^2 and can replace it in the CLT normalizer (random
+normalization).  One formula, (S(U) - |U| mean) / sqrt(v |U|), v = sigma^2
+or C_hat, and its half-width z sqrt(v/|U|) serve the statistic, the interval,
+the NTCP estimate, the campaign and CLI ``estimate`` (one C_hat per sample).
 """
 
 from __future__ import annotations
@@ -159,15 +161,33 @@ def _variance_estimator_batch(values: np.ndarray, d: int, b: int) -> np.ndarray:
 
 def variance_estimator(sample: FieldSample, config: EstimatorConfig) -> float:
     """C_hat(U) with bandwidth taken from the config for this cube."""
-    if sample.values.size == 0:
-        raise ShapeError("empty sample")
-    b = config.bandwidth_for(max(1, sample.cube.n))
+    b = config.bandwidth_for(sample.cube.n)
     return float(_variance_estimator_batch(sample.values, sample.cube.d, b))
 
 
 # ---------------------------------------------------------------------------
 # Self-normalized statistics
 # ---------------------------------------------------------------------------
+
+def _positive(variance, use: str):
+    """The variance, a scalar or replicate array, checked to be > 0 everywhere."""
+    if not np.all(variance > 0.0):
+        raise DegenerateError(f"normalizer is zero: degenerate {use}")
+    return variance
+
+
+def _standardized(total, size, mean, variance):
+    """(total - size mean) / sqrt(variance size), elementwise."""
+    return (total - size * mean) / np.sqrt(_positive(variance, "normalization") * size)
+
+
+def _half_width(level, variance, size):
+    """z_{(1+level)/2} sqrt(variance/size), elementwise: the CI half-width."""
+    if not (0.0 < level < 1.0):
+        raise DomainError("level must be in (0, 1)")
+    z = normal_quantile(0.5 * (1.0 + level))
+    return z * np.sqrt(_positive(variance, "interval") / size)
+
 
 def self_normalized_statistic(
     sample: FieldSample,
@@ -181,7 +201,6 @@ def self_normalized_statistic(
     ``mode="true_sigma"`` normalizes by a supplied sigma^2; ``"estimated"``
     by C_hat.  A zero normalizer (constant fields) raises DegenerateError.
     """
-    size = sample.cube.size
     total = partial_sum(sample)
     if mode == "true_sigma":
         if sigma2 is None:
@@ -191,16 +210,13 @@ def self_normalized_statistic(
         variance = variance_estimator(sample, config or EstimatorConfig())
     else:
         raise DomainError(f"unknown mode {mode!r}")
-    if not (variance > 0.0):
-        raise DegenerateError("normalizer is zero (degenerate field)")
-    value = (total - size * mean) / math.sqrt(variance * size)
     return NormalizedStatistic(
-        value=value,
+        value=float(_standardized(total, sample.cube.size, mean, variance)),
         normalization=mode,
         total=total,
         mean=mean,
         variance=variance,
-        cube_size=size,
+        cube_size=sample.cube.size,
     )
 
 
@@ -208,15 +224,10 @@ def confidence_interval(
     sample: FieldSample, level: float, config: Optional[EstimatorConfig] = None
 ) -> Tuple[float, float]:
     """Approximate CI for E X_0: sample mean +- z_{(1+level)/2} sqrt(C_hat/|U|)."""
-    if not (0.0 < level < 1.0):
-        raise DomainError("level must be in (0, 1)")
-    size = sample.cube.size
     c_hat = variance_estimator(sample, config or EstimatorConfig())
-    if not (c_hat > 0.0):
-        raise DegenerateError("C_hat = 0: degenerate interval")
-    center = partial_sum(sample) / size
-    half = normal_quantile(0.5 * (1.0 + level)) * math.sqrt(c_hat / size)
-    return center - half, center + half
+    half = _half_width(level, c_hat, sample.cube.size)
+    center = partial_sum(sample) / sample.cube.size
+    return float(center - half), float(center + half)
 
 
 def ntcp_estimate(
@@ -230,12 +241,8 @@ def ntcp_estimate(
     This is itself a random quantity (a statistical estimate), not a
     certified probability.
     """
-    size = sample.cube.size
     c_hat = variance_estimator(sample, config or EstimatorConfig())
-    if not (c_hat > 0.0):
-        raise DegenerateError("C_hat = 0: degenerate normalization")
-    xi = (x - size * mean) / math.sqrt(c_hat * size)
-    return normal_cdf(-xi)
+    return normal_cdf(-_standardized(x, sample.cube.size, mean, c_hat))
 
 
 # ---------------------------------------------------------------------------

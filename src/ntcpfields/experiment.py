@@ -18,8 +18,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .cv_ntcp import normal_cdf, normal_quantile
-from .dependent_clt import EstimatorConfig, _replicate_batches, _variance_estimator_batch
+from .cv_ntcp import normal_cdf
+from .dependent_clt import (EstimatorConfig, _half_width, _replicate_batches, _standardized,
+                            _variance_estimator_batch)
 from .errors import ConfigError, DegenerateError, DomainError, ShapeError
 # derive_seeds and sample_fields_batch stay imported: perfbench/spans.py wraps them here
 from .lattice_fields import (
@@ -244,7 +245,6 @@ def _run_campaign(config: ExperimentConfig) -> Tuple[List[_PerN], float]:
             f"sigma^2 = {sigma2.value:g} is degenerate; campaign aborted"
         )
     mean = config.mean_value()
-    true_mean_known = config.mean_source == "model"
     results = []
     for n in config.n_schedule:
         cube = LatticeCube(d=config.d, n=n)
@@ -257,29 +257,21 @@ def _run_campaign(config: ExperimentConfig) -> Tuple[List[_PerN], float]:
             stop = start + len(row_sums)
             sums[start:stop] = row_sums
             chats[start:stop] = _variance_estimator_batch(values, config.d, b)
-        if np.any(chats <= 0.0):
-            raise DegenerateError(
-                f"C_hat = 0 in {int(np.sum(chats <= 0.0))} replicates at n={n}; "
-                "campaign aborted"
-            )
+        zero = int(np.sum(chats <= 0.0))
+        if zero:
+            raise DegenerateError(f"C_hat = 0 in {zero} replicates at n={n}; campaign aborted")
         size = cube.size
-        centered = sums - size * mean
-        stat_true = centered / math.sqrt(sigma2.value * size)
-        stat_est = centered / np.sqrt(chats * size)
-        coverage: Dict[float, Optional[float]] = {}
-        for level in config.levels:
-            if not true_mean_known:
-                coverage[level] = None
-                continue
-            half = normal_quantile(0.5 * (1.0 + level)) * np.sqrt(chats / size)
-            hits = np.abs(sums / size - mean) <= half
-            coverage[level] = float(np.mean(hits))
+        coverage: Dict[float, Optional[float]] = dict.fromkeys(config.levels)
+        if config.mean_source == "model":
+            for level in config.levels:
+                hits = np.abs(sums / size - mean) <= _half_width(level, chats, size)
+                coverage[level] = float(np.mean(hits))
         results.append(
             _PerN(
                 n=n,
                 cube_size=size,
-                ks_true=ks_distance(stat_true),
-                ks_estimated=ks_distance(stat_est),
+                ks_true=ks_distance(_standardized(sums, size, mean, sigma2.value)),
+                ks_estimated=ks_distance(_standardized(sums, size, mean, chats)),
                 chat=chats,
                 coverage=coverage,
             )

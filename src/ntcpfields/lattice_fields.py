@@ -290,6 +290,8 @@ def sample_fields_batch(
         seeds = seeds.astype(np.uint64, copy=False)  # wraps modulo 2^64
     else:
         seeds = np.array([operator.index(s) & (2**64 - 1) for s in seeds], dtype=np.uint64)
+    if seeds.ndim != 1:
+        raise ShapeError(f"seeds must be one-dimensional, got shape {seeds.shape}")
     m = model.window_radius
     theta = model.p if isinstance(model, IidBernoulli) else model.theta
     enlarged = (2 * cube.n + 1 + 2 * m) ** cube.d

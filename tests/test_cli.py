@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ntcpfields import dependent_clt
 from ntcpfields.cli import main
 
 
@@ -184,6 +185,44 @@ class TestSimulateEstimate:
         code, _, err = run(capsys, "estimate", "--sample", missing)
         assert code == 2
         assert "nope.dat" in err
+
+    @pytest.mark.parametrize("flags,code,message", [
+        ((), 0, None),
+        (("--level", "0.95"), 1, "degenerate interval"),
+        (("--x", "3", "--mean", "1"), 1, "degenerate"),
+        (("--level", "1.0"), 1, "level"),
+        (("--x", "3"), 1, "--mean"),
+    ], ids=["plain", "interval", "ntcp", "level_1", "x_without_mean"])
+    def test_constant_sample_exit_codes(self, capsys, tmp_path, flags, code, message):
+        path = str(tmp_path / "ones.dat")
+        run(capsys, "simulate", "--field", "iid", "--p", "1.0",
+            "--d", "2", "--n", "3", "--seed", "1", "--out", path)
+        got, out, err = run(capsys, "estimate", "--sample", path, *flags)
+        assert got == code
+        assert "Traceback" not in err
+        if message is None:
+            assert parse_pairs(out)["chat"] == "0" and err == ""
+        else:
+            assert out == "" and err.startswith("error") and message in err
+
+    def test_estimate_computes_chat_once(self, capsys, tmp_path, monkeypatch):
+        path = str(tmp_path / "sample.dat")
+        run(capsys, "simulate", "--field", "window_threshold", "--theta", "0.5",
+            "--k-min", "5", "--d", "2", "--n", "6", "--seed", "5", "--out", path)
+        calls = []
+        original = dependent_clt.variance_estimator
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(dependent_clt, "variance_estimator", counting)
+        code, out, _ = run(capsys, "estimate", "--sample", path, "--level", "0.5",
+                           "--level", "0.95", "--x", "80", "--mean", "0.5")
+        assert code == 0
+        assert len(calls) == 1
+        pairs = parse_pairs(out)
+        assert {"ci_0.5_lo", "ci_0.95_hi", "ntcp_estimate"} <= set(pairs)
 
 
 def experiment_config(**fields):

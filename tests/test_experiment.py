@@ -18,8 +18,20 @@ from ntcpfields.experiment import (
     run_clt_experiment,
     write_report,
 )
-from ntcpfields.dependent_clt import EstimatorConfig
-from ntcpfields.lattice_fields import MovingWindowThreshold
+from ntcpfields.dependent_clt import (
+    EstimatorConfig,
+    confidence_interval,
+    self_normalized_statistic,
+)
+from ntcpfields.lattice_fields import (
+    LatticeCube,
+    MovingWindowLevels,
+    MovingWindowThreshold,
+    derive_seeds,
+    model_mean,
+    model_sigma2,
+    sample_field,
+)
 
 MAJORITY = MovingWindowThreshold(window_radius=1, theta=0.5, k_min=2)
 
@@ -137,6 +149,35 @@ class TestRunCltExperiment:
         # rejected when the config is built, before sigma^2 or any sampling
         with pytest.raises(DomainError):
             small_config(**overrides)
+
+    @pytest.mark.parametrize("model, d, n_schedule", [
+        (MAJORITY, 1, (20, 40)),
+        (MovingWindowThreshold(window_radius=1, theta=0.5, k_min=5), 2, (3, 6)),
+        (MovingWindowLevels(window_radius=1, theta=0.5, levels=5), 3, (2, 3)),
+    ], ids=["d1", "d2", "d3"])
+    def test_campaign_matches_single_sample_api(self, model, d, n_schedule):
+        # the campaign's batch statistics and coverage equal, bit for bit,
+        # the single-sample functions applied to the same replicates
+        config = small_config(model=model, d=d, n_schedule=n_schedule,
+                              replicates=40, levels=(0.5, 0.95))
+        mean, sigma2 = model_mean(model, d), model_sigma2(model, d).value
+        rows = run_clt_experiment(config).rows
+        for n in n_schedule:
+            cube = LatticeCube(d=d, n=n)
+            samples = [sample_field(model, cube, s)
+                       for s in derive_seeds(config.master_seed, n, range(40))]
+            ks = {
+                "true_sigma": ks_distance([self_normalized_statistic(
+                    x, mean, mode="true_sigma", sigma2=sigma2).value for x in samples]),
+                "estimated": ks_distance([self_normalized_statistic(
+                    x, mean, config.estimator).value for x in samples]),
+            }
+            for row in (row for row in rows if row.n == n):
+                assert row.ks == ks[row.mode]
+                if row.mode == "estimated":
+                    intervals = [confidence_interval(x, row.level, config.estimator)
+                                 for x in samples]
+                    assert row.coverage == np.mean([lo <= mean <= hi for lo, hi in intervals])
 
 
 class TestConsistencyAndCoverage:

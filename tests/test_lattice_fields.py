@@ -214,6 +214,13 @@ class TestSampling:
         with pytest.raises(TypeError):
             sample_field(MAJORITY, cube, seed)
 
+    @pytest.mark.parametrize("model", [IidBernoulli(p=0.5), MAJORITY])
+    @pytest.mark.parametrize("seeds", [np.array([[1, 2], [3, 4]]), np.array(5)],
+                             ids=["2d", "0d"])
+    def test_seed_array_must_be_one_dimensional(self, model, seeds):
+        with pytest.raises(ShapeError):
+            sample_fields_batch(model, LatticeCube(d=1, n=2), seeds)
+
     def test_derive_seeds_matches_scalar(self):
         batch = derive_seeds(42, 7, np.arange(5))
         for r in range(5):
