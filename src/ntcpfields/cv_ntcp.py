@@ -115,6 +115,15 @@ class FractionCurveFeatures:
 # Exact binomial tail
 # ---------------------------------------------------------------------------
 
+def _log_term_ratios(n: int, p: float) -> np.ndarray:
+    """log(pmf(k+1)/pmf(k)) = log(n-k) - log(k+1) + log(p) - log(q), k < n.
+
+    log(n-k) for k = 0..n-1 is log(k+1) reversed, so one log array gives both.
+    """
+    logs = np.log(np.arange(1, n + 1, dtype=np.float64))
+    return logs[::-1] - logs + math.log(p) - math.log1p(-p)
+
+
 def _binomial_pmf(n: int, p: float) -> np.ndarray:
     """Full pmf of Binomial(n, p) via a log-space term-ratio recursion.
 
@@ -129,9 +138,7 @@ def _binomial_pmf(n: int, p: float) -> np.ndarray:
         out = np.zeros(n + 1)
         out[n] = 1.0
         return out
-    k = np.arange(n, dtype=np.float64)
-    log_ratio = np.log(n - k) - np.log(k + 1) + math.log(p) - math.log1p(-p)
-    log_pmf = np.concatenate(([0.0], np.cumsum(log_ratio)))
+    log_pmf = np.concatenate(([0.0], np.cumsum(_log_term_ratios(n, p))))
     log_pmf -= log_pmf.max()
     pmf = np.exp(log_pmf)
     pmf /= pmf.sum()

@@ -29,13 +29,11 @@ from .lattice_fields import (
     FieldModel,
     FieldSample,
     LatticeCube,
+    _seeds_per_block,
     derive_seeds,
     model_sigma2,
     sample_fields_batch,
 )
-
-#: Soft cap on cells held in memory at once when streaming replicates.
-_CHUNK_CELLS = 1 << 24
 
 
 def default_bandwidth(n: int) -> int:
@@ -155,8 +153,12 @@ def _variance_estimator_batch(values: np.ndarray, d: int, b: int) -> np.ndarray:
         block_sums = _truncated_window_sum(block_sums, b, axis)
     counts = _window_counts(side, b, d)
     global_mean = values.sum(axis=spatial, keepdims=True) / size
-    dev = block_sums / counts - global_mean
-    return (counts * dev * dev).sum(axis=spatial) / size
+    # block_sums is a fresh array, so the deviations overwrite it in place
+    dev = np.divide(block_sums, counts, out=block_sums)
+    dev -= global_mean
+    weighted = counts * dev
+    weighted *= dev
+    return weighted.sum(axis=spatial) / size
 
 
 def variance_estimator(sample: FieldSample, config: EstimatorConfig) -> float:
@@ -251,16 +253,18 @@ def ntcp_estimate(
 
 def _replicate_batches(model: FieldModel, cube: LatticeCube, replicates: int,
                        master_seed: int):
-    """Replicates 0..replicates-1 of one cube in chunks of about _CHUNK_CELLS
-    cells; replicate r is sampled with seed derive_seeds(master_seed, n, r).
+    """Replicates 0..replicates-1 of one cube, one sampler block at a time;
+    replicate r is sampled with seed derive_seeds(master_seed, n, r).
 
-    Yields (start, values, row_sums): the chunk's first replicate index, its
-    values of shape (chunk,) + cube.shape and each replicate's sum S(U).
+    Yields (start, values, row_sums): the block's first replicate index, its
+    values of shape (block,) + cube.shape and each replicate's sum S(U).  A
+    block holds ``_seeds_per_block`` replicates, so a consumer that reduces
+    each block as it arrives works on it while it is still in cache.
     Both calls go through this module's names, which perfbench/spans.py wraps.
     """
-    chunk = max(1, _CHUNK_CELLS // max(1, cube.size))
-    for start in range(0, replicates, chunk):
-        indices = np.arange(start, min(start + chunk, replicates))
+    step = _seeds_per_block(model, cube)
+    for start in range(0, replicates, step):
+        indices = np.arange(start, min(start + step, replicates))
         values = sample_fields_batch(model, cube, derive_seeds(master_seed, cube.n, indices))
         yield start, values, values.reshape(len(indices), -1).sum(axis=1)
 
@@ -285,11 +289,11 @@ def variance_gap(
     points = []
     for n in n_schedule:
         cube = LatticeCube(d=d, n=n)
-        acc = 0.0
-        acc_sq = 0.0
-        for _, _, sums in _replicate_batches(model, cube, replicates, master_seed):
-            acc += float(sums.sum())
-            acc_sq += float((sums * sums).sum())
+        sums = np.empty(replicates)  # S(U) per replicate, summed in one pass
+        for start, _, row_sums in _replicate_batches(model, cube, replicates, master_seed):
+            sums[start:start + len(row_sums)] = row_sums
+        acc = float(sums.sum())
+        acc_sq = float((sums * sums).sum())
         var_s = (acc_sq - acc * acc / replicates) / (replicates - 1)
         mc_variance = var_s / cube.size
         points.append(

@@ -31,4 +31,4 @@ class CapacityError(ValueError):
 
 
 class ConfigError(ValueError):
-    """A config or file-header field has the wrong type."""
+    """A config or sample-file field is malformed or has the wrong type."""

@@ -5,7 +5,9 @@ Every campaign is a pure function of (config, master_seed): cube half-width
 n streams its replicates from ``dependent_clt._replicate_batches``, in which
 replicate r uses the seed ``derive_seeds(master_seed, n, r)``, so reports
 are reproducible byte for byte and replicates can be computed in parallel or
-in any chunking without changing the result.
+in any blocking without changing the result.  S(U) and C_hat are computed on
+each sampler block as it arrives, so a campaign holds one block plus the
+per-replicate S(U) and C_hat arrays.
 """
 
 from __future__ import annotations

@@ -22,7 +22,8 @@ its 64-bit hash h, evaluated exactly in integers as
 (h >> 11) < ceil(theta * 2^53).  Seeds are taken modulo 2^64, in a batch as
 for a single sample, which is a batch of one.  A batch is computed in
 blocks of seeds whose noise grids hold about 2^16 cells, so the working set
-stays in cache and peak memory is about the output array.
+stays in cache.  Replicate streams request one such block at a time, so a
+campaign holds one block plus its per-replicate arrays.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ from .errors import CapacityError, ConfigError, DomainError, ParameterError, Sha
 MAX_CELLS = 1 << 26
 
 #: Noise cells hashed at once when sampling a batch: a block of seeds whose
-#: hash, noise and window-sum arrays stay in cache.
+#: hash, noise and window-sum arrays stay in cache.  Replicate streams use
+#: the same blocks (``_seeds_per_block``), so C_hat reads them from cache too.
 _BLOCK_CELLS = 1 << 16
 
 #: Treat |sigma^2| below this as the degenerate sigma = 0 case.
@@ -107,11 +109,6 @@ def _site_noise(
     h = _site_hash(seeds, coord_axes)
     h >>= _U64(11)
     return h < _U64(math.ceil(theta * 2**53))
-
-
-def derive_seed(master_seed: int, group: int, index: int) -> int:
-    """Deterministic child seed from a master seed, a group and an index."""
-    return int(derive_seeds(master_seed, group, [index])[0])
 
 
 def derive_seeds(master_seed: int, group: int, indices) -> np.ndarray:
@@ -277,6 +274,12 @@ def _rule_on_counts(model: FieldModel, counts: np.ndarray, d: int) -> np.ndarray
     raise ParameterError(f"not a window model: {model!r}")
 
 
+def _seeds_per_block(model: FieldModel, cube: LatticeCube) -> int:
+    """Seeds sampled together: as many as fit their enlarged noise grids,
+    (side + 2m)^d cells each, into _BLOCK_CELLS, and at least one."""
+    return max(1, _BLOCK_CELLS // (cube.side + 2 * model.window_radius) ** cube.d)
+
+
 def sample_fields_batch(
     model: FieldModel, cube: LatticeCube, seeds: Sequence[int]
 ) -> np.ndarray:
@@ -284,7 +287,7 @@ def sample_fields_batch(
 
     Seeds are integers taken modulo 2^64, and row r is bit-identical to
     ``sample_field(model, cube, seeds[r]).values``.  The batch is computed
-    in blocks of seeds whose noise grids hold about _BLOCK_CELLS cells.
+    in blocks of ``_seeds_per_block`` seeds.
     """
     if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
         seeds = seeds.astype(np.uint64, copy=False)  # wraps modulo 2^64
@@ -294,14 +297,14 @@ def sample_fields_batch(
         raise ShapeError(f"seeds must be one-dimensional, got shape {seeds.shape}")
     m = model.window_radius
     theta = model.p if isinstance(model, IidBernoulli) else model.theta
-    enlarged = (2 * cube.n + 1 + 2 * m) ** cube.d
+    enlarged = (cube.side + 2 * m) ** cube.d
     if seeds.size * enlarged > MAX_CELLS:
         raise CapacityError(
             f"{seeds.size} x {enlarged} noise cells exceed the cap of {MAX_CELLS}"
         )
     axes = [np.arange(-cube.n - m, cube.n + m + 1)] * cube.d
     out = np.empty(seeds.shape + cube.shape)
-    step = max(1, _BLOCK_CELLS // enlarged)
+    step = _seeds_per_block(model, cube)
     for start in range(0, seeds.size, step):
         block = _site_noise(seeds[start:start + step], axes, theta)
         if not isinstance(model, IidBernoulli):
@@ -468,9 +471,14 @@ def save_sample(sample: FieldSample, path) -> None:
 
 
 def load_sample(path) -> FieldSample:
+    """The sample saved at ``path``; a value line that is not one number
+    raises ConfigError."""
     with open(path) as fh:
         header = json.loads(fh.readline())
-        values = np.array([float(line) for line in fh if line.strip()])
+        try:
+            values = np.array([float(line) for line in fh if line.strip()])
+        except ValueError as exc:
+            raise ConfigError(f"malformed sample file {path}: {exc}") from None
     cube = LatticeCube(
         d=_number(header["d"], "d", integer=True), n=_number(header["n"], "n", integer=True)
     )

@@ -180,6 +180,20 @@ class TestSimulateEstimate:
         assert code == 2
         assert "error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("line", ["1 0", "one"], ids=["two_values", "non_numeric"])
+    def test_malformed_value_line_exit_two(self, capsys, tmp_path, line):
+        path = tmp_path / "s.dat"
+        run(capsys, "simulate", "--field", "iid", "--p", "0.5",
+            "--d", "1", "--n", "2", "--seed", "1", "--out", str(path))
+        header, _, body = path.read_text().partition("\n")
+        lines = body.splitlines()
+        lines[2] = line
+        path.write_text(header + "\n" + "\n".join(lines) + "\n")
+        code, out, err = run(capsys, "estimate", "--sample", str(path))
+        assert code == 2
+        assert out == "" and err.startswith("error") and "Traceback" not in err
+        assert "malformed sample file" in err and line in err
+
     def test_missing_sample_exit_two(self, capsys, tmp_path):
         missing = str(tmp_path / "nope.dat")
         code, _, err = run(capsys, "estimate", "--sample", missing)

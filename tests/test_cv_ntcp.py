@@ -6,6 +6,7 @@ from scipy import special, stats
 
 from ntcpfields.cv_ntcp import (
     OrganSpec,
+    _log_term_ratios,
     damage_volume,
     dose_for_fraction,
     fraction_curve_features,
@@ -76,6 +77,15 @@ class TestNtcpExact:
         assert ntcp_exact(10**6, 0.5, 500000) == pytest.approx(
             stats.binom.sf(499999, 10**6, 0.5), abs=1e-9
         )
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 10**6])
+    @pytest.mark.parametrize("p", [1e-9, 0.3, 0.5, 0.98])
+    def test_log_ratios_from_one_log_array(self, n, p):
+        # one log array, read forwards and reversed, gives the same bits as
+        # taking log(n - k) and log(k + 1) separately
+        k = np.arange(n, dtype=np.float64)
+        separate = np.log(n - k) - np.log(k + 1) + math.log(p) - math.log1p(-p)
+        assert np.array_equal(_log_term_ratios(n, p), separate)
 
     @pytest.mark.parametrize("n, p, threshold", [
         pytest.param(10, 0.5, 12, id="L_above_n_plus_1"),

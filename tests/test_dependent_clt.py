@@ -1,11 +1,14 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy import special
 
+from ntcpfields import lattice_fields
 from ntcpfields.dependent_clt import (
     EstimatorConfig,
+    _replicate_batches,
     _truncated_window_sum,
     _variance_estimator_batch,
     confidence_interval,
@@ -17,6 +20,7 @@ from ntcpfields.dependent_clt import (
     variance_gap,
 )
 from ntcpfields.errors import DegenerateError, DomainError, ShapeError
+from ntcpfields.experiment import ExperimentConfig, report_to_csv, run_clt_experiment
 from ntcpfields.lattice_fields import (
     FieldSample,
     IidBernoulli,
@@ -29,6 +33,7 @@ from ntcpfields.lattice_fields import (
 )
 
 MAJORITY = MovingWindowThreshold(window_radius=1, theta=0.5, k_min=2)
+LEVELS4 = MovingWindowLevels(window_radius=1, theta=0.4, levels=4)
 
 
 def make_sample(values, d=None):
@@ -284,3 +289,48 @@ class TestVarianceGap:
     def test_envelope_label(self):
         pts = variance_gap(MAJORITY, 1, [8, 16], 100, master_seed=3)
         assert all(p.envelope == "n^-1" for p in pts)
+
+
+class TestBlockIndependence:
+    """Campaign reports and variance-gap points do not depend on how the
+    replicates are blocked: the pinned bytes hold for blocks of 64 noise
+    cells up to 2^24."""
+
+    REPORT_SHA256 = {
+        1: "5021b0c1ec27abd614b4866976707b6ba62ce1a1d747f9f17f380b1356ae6d3f",
+        2: "57fd03df401ed22e5675ea15c6ff7eb4f033d26070aeb49f580edcf15d67efc8",
+    }
+    GAPS = ["0x1.1d0f5e4c6b810p-7", "0x1.bb0b578ad6060p-7", "0x1.4d2533c512680p-10"]
+
+    @pytest.mark.parametrize("block_cells", [64, 1 << 16, 1 << 24])
+    @pytest.mark.parametrize("d, n_schedule", [(1, (8, 16, 64)), (2, (3, 5, 9))])
+    def test_report_bytes(self, monkeypatch, block_cells, d, n_schedule):
+        monkeypatch.setattr(lattice_fields, "_BLOCK_CELLS", block_cells)
+        config = ExperimentConfig(model=LEVELS4, d=d, n_schedule=n_schedule,
+                                  replicates=300, master_seed=7)
+        csv = report_to_csv(run_clt_experiment(config))
+        assert hashlib.sha256(csv.encode()).hexdigest() == self.REPORT_SHA256[d]
+
+    @pytest.mark.parametrize("block_cells", [64, 1 << 16, 1 << 24])
+    def test_variance_gap_bits(self, monkeypatch, block_cells):
+        monkeypatch.setattr(lattice_fields, "_BLOCK_CELLS", block_cells)
+        pts = variance_gap(LEVELS4, 1, (20, 40, 300), 3000, master_seed=11)
+        assert [p.gap.hex() for p in pts] == self.GAPS
+
+    @pytest.mark.parametrize("block_cells", [64, 1000, 1 << 16])
+    @pytest.mark.parametrize("model, d, n", [
+        (LEVELS4, 1, 30), (MAJORITY, 2, 4), (IidBernoulli(p=0.3), 3, 2), (MAJORITY, 3, 12),
+    ])
+    def test_blocks_stay_within_the_sampler_block(self, monkeypatch, block_cells, model, d, n):
+        monkeypatch.setattr(lattice_fields, "_BLOCK_CELLS", block_cells)
+        cube = LatticeCube(d=d, n=n)
+        limit = lattice_fields._seeds_per_block(model, cube)
+        assert limit == max(1, block_cells // (cube.side + 2 * model.window_radius) ** d)
+        starts = []
+        for start, values, sums in _replicate_batches(model, cube, 50, 5):
+            assert 1 <= len(sums) <= limit
+            assert values.shape == (len(sums),) + cube.shape
+            starts.append((start, len(sums)))
+        assert starts[0][0] == 0
+        assert all(a + k == b for (a, k), (b, _) in zip(starts, starts[1:]))
+        assert sum(k for _, k in starts) == 50
