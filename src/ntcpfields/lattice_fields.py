@@ -403,7 +403,8 @@ def model_sigma2(model: FieldModel, d: int = 1) -> Sigma2Result:
 
 # ---------------------------------------------------------------------------
 # Serialization: JSON header line + one %.17g value per line (round trips
-# doubles exactly)
+# doubles exactly); each distinct value is formatted once and the body is
+# written in _BLOCK_CELLS-line blocks
 # ---------------------------------------------------------------------------
 
 def model_to_dict(model: FieldModel) -> dict:
@@ -458,37 +459,42 @@ def model_from_dict(data: dict) -> FieldModel:
 
 
 def save_sample(sample: FieldSample, path) -> None:
+    """Write ``sample`` to ``path``, its values as float64 in row-major
+    order.  Distinct values are keyed by bit pattern, so -0.0 stays ``-0``."""
     header = {
         "d": sample.cube.d,
         "n": sample.cube.n,
         "seed": sample.seed,
         "model": model_to_dict(sample.model),
     }
+    values = np.asarray(sample.values, dtype=np.float64).ravel()
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    lines = np.array(["%.17g\n" % v for v in bits.view(np.float64).tolist()], dtype=object)
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for v in sample.values.ravel():
-            fh.write("%.17g\n" % v)
+        for start in range(0, values.size, _BLOCK_CELLS):
+            fh.write("".join(lines[inverse[start:start + _BLOCK_CELLS]]))
 
 
 def load_sample(path) -> FieldSample:
-    """The sample saved at ``path``; a value line that is not one number
-    raises ConfigError."""
+    """The sample saved at ``path``; blank lines are skipped.  A header that
+    is not an object, a value line that is not one number and a wrong value
+    count raise ConfigError."""
     with open(path) as fh:
         header = json.loads(fh.readline())
+        if not isinstance(header, dict):
+            raise ConfigError(f"sample header must be an object, got {header!r}")
+        cube = LatticeCube(
+            d=_number(header["d"], "d", integer=True), n=_number(header["n"], "n", integer=True)
+        )
+        model = model_from_dict(header["model"])
+        seed = _number(header["seed"], "seed", integer=True)
         try:
-            values = np.array([float(line) for line in fh if line.strip()])
+            values = np.fromiter(map(float, filter(str.strip, fh)), np.float64)
         except ValueError as exc:
             raise ConfigError(f"malformed sample file {path}: {exc}") from None
-    cube = LatticeCube(
-        d=_number(header["d"], "d", integer=True), n=_number(header["n"], "n", integer=True)
-    )
     if values.size != cube.size:
-        raise ShapeError(
-            f"sample file holds {values.size} values, cube needs {cube.size}"
+        raise ConfigError(
+            f"sample file {path} holds {values.size} values, cube needs {cube.size}"
         )
-    return FieldSample(
-        cube=cube,
-        values=values.reshape(cube.shape),
-        model=model_from_dict(header["model"]),
-        seed=header["seed"],
-    )
+    return FieldSample(cube=cube, values=values.reshape(cube.shape), model=model, seed=seed)

@@ -194,6 +194,31 @@ class TestSimulateEstimate:
         assert out == "" and err.startswith("error") and "Traceback" not in err
         assert "malformed sample file" in err and line in err
 
+    @pytest.mark.parametrize("keep", [3, 7], ids=["too_few", "too_many"])
+    def test_wrong_value_count_exit_two(self, capsys, tmp_path, keep):
+        path = tmp_path / "s.dat"
+        run(capsys, "simulate", "--field", "iid", "--p", "0.5",
+            "--d", "1", "--n", "2", "--seed", "1", "--out", str(path))
+        header, _, body = path.read_text().partition("\n")
+        lines = (body.splitlines() * 2)[:keep]
+        path.write_text(header + "\n" + "\n".join(lines) + "\n")
+        code, out, err = run(capsys, "estimate", "--sample", str(path))
+        assert code == 2
+        assert out == "" and err.startswith("error") and "Traceback" not in err
+        assert f"holds {keep} values, cube needs 5" in err
+
+    @pytest.mark.parametrize("header", [
+        "[1, 2]",
+        '{"d": 1, "n": 2, "seed": "abc", "model": {"type": "iid_bernoulli", "p": 0.5}}',
+        '{"d": 1, "n": 2, "seed": 1.5, "model": {"type": "iid_bernoulli", "p": 0.5}}',
+    ], ids=["not_object", "seed_string", "seed_float"])
+    def test_malformed_header_exit_two(self, capsys, tmp_path, header):
+        path = tmp_path / "s.dat"
+        path.write_text(header + "\n" + "1\n" * 5)
+        code, out, err = run(capsys, "estimate", "--sample", str(path))
+        assert code == 2
+        assert out == "" and err.startswith("error") and "Traceback" not in err
+
     def test_missing_sample_exit_two(self, capsys, tmp_path):
         missing = str(tmp_path / "nope.dat")
         code, _, err = run(capsys, "estimate", "--sample", missing)

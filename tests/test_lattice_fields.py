@@ -1,14 +1,26 @@
 import functools
 import hashlib
 import itertools
+import json
 import math
+import os
+import tempfile
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ntcpfields import lattice_fields
-from ntcpfields.errors import CapacityError, DomainError, ParameterError, ShapeError
+from ntcpfields.errors import (
+    CapacityError,
+    ConfigError,
+    DomainError,
+    ParameterError,
+    ShapeError,
+)
 from ntcpfields.lattice_fields import (
     FieldSample,
     IidBernoulli,
@@ -46,6 +58,44 @@ GOLDEN_DIGESTS = {
     ("threshold", 3): ("f11e0f90bc977b19ba932d3e6a1350a572b859a3a3599f03607f9dc87480214d", "576e914a96587d0dd1c8c5e0791063978e7e7753dd111e9d710c295691f9f7dc"),
     ("levels", 3): ("9c4d2d33f243094af8651c09b2af01229d78f05858e2ad62c8683ab744af9497", "d6eba82295c2c536a9406e27bb23caafe0ecd30e3583b9c7a15e270d7b075636"),
 }
+
+
+# sha256 of save_sample's file bytes, pinned from the per-cell writer
+# ("%.17g\n" % v for each cell) that the blocked writer replaced
+SAVED_DIGESTS = {
+    ("threshold_d3", MovingWindowThreshold(window_radius=1, theta=0.5, k_min=14), 3, 35, 201):
+        "6de0565aa49cb4db2f6969260a4b5deb4671c02acd3bf828e297a685ed00fe89",
+    ("levels_d2", MovingWindowLevels(window_radius=1, theta=0.37, levels=5), 2, 20, 31):
+        "49964aa9b6bc90b614180f835b6d3738cb8811b2db923b87da7e541ddc4f519b",
+    ("iid_d1", IidBernoulli(p=0.3), 1, 500, 7):
+        "a39fd9c68df3802e22da7124f8b21fcd59a4089c104a7bacf80897e12ec898ef",
+}
+
+# every edge of "%.17g" (signed zero, subnormal, huge, inexact, nan, inf)
+# and 10k distinct values, in a cube of 2 * 5004 + 1 cells
+SPECIAL_VALUES = np.concatenate([
+    [0.0, -0.0, 5e-324, 1e308, 0.1, np.nan, np.inf, -np.inf, -1e-300],
+    np.random.default_rng(5).normal(size=10_000),
+])
+
+
+def per_cell_bytes(sample):
+    """The file the per-cell writer makes: the reference for save_sample."""
+    header = {"d": sample.cube.d, "n": sample.cube.n, "seed": sample.seed,
+              "model": model_to_dict(sample.model)}
+    lines = [json.dumps(header, sort_keys=True) + "\n"]
+    lines += ["%.17g\n" % v for v in sample.values.ravel()]
+    return "".join(lines).encode()
+
+
+def assert_same_bits(loaded, values):
+    """Loaded values carry the float64 bits of the saved ones; a nan is
+    written as "nan", so only its nan-ness is kept, not its payload."""
+    expected = np.asarray(values, dtype=np.float64).ravel()
+    assert loaded.dtype == np.float64
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(loaded.ravel()), nan)
+    assert loaded.ravel()[~nan].tobytes() == expected[~nan].tobytes()
 
 
 def golden_model(name, d):
@@ -364,7 +414,83 @@ class TestSerialization:
         save_sample(sample, path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-2]) + "\n")
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError):
+            load_sample(path)
+
+    def test_extra_value_line(self, tmp_path):
+        path = tmp_path / "sample.dat"
+        save_sample(sample_field(IidBernoulli(p=0.5), LatticeCube(d=1, n=3), 1), path)
+        path.write_text(path.read_text() + "1\n")
+        with pytest.raises(ConfigError, match="holds 8 values, cube needs 7"):
+            load_sample(path)
+
+    @pytest.mark.parametrize("case", sorted(SAVED_DIGESTS), ids=lambda c: c[0])
+    def test_saved_bytes_golden(self, case, tmp_path):
+        model, d, n, seed = case[1:]
+        sample = sample_field(model, LatticeCube(d=d, n=n), seed)
+        path = tmp_path / "sample.dat"
+        save_sample(sample, path)
+        data = path.read_bytes()
+        assert data == per_cell_bytes(sample)
+        assert hashlib.sha256(data).hexdigest() == SAVED_DIGESTS[case]
+
+    @pytest.mark.parametrize("values", [
+        SPECIAL_VALUES,
+        np.arange(-3, 4),
+        np.array([True, False, False, True, True]),
+        np.array([0.1, -0.0, 1e30, np.nan, 0.1], dtype=np.float32),
+    ], ids=["specials_and_normals", "int", "bool", "float32"])
+    def test_saved_bytes_match_per_cell_format(self, values, tmp_path):
+        sample = FieldSample(LatticeCube(d=1, n=values.size // 2), values, IidBernoulli(0.5), 3)
+        path = tmp_path / "sample.dat"
+        save_sample(sample, path)
+        assert path.read_bytes() == per_cell_bytes(sample)
+        assert_same_bits(load_sample(path).values, values)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(values=hnp.arrays(np.float64, st.integers(0, 40).map(lambda n: 2 * n + 1)))
+    @example(values=np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324]))
+    def test_saved_bytes_property(self, values):
+        sample = FieldSample(LatticeCube(d=1, n=values.size // 2), values, IidBernoulli(0.5), 0)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "sample.dat")
+            save_sample(sample, path)
+            with open(path, "rb") as fh:
+                assert fh.read() == per_cell_bytes(sample)
+            assert_same_bits(load_sample(path).values, values)
+
+    def _write(self, path, body):
+        header = {"d": 1, "n": 1, "seed": 5, "model": model_to_dict(IidBernoulli(0.5))}
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        return path
+
+    @pytest.mark.parametrize("body", [
+        b"1\n\n0.5\n   \n\t\n-0\n\n",
+        b"1\r\n0.5\r\n-0\r\n",
+        b"1\n0.5\n-0",
+        b"  1 \n0.5\t\n-0\n",
+    ], ids=["blank_lines", "crlf", "no_final_newline", "padded"])
+    def test_loader_accepts(self, body, tmp_path):
+        loaded = load_sample(self._write(tmp_path / "s.dat", body))
+        assert_same_bits(loaded.values, np.array([1.0, 0.5, -0.0]))
+        assert loaded.seed == 5
+
+    @pytest.mark.parametrize("line", ["1 0", "one"])
+    def test_loader_rejects_value_line(self, line, tmp_path):
+        path = self._write(tmp_path / "s.dat", f"1\n{line}\n0\n".encode())
+        with pytest.raises(ConfigError, match="malformed sample file") as info:
+            load_sample(path)
+        assert line in str(info.value)
+
+    @pytest.mark.parametrize("header", [
+        "[1, 2]", "3", '"d"',
+        '{"d": 1, "n": 1, "seed": "abc", "model": {"type": "iid_bernoulli", "p": 0.5}}',
+        '{"d": 1, "n": 1, "seed": 1.5, "model": {"type": "iid_bernoulli", "p": 0.5}}',
+    ], ids=["list", "number", "string", "seed_string", "seed_float"])
+    def test_loader_rejects_header(self, header, tmp_path):
+        path = tmp_path / "s.dat"
+        path.write_text(header + "\n1\n0\n1\n")
+        with pytest.raises(ConfigError):
             load_sample(path)
 
 
