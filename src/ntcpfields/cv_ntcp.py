@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DegenerateError, DomainError, ShapeError
+from .errors import CapacityError, DegenerateError, DomainError, ShapeError
 
 #: Berry-Esseen constant for the binomial normal approximation.
 BERRY_ESSEEN_C = 0.7975
@@ -115,52 +115,113 @@ class FractionCurveFeatures:
 # Exact binomial tail
 # ---------------------------------------------------------------------------
 
+#: Largest FSU count for the exact tail.  Its prefix sum holds about three
+#: float64 arrays of n entries at once (the logs, the term ratios and the
+#: (n + 2,) output), so the cap keeps that near 3 x 8 bytes x 10^8 = 2.4 GB.
+MAX_EXACT_N = 10**8
+
+# exp(x) is exactly 0.0 in float64 for every x below about -745.13; the
+# window keeps a further 1.0 of margin against rounding in x - top.
+_EXP_UNDERFLOW = 746.0 + 1.0
+
+
+def _is_integer(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _check_fsu_model(n: int, p: float) -> None:
+    """DomainError unless n is an integer >= 1 and 0 <= p <= 1."""
+    if not (_is_integer(n) and n >= 1):
+        raise DomainError(f"n must be an integer >= 1, got {n!r}")
+    if not (0.0 <= p <= 1.0):
+        raise DomainError(f"p must be in [0, 1], got {p!r}")
+
+
 def _log_term_ratios(n: int, p: float) -> np.ndarray:
     """log(pmf(k+1)/pmf(k)) = log(n-k) - log(k+1) + log(p) - log(q), k < n.
 
     log(n-k) for k = 0..n-1 is log(k+1) reversed, so one log array gives both.
     """
-    logs = np.log(np.arange(1, n + 1, dtype=np.float64))
+    logs = np.arange(1, n + 1, dtype=np.float64)
+    np.log(logs, out=logs)
     return logs[::-1] - logs + math.log(p) - math.log1p(-p)
+
+
+def _pmf_window(n: int, p: float) -> Tuple[np.ndarray, int, int]:
+    """Binomial(n, p) pmf in out[:n + 1] of an (n + 2,) array out, and [lo, hi).
+
+    Every entry outside [lo, hi), out[n + 1] included, is exactly 0.0, so
+    callers may restrict their passes to the window.
+    """
+    out = np.zeros(n + 2)
+    if p == 0.0 or p == 1.0:
+        lo = 0 if p == 0.0 else n
+        out[lo] = 1.0
+        return out, lo, lo + 1
+    log_pmf = out[:n + 1]
+    _log_term_ratios(n, p).cumsum(out=out[1:n + 1])
+    # The term ratios are non-increasing in k (log(n-k) falls, log(k+1)
+    # rises, and rounding keeps that order), so their prefix sum log_pmf
+    # rises up to its first maximum and falls after it.  Each half is
+    # monotone, so one search on each finds where it crosses the floor.
+    # Every entry below the floor has exp(x - top) == 0.0 exactly, so the
+    # window [lo, hi) is a superset of the nonzero pmf entries.
+    # (The array methods below skip the np.* wrappers: the moments path
+    # calls this for many tiny n.)
+    mode = int(log_pmf.argmax())
+    top = log_pmf[mode]
+    floor = top - _EXP_UNDERFLOW
+    lo = int(log_pmf[:mode + 1].searchsorted(floor))
+    hi = n + 1 - int(log_pmf[mode:][::-1].searchsorted(floor))
+    window = log_pmf[lo:hi]
+    window -= top
+    np.exp(window, out=window)
+    log_pmf[:lo].fill(0.0)
+    log_pmf[hi:].fill(0.0)
+    # the full-length sum keeps numpy's pairwise summation order
+    window /= log_pmf.sum()
+    return out, lo, hi
 
 
 def _binomial_pmf(n: int, p: float) -> np.ndarray:
     """Full pmf of Binomial(n, p) via a log-space term-ratio recursion.
 
-    Ratios pmf(k+1)/pmf(k) = (n-k)/(k+1) * p/q are accumulated in log space
-    relative to the mode, then normalized; stable up to n ~ 1e6.
+    Ratios pmf(k+1)/pmf(k) = (n-k)/(k+1) * p/q are accumulated in log space,
+    shifted by their maximum and exponentiated only on the window where
+    exp does not underflow to 0.0; every other entry is exactly 0.0.  The
+    accumulation costs three float64 arrays of n entries, hence the
+    MAX_EXACT_N cap of the exact tail.
     """
-    if p == 0.0:
-        out = np.zeros(n + 1)
-        out[0] = 1.0
-        return out
-    if p == 1.0:
-        out = np.zeros(n + 1)
-        out[n] = 1.0
-        return out
-    log_pmf = np.concatenate(([0.0], np.cumsum(_log_term_ratios(n, p))))
-    log_pmf -= log_pmf.max()
-    pmf = np.exp(log_pmf)
-    pmf /= pmf.sum()
-    return pmf
+    return _pmf_window(n, p)[0][:n + 1]
 
 
 def ntcp_exact_all_thresholds(n: int, p: float) -> np.ndarray:
-    """P(S_n >= L) for every L = 0..n+1, as one array of length n+2."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if not (0.0 <= p <= 1.0):
-        raise DomainError("p must be in [0, 1]")
-    pmf = _binomial_pmf(n, p)
-    tail = np.concatenate((np.cumsum(pmf[::-1])[::-1], [0.0]))
+    """P(S_n >= L) for every L = 0..n+1, as one array of length n+2.
+
+    Raises CapacityError, before allocating, for n above MAX_EXACT_N: the
+    tail needs about 3 x 8 bytes x n of memory at its peak.
+    """
+    _check_fsu_model(n, p)
+    if n > MAX_EXACT_N:
+        raise CapacityError(
+            f"exact tail of {n} FSUs exceeds the cap of {MAX_EXACT_N} "
+            f"(about 24 bytes per FSU)"
+        )
+    tail, lo, hi = _pmf_window(n, p)
+    # reversed cumsum of the pmf, in place: above the window it sums only
+    # zeros (0.0) and below it adds only zeros to the value at lo
+    window = tail[lo:hi][::-1]
+    window.cumsum(out=window)
+    tail[:lo].fill(tail[lo])
     tail[0] = 1.0  # whole sample space; shields L=0 from summation dust
-    return np.clip(tail, 0.0, 1.0)
+    return tail.clip(0.0, 1.0, out=tail)
 
 
 def ntcp_exact(n: int, p: float, threshold: int) -> float:
     """Exact binomial upper tail P(S_n >= threshold)."""
-    if not (0 <= threshold <= n + 1):
-        raise DomainError(f"threshold must lie in [0, {n + 1}], got {threshold}")
+    _check_fsu_model(n, p)
+    if not (_is_integer(threshold) and 0 <= threshold <= n + 1):
+        raise DomainError(f"threshold must be an integer in [0, {n + 1}], got {threshold!r}")
     return float(ntcp_exact_all_thresholds(n, p)[threshold])
 
 
@@ -169,6 +230,7 @@ def ntcp_exact(n: int, p: float, threshold: int) -> float:
 # ---------------------------------------------------------------------------
 
 def _sigma(n: int, p: float) -> float:
+    _check_fsu_model(n, p)
     if not (0.0 < p < 1.0):
         raise DegenerateError("p in {0, 1} gives a degenerate distribution")
     return math.sqrt(n * p * (1.0 - p))
@@ -240,6 +302,7 @@ def ntcp_weiss(n: int, p: float, k: int, m: int) -> ApproxResult:
 
 def ntcp_weiss_tail(n: int, p: float, threshold: int) -> ApproxResult:
     """Weiss approximation of the upper tail P(S_n >= threshold)."""
+    _check_fsu_model(n, p)
     if threshold <= 0:
         return ApproxResult(value=1.0, error_bound=0.0, method="Weiss")
     if threshold > n:
@@ -251,19 +314,23 @@ def ntcp_weiss_tail(n: int, p: float, threshold: int) -> ApproxResult:
 # Kill-fraction calculus
 # ---------------------------------------------------------------------------
 
+def _check_c(c: float) -> None:
+    """DomainError unless the confidence multiplier c is finite and >= 0."""
+    if not (math.isfinite(c) and c >= 0.0):
+        raise DomainError(f"c must be finite and >= 0, got {c!r}")
+
+
 def kill_fraction(p: float, c: float) -> float:
     """kappa(p) = p + c sqrt(p(1-p)); the fraction threshold at confidence c."""
     if not (0.0 <= p <= 1.0):
         raise DomainError("p must be in [0, 1]")
-    if c < 0:
-        raise DomainError("c must be >= 0")
+    _check_c(c)
     return p + c * math.sqrt(p * (1.0 - p))
 
 
 def fraction_curve_features(c: float) -> FractionCurveFeatures:
     """Closed-form landmarks of the concave curve kappa(p)."""
-    if c < 0:
-        raise DomainError("c must be >= 0")
+    _check_c(c)
     root = math.sqrt(1.0 + c * c)
     return FractionCurveFeatures(
         c=c,
@@ -284,8 +351,7 @@ def invert_fraction(kappa: float, c: float) -> float:
     """
     if not (0.0 < kappa < 1.0):
         raise DomainError("kappa must be in (0, 1)")
-    if c < 0:
-        raise DomainError("c must be >= 0")
+    _check_c(c)
     disc = kappa - kappa * kappa + 0.25 * c * c
     return kappa * (kappa / (kappa + 0.5 * c * c + c * math.sqrt(disc)))
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ntcpfields import dependent_clt
+from ntcpfields import cv_ntcp, dependent_clt
 from ntcpfields.cli import main
 
 
@@ -58,6 +58,33 @@ class TestNtcpCommand:
         )
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(("ntcp", "--n", "0", "--p", "0.5", "--L", "3", "--method", "normal"),
+                     id="normal_n_0"),
+        pytest.param(("threshold", "--n", "0", "--p", "0.5", "--gamma", "0.9"),
+                     id="threshold_n_0"),
+        pytest.param(("ntcp", "--n", "-4", "--p", "0.5", "--L", "3"), id="all_n_negative"),
+        pytest.param(("ntcp", "--n", "-4", "--p", "0.5", "--L", "3", "--method", "normal"),
+                     id="normal_n_negative"),
+        pytest.param(("threshold", "--n", "-4", "--p", "0.5", "--gamma", "0.9"),
+                     id="threshold_n_negative"),
+        pytest.param(("ntcp", "--n", "5", "--p", "2.0", "--L", "0", "--method", "weiss"),
+                     id="weiss_L0_p_above_1"),
+        pytest.param(("ntcp", "--n", "5", "--p", "2.0", "--L", "0", "--method", "normal"),
+                     id="normal_p_above_1"),
+        # 2^40 FSUs: the cap refuses the exact tail before it allocates
+        pytest.param(("ntcp", "--n", str(2**40), "--p", "0.5", "--L", "3", "--method", "exact"),
+                     id="exact_n_above_cap"),
+    ])
+    def test_fsu_domain_and_capacity_exit_one(self, capsys, monkeypatch, argv):
+        def no_pmf(n, p):
+            raise AssertionError("a pmf was built for rejected input")
+
+        monkeypatch.setattr(cv_ntcp, "_pmf_window", no_pmf)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == "" and err.startswith("error") and "Traceback" not in err
 
     def test_bad_flag_exit_two(self, capsys):
         code, _, _ = run(capsys, "ntcp", "--n", "10", "--p", "0.5", "--L", "5",

@@ -1,11 +1,19 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import special, stats
+from test_properties import PROPERTY
+
+from ntcpfields import cv_ntcp
 
 from ntcpfields.cv_ntcp import (
     OrganSpec,
+    _binomial_pmf,
     _log_term_ratios,
     damage_volume,
     dose_for_fraction,
@@ -23,7 +31,29 @@ from ntcpfields.cv_ntcp import (
     threshold_for_confidence,
 )
 from ntcpfields.dose_response import CellPopulation, SingleHit, fsu_kill_probability
-from ntcpfields.errors import DegenerateError, DomainError, ShapeError
+from ntcpfields.errors import CapacityError, DegenerateError, DomainError, ShapeError
+
+
+def reference_pmf(n, p):
+    """The full-array binomial pmf: exp and normalize all n + 1 entries."""
+    if p in (0.0, 1.0):
+        out = np.zeros(n + 1)
+        out[0 if p == 0.0 else n] = 1.0
+        return out
+    logs = np.log(np.arange(1, n + 1, dtype=np.float64))
+    ratios = logs[::-1] - logs + math.log(p) - math.log1p(-p)
+    log_pmf = np.concatenate(([0.0], np.cumsum(ratios)))
+    log_pmf -= log_pmf.max()
+    pmf = np.exp(log_pmf)
+    pmf /= pmf.sum()
+    return pmf
+
+
+def reference_tail(n, p):
+    """The full-array tail: a reversed cumsum over all of reference_pmf."""
+    tail = np.concatenate((np.cumsum(reference_pmf(n, p)[::-1])[::-1], [0.0]))
+    tail[0] = 1.0
+    return np.clip(tail, 0.0, 1.0)
 
 
 class TestNormalCdfQuantile:
@@ -96,6 +126,97 @@ class TestNtcpExact:
     def test_threshold_range(self, n, p, threshold):
         with pytest.raises(DomainError):
             ntcp_exact(n, p, threshold)
+
+
+class TestExactTailBits:
+    """The windowed pmf and tail give the bytes of the full-array formula."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 12345, 10**6])
+    @pytest.mark.parametrize("p", [0.0, 1e-300, 1e-9, 0.3, 0.4335, 0.5, 0.98,
+                                   1.0 - 2.0**-53, 1.0])
+    def test_grid_matches_full_array_formula(self, n, p):
+        assert _binomial_pmf(n, p).tobytes() == reference_pmf(n, p).tobytes()
+        assert ntcp_exact_all_thresholds(n, p).tobytes() == reference_tail(n, p).tobytes()
+
+    @PROPERTY
+    @given(n=st.integers(min_value=1, max_value=2 * 10**5),
+           p=st.floats(min_value=0.0, max_value=1.0))
+    def test_property_matches_full_array_formula(self, n, p):
+        assert _binomial_pmf(n, p).tobytes() == reference_pmf(n, p).tobytes()
+        assert ntcp_exact_all_thresholds(n, p).tobytes() == reference_tail(n, p).tobytes()
+
+    # sha256 of the full-array formula's bytes at n = 10^6 (numpy 2.4, x86-64)
+    @pytest.mark.parametrize("p, digest", [
+        (0.42, "78753f00af51cf5981efb050662ae0647d997bdc7e7abec3f8a0ade017798dc1"),
+        (0.4335, "b0b33e5a46a714999f9970afe9fdcd1a0db017bd2c6c8a1bddf3901f82958866"),
+        (0.58, "e64adbf9107404131c44eb237561740b281b91d6fcd0c8702d733cec1666daeb"),
+    ])
+    def test_pinned_digest_at_a_million(self, p, digest):
+        tail = ntcp_exact_all_thresholds(10**6, p)
+        assert hashlib.sha256(tail.tobytes()).hexdigest() == digest
+
+
+class TestExactTailCapacity:
+    def test_cap_raises_before_allocating(self, monkeypatch):
+        def no_pmf(n, p):
+            raise AssertionError("the pmf was built above the cap")
+
+        monkeypatch.setattr(cv_ntcp, "_pmf_window", no_pmf)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                ntcp_exact_all_thresholds(2**40, 0.5)
+            with pytest.raises(CapacityError):
+                ntcp_exact(2**40, 0.5, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+class TestFsuModelDomain:
+    """One (n, p) check guards every independent-FSU function."""
+
+    FUNCTIONS = [
+        pytest.param(lambda n, p: ntcp_exact(n, p, 0), id="exact"),
+        pytest.param(lambda n, p: ntcp_exact_all_thresholds(n, p), id="all_thresholds"),
+        pytest.param(lambda n, p: ntcp_normal(n, p, 0), id="normal"),
+        pytest.param(lambda n, p: threshold_for_confidence(n, p, 0.9), id="threshold"),
+        pytest.param(lambda n, p: ntcp_normal_integer_threshold(n, p, 0.9),
+                     id="integer_threshold"),
+        pytest.param(lambda n, p: ntcp_weiss(n, p, 0, 1), id="weiss"),
+        pytest.param(lambda n, p: ntcp_weiss_tail(n, p, 0), id="weiss_tail_L0"),
+        pytest.param(lambda n, p: ntcp_weiss_tail(n, p, 10**9), id="weiss_tail_L_above_n"),
+    ]
+
+    @pytest.mark.parametrize("fn", FUNCTIONS)
+    @pytest.mark.parametrize("n, p", [
+        pytest.param(0, 0.5, id="n_0"),
+        pytest.param(-4, 0.5, id="n_negative"),
+        pytest.param(10.5, 0.3, id="n_fractional"),
+        pytest.param(10.0, 0.3, id="n_float"),
+        pytest.param(True, 0.3, id="n_bool"),
+        pytest.param(5, 2.0, id="p_above_1"),
+        pytest.param(5, -0.1, id="p_negative"),
+        pytest.param(5, math.nan, id="p_nan"),
+    ])
+    def test_rejected(self, fn, n, p):
+        with pytest.raises(DomainError) as info:
+            fn(n, p)
+        assert not isinstance(info.value, DegenerateError)
+
+    def test_numpy_integer_n_accepted(self):
+        assert ntcp_exact(np.int64(10), 0.5, 5) == ntcp_exact(10, 0.5, 5)
+
+    @pytest.mark.parametrize("threshold", [2.5, 3.0, None])
+    def test_non_integer_threshold_rejected(self, threshold):
+        with pytest.raises(DomainError):
+            ntcp_exact(10, 0.5, threshold)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_degenerate_p_still_degenerate(self, p):
+        with pytest.raises(DegenerateError):
+            ntcp_normal(10, p, 3)
 
 
 class TestNtcpNormal:
@@ -205,6 +326,24 @@ class TestKillFraction:
                 excess = max(kill_fraction(p, c) - p for p in grid)
                 assert excess <= normal_quantile(gamma) / (2 * math.sqrt(n)) + 1e-12 \
                     if gamma > 0.5 else excess == 0.0
+
+
+class TestConfidenceMultiplierDomain:
+    FUNCTIONS = [
+        pytest.param(lambda c: kill_fraction(0.5, c), id="kill_fraction"),
+        pytest.param(fraction_curve_features, id="features"),
+        pytest.param(lambda c: invert_fraction(0.5, c), id="invert_fraction"),
+    ]
+
+    @pytest.mark.parametrize("fn", FUNCTIONS)
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, -0.5])
+    def test_rejected(self, fn, c):
+        with pytest.raises(DomainError):
+            fn(c)
+
+    @pytest.mark.parametrize("fn", FUNCTIONS)
+    def test_negative_zero_equals_zero(self, fn):
+        assert fn(-0.0) == fn(0.0)
 
 
 class TestFractionCurveFeatures:
