@@ -13,6 +13,7 @@ The serial model is threshold L = 1; tumor control is L = n.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Optional, Sequence, Tuple, Union
@@ -63,8 +64,7 @@ class OrganSpec:
     fsu_volumes: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("n must be >= 1")
+        _check_fsu_model(self.n)
         if not (self.volume > 0):
             raise DomainError("volume must be > 0")
         if self.fsu_volumes is None:
@@ -129,11 +129,11 @@ def _is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _check_fsu_model(n: int, p: float) -> None:
-    """DomainError unless n is an integer >= 1 and 0 <= p <= 1."""
+def _check_fsu_model(n: int, p: Optional[float] = None) -> None:
+    """DomainError unless n is an integer >= 1 and, if given, 0 <= p <= 1."""
     if not (_is_integer(n) and n >= 1):
         raise DomainError(f"n must be an integer >= 1, got {n!r}")
-    if not (0.0 <= p <= 1.0):
+    if p is not None and not (0.0 <= p <= 1.0):
         raise DomainError(f"p must be in [0, 1], got {p!r}")
 
 
@@ -331,10 +331,10 @@ def kill_fraction(p: float, c: float) -> float:
 def fraction_curve_features(c: float) -> FractionCurveFeatures:
     """Closed-form landmarks of the concave curve kappa(p)."""
     _check_c(c)
-    root = math.sqrt(1.0 + c * c)
+    root = math.hypot(1.0, c)  # sqrt(1 + c^2) without forming c^2
     return FractionCurveFeatures(
         c=c,
-        p1=1.0 / (1.0 + c * c),
+        p1=(1.0 / root) ** 2,
         p_star=0.5 * (1.0 + 1.0 / root),
         kappa_star=0.5 * (1.0 + root),
     )
@@ -347,13 +347,20 @@ def invert_fraction(kappa: float, c: float) -> float:
     roots; only the smaller one satisfies kappa - p >= 0, so the negative
     branch is taken.  The round-trip test pins this choice.  The smaller
     root is computed as kappa^2 / ((1 + c^2) p_+) from the larger root p_+,
-    which avoids the cancellation of the direct formula when kappa << c.
+    which avoids the cancellation of the direct formula when kappa << c,
+    and its square root as a hypot, so c^2 is never formed.  For c > 0 a p
+    below the normal float range (about kappa^2 / c^2 < 2.2e-308) has lost
+    its precision and raises DomainError; at c = 0, p is kappa exactly.
     """
     if not (0.0 < kappa < 1.0):
         raise DomainError("kappa must be in (0, 1)")
     _check_c(c)
-    disc = kappa - kappa * kappa + 0.25 * c * c
-    return kappa * (kappa / (kappa + 0.5 * c * c + c * math.sqrt(disc)))
+    half = 0.5 * c
+    root = math.hypot(math.sqrt(kappa - kappa * kappa), half)
+    p = kappa * (kappa / (kappa + c * (half + root)))
+    if c > 0.0 and p < sys.float_info.min:
+        raise DomainError(f"p for kappa = {kappa!r} at c = {c!r} underflows")
+    return p
 
 
 def dose_for_fraction(model, cells, kappa: float, n: int, gamma: float,
@@ -366,8 +373,7 @@ def dose_for_fraction(model, cells, kappa: float, n: int, gamma: float,
     """
     from .dose_response import dose_for_kill_probability
 
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    _check_fsu_model(n)
     if gamma < 0.5:
         raise DomainError("gamma must be >= 1/2 (c = z_gamma/sqrt(n) >= 0)")
     c = normal_quantile(gamma) / math.sqrt(n) if gamma > 0.5 else 0.0

@@ -18,12 +18,16 @@ coordinates): the value at a lattice site is a pure hash of the seed and
 the coordinates, so samples are reproducible, embarrassingly parallel,
 and consistent under cube enlargement without storing noise arrays.  A
 site's noise is 1 when u < theta for the uniform u = (h >> 11) * 2^-53 of
-its 64-bit hash h, evaluated exactly in integers as
-(h >> 11) < ceil(theta * 2^53).  Seeds are taken modulo 2^64, in a batch as
-for a single sample, which is a batch of one.  A batch is computed in
-blocks of seeds whose noise grids hold about 2^16 cells, so the working set
-stays in cache.  Replicate streams request one such block at a time, so a
-campaign holds one block plus its per-replicate arrays.
+its 64-bit hash h, evaluated exactly in integers on the raw hash as
+h < ceil(theta * 2^53) * 2^11 (every site is 1 at theta = 1, where that
+bound is 2^64).  Window counts are exact integer sums in the smallest of
+uint8, uint16 and int32 that holds the window size plus one, summed by
+doubling along each axis.  Seeds are taken modulo 2^64, in a batch as for
+a single sample, which is a batch of one.  A batch is computed in blocks of
+seeds whose noise grids hold about 2^16 cells, so the working set stays in
+cache, and each block's rule writes straight into the output.  Replicate
+streams request one such block at a time, so a campaign holds one block
+plus its per-replicate arrays.
 """
 
 from __future__ import annotations
@@ -80,6 +84,27 @@ def _mix64(h: np.ndarray) -> np.ndarray:
     return h
 
 
+def _axis_keys(coord_axes: Sequence[np.ndarray]) -> list:
+    """The per-axis hash inputs c * _AXIS_KEYS[k] for the coordinates c of
+    axis k, shaped to broadcast along axis 1 + k of a (seeds,) + grid array."""
+    d = len(coord_axes)
+    keys = []
+    for k, axis in enumerate(coord_axes):
+        c = np.asarray(axis, dtype=np.int64).astype(np.uint64)
+        shape = (1,) * (1 + k) + (len(axis),) + (1,) * (d - k - 1)
+        keys.append(c.reshape(shape) * _AXIS_KEYS[k])
+    return keys
+
+
+def _keyed_hash(seeds: np.ndarray, keys: Sequence[np.ndarray]) -> np.ndarray:
+    """uint64 hashes for a 1-d batch of seeds on the grid whose
+    ``_axis_keys`` are ``keys``; the result has shape seeds.shape + grid."""
+    h = _mix64(seeds ^ _TAG_NOISE).reshape(seeds.shape + (1,) * len(keys))
+    for key in keys:
+        h = _mix64(h ^ key)
+    return h
+
+
 def _site_hash(seeds: np.ndarray, coord_axes: Sequence[np.ndarray]) -> np.ndarray:
     """uint64 hashes on the grid spanned by ``coord_axes``, for a 1-d batch
     of seeds; the result has shape ``seeds.shape + grid_shape``.
@@ -87,28 +112,29 @@ def _site_hash(seeds: np.ndarray, coord_axes: Sequence[np.ndarray]) -> np.ndarra
     Each value depends only on (seed, site coordinates), which is what makes
     nested cubes agree and lets a batch be computed in any blocking.
     """
-    d = len(coord_axes)
-    h = _mix64(seeds ^ _TAG_NOISE).reshape(seeds.shape + (1,) * d)
-    for k, axis in enumerate(coord_axes):
-        c = np.asarray(axis, dtype=np.int64).astype(np.uint64)
-        shape = (1,) * (1 + k) + (len(axis),) + (1,) * (d - k - 1)
-        h = _mix64(h ^ (c.reshape(shape) * _AXIS_KEYS[k]))
-    return h
+    return _keyed_hash(seeds, _axis_keys(coord_axes))
+
+
+def _noise_from_hash(h: np.ndarray, theta: float) -> np.ndarray:
+    """Boolean Bernoulli(theta) noise from site hashes h: u < theta for the
+    uniform u = (h >> 11) * 2^-53.
+
+    The comparison runs on integers: theta * 2^53 is exact for theta in
+    [0, 1] and h >> 11 is an integer below 2^53, so u < theta exactly when
+    h >> 11 < T = ceil(theta * 2^53), that is when h < T * 2^11.  Only
+    T = 2^53 (theta = 1) overflows uint64 there, and then every site is 1.
+    """
+    bound = math.ceil(theta * 2**53) << 11
+    if bound >= 2**64:
+        return np.ones(h.shape, dtype=bool)
+    return h < _U64(bound)
 
 
 def _site_noise(
     seeds: np.ndarray, coord_axes: Sequence[np.ndarray], theta: float
 ) -> np.ndarray:
-    """Boolean Bernoulli(theta) noise on the grid, u < theta for the uniform
-    u = (h >> 11) * 2^-53 of each site hash h.
-
-    The comparison runs on integers: theta * 2^53 is exact for theta in
-    [0, 1] and h >> 11 is an integer below 2^53, so u < theta exactly when
-    h >> 11 < ceil(theta * 2^53).
-    """
-    h = _site_hash(seeds, coord_axes)
-    h >>= _U64(11)
-    return h < _U64(math.ceil(theta * 2**53))
+    """Boolean Bernoulli(theta) noise on the grid spanned by ``coord_axes``."""
+    return _noise_from_hash(_site_hash(seeds, coord_axes), theta)
 
 
 def derive_seeds(master_seed: int, group: int, indices) -> np.ndarray:
@@ -253,24 +279,63 @@ def threshold_model_from_dose(
 # Sampling
 # ---------------------------------------------------------------------------
 
-def _valid_window_sum(a: np.ndarray, w: int, axis: int) -> np.ndarray:
-    """Sliding integer sums of width w along one axis ('valid' mode), via
-    cumsum; int32 holds every partial sum of a grid of at most MAX_CELLS."""
-    a = np.moveaxis(a, axis, -1)
-    cs = np.cumsum(a, axis=-1, dtype=np.int32)
-    out = cs[..., w - 1:].copy()
-    out[..., 1:] -= cs[..., : cs.shape[-1] - w]
-    return np.moveaxis(out, -1, axis)
+def _count_dtype(w_size: int) -> type:
+    """The smallest of uint8, uint16 and int32 that holds w_size + 1: every
+    window count, and the threshold ``_rule_on_counts`` compares them with."""
+    for dtype in (np.uint8, np.uint16):
+        if w_size < np.iinfo(dtype).max:
+            return dtype
+    return np.int32  # w_size is at most MAX_CELLS
 
 
-def _rule_on_counts(model: FieldModel, counts: np.ndarray, d: int) -> np.ndarray:
-    """Map window noise counts to field values."""
+def _valid_window_sum(a: np.ndarray, w: int, axis: int, dtype: type) -> np.ndarray:
+    """Sliding integer sums of width w along one axis ('valid' mode), in
+    ``dtype``, by doubling.
+
+    Sums of width 2, 4, 8, ... are each two shifted slices of the one
+    before, about log2(w) adds; the narrower widths of the set bits of w
+    are then added in place into the widest.  Integer sums are exact, so
+    the counts do not depend on the order of the adds.
+    """
+    def part(x, start, length):
+        return x[(slice(None),) * axis + (slice(start, start + length),)]
+
+    n = a.shape[axis]
+    powers = [a]  # powers[j]: the sums of width 2^j at every start that fits
+    while 2 ** len(powers) <= w:
+        span = 2 ** (len(powers) - 1)
+        size = n - 2 * span + 1
+        widest = powers[-1]
+        powers.append(np.add(part(widest, 0, size), part(widest, span, size), dtype=dtype))
+    out = part(powers[-1], 0, n - w + 1)
+    offset = 2 ** (len(powers) - 1)
+    for j in reversed(range(len(powers) - 1)):
+        if w >> j & 1:
+            out += part(powers[j], offset, n - w + 1)
+            offset += 2**j
+    return out
+
+
+def _rule_on_counts(
+    model: FieldModel, counts: np.ndarray, d: int, out: np.ndarray = None
+) -> np.ndarray:
+    """Map window noise counts to field values, written into the float64
+    array ``out`` of the counts' shape when given."""
+    if out is None:
+        out = np.empty(counts.shape)
+    w_size = (2 * model.window_radius + 1) ** d
     if isinstance(model, MovingWindowThreshold):
-        return (counts >= model.k_min).astype(np.float64)
+        # counts never exceed w_size, so a larger k_min acts as w_size + 1;
+        # the count dtype holds that, so the comparison never depends on
+        # how numpy casts a Python int outside the dtype's range
+        return np.greater_equal(counts, min(model.k_min, w_size + 1), out=out)
     if isinstance(model, MovingWindowLevels):
-        w_size = (2 * model.window_radius + 1) ** d
         steps = model.levels - 1
-        return np.round(counts / w_size * steps) / steps
+        np.divide(counts, w_size, out=out)
+        out *= steps
+        np.round(out, out=out)
+        out /= steps
+        return out
     raise ParameterError(f"not a window model: {model!r}")
 
 
@@ -302,16 +367,19 @@ def sample_fields_batch(
         raise CapacityError(
             f"{seeds.size} x {enlarged} noise cells exceed the cap of {MAX_CELLS}"
         )
-    axes = [np.arange(-cube.n - m, cube.n + m + 1)] * cube.d
+    keys = _axis_keys([np.arange(-cube.n - m, cube.n + m + 1)] * cube.d)
     out = np.empty(seeds.shape + cube.shape)
     step = _seeds_per_block(model, cube)
+    dtype = _count_dtype((2 * m + 1) ** cube.d)
     for start in range(0, seeds.size, step):
-        block = _site_noise(seeds[start:start + step], axes, theta)
-        if not isinstance(model, IidBernoulli):
+        noise = _noise_from_hash(_keyed_hash(seeds[start:start + step], keys), theta)
+        if isinstance(model, IidBernoulli):
+            out[start:start + step] = noise
+        else:
+            counts = noise.view(np.uint8)
             for k in range(cube.d):
-                block = _valid_window_sum(block, 2 * m + 1, 1 + k)
-            block = _rule_on_counts(model, block, cube.d)
-        out[start:start + step] = block
+                counts = _valid_window_sum(counts, 2 * m + 1, 1 + k, dtype)
+            _rule_on_counts(model, counts, cube.d, out=out[start:start + step])
     return out
 
 

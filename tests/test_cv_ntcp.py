@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -365,6 +366,14 @@ class TestFractionCurveFeatures:
             assert grid[np.argmax(k)] == pytest.approx(f.p_star, abs=1e-5)
             assert np.max(k) == pytest.approx(f.kappa_star, abs=1e-8)
 
+    @pytest.mark.parametrize("c", [1e160, 1e200, sys.float_info.max])
+    def test_huge_c_stays_finite(self, c):
+        # c * c overflows to inf above c ~ 1.3e154
+        f = fraction_curve_features(c)
+        assert f.kappa_star == 0.5 * (1.0 + c)
+        assert f.p_star == 0.5
+        assert 0.0 <= f.p1 < 1e-300
+
 
 class TestInvertFraction:
     def test_c_zero(self):
@@ -396,6 +405,19 @@ class TestInvertFraction:
         with pytest.raises(DomainError):
             invert_fraction(kappa, 1.0)
 
+    def test_root_near_the_normal_range_is_positive(self):
+        # p ~ kappa^2 / c^2: still a normal float at c = 1e153
+        p = invert_fraction(0.5, 1e153)
+        assert p == pytest.approx(2.5e-307, rel=1e-12)
+        assert kill_fraction(p, 1e153) == pytest.approx(0.5, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "kappa,c", [(0.5, 1.2e154), (0.5, 1e160), (0.99, 1e200), (1e-200, 1.0)])
+    def test_underflowing_root_rejected(self, kappa, c):
+        # roots below the normal float range; 0.0 would leave (0, kappa]
+        with pytest.raises(DomainError, match="underflows"):
+            invert_fraction(kappa, c)
+
 
 class TestDoseForFraction:
     def test_median_confidence_single_cell(self):
@@ -412,6 +434,11 @@ class TestDoseForFraction:
                 c = normal_quantile(gamma) / math.sqrt(n)
                 p = fsu_kill_probability(model, cells, d)
                 assert kill_fraction(p, c) == pytest.approx(kappa, abs=1e-7)
+
+    @pytest.mark.parametrize("n", [10.5, 10.0, 0, True])
+    def test_fsu_count_must_be_a_positive_integer(self, n):
+        with pytest.raises(DomainError, match="n must be an integer"):
+            dose_for_fraction(SingleHit(alpha=1.0), CellPopulation(n0=1), 0.5, n=n, gamma=0.9)
 
 
 class TestDamageVolume:
@@ -433,3 +460,9 @@ class TestDamageVolume:
     def test_volumes_must_sum(self):
         with pytest.raises(DomainError):
             OrganSpec(n=2, volume=1.0, reserve=1, fsu_volumes=(0.7, 0.7))
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, 0, -3, True])
+    def test_fsu_count_must_be_a_positive_integer(self, n):
+        # [v] * 2.5 would end in a bare TypeError
+        with pytest.raises(DomainError, match="n must be an integer"):
+            OrganSpec(n=n, volume=1.0, reserve=1)

@@ -57,6 +57,30 @@ GOLDEN_DIGESTS = {
     ("iid", 3): ("34a11f4ef7eb5d706f4b01e352d57a047f2dc4aa787a5cd32cbfa8905c71e97e", "2816cbc008e345333b8246e25b9cf21f4bda15f5ebfe95754a2842d69c480ec0"),
     ("threshold", 3): ("f11e0f90bc977b19ba932d3e6a1350a572b859a3a3599f03607f9dc87480214d", "576e914a96587d0dd1c8c5e0791063978e7e7753dd111e9d710c295691f9f7dc"),
     ("levels", 3): ("9c4d2d33f243094af8651c09b2af01229d78f05858e2ad62c8683ab744af9497", "d6eba82295c2c536a9406e27bb23caafe0ecd30e3583b9c7a15e270d7b075636"),
+    # edges of the noise bound and the count arithmetic (EDGE_MODELS)
+    ("threshold_theta1", 1): ("99c373ad38fe7e7dee5d46871a6c058e6e5320ae8fb6a5d34a7a8512aae95744", "a8387df1c623c82f1aa917558fb8a41aecf92f5dd3292e99d87d670ed926614c"),
+    ("levels_theta1", 2): ("c3e01e68121142491cbc4b700cd81e2866e39b17f9ad6e4c27f1ee366681ff9d", "43a497429e484200cb06db04490aeda43965ae118434b3160b359ac56bcbcf54"),
+    ("threshold_kmin256", 3): ("d6c4fd92b761a901ce00a5c193f299e8a45ee33cc354a5c37c725b150465edc0", "e7b20af1b8baf65af5baf387fcd78b3316f29e9c3767973bb17902d3718193e2"),
+    ("threshold_kmin_over", 2): ("d29751f2649b32ff572b5e0a9f541ea660a50f94ff0beedfb0b692b924cc8025", "7ca5bd879f393d9dd05b14f38add9c0fc6b67928f7f2d261b2e47a32ee8219e3"),
+    ("threshold_m0", 1): ("8a053eaae24d4503fcb481d85ca0a8c2a644f0c27045531d3000d1e1bb17df30", "9214b668cf6151c866a0a80d535594c35f65f74a952620814dbc3d18b9ac6538"),
+    ("levels_m0", 2): ("eeec307361ac93106c87f5dd5ea294382e9f3df2986233eeba9c6b78cbfdebe1", "7b12734ee3ebe2106d03094214a208785bce7c5f208aabc73af2f853f5cc2937"),
+    ("threshold_m0", 3): ("2eab15fc454435317334a4c969c40e2e016a23a8b0eac8e47c788784ed82020e", "247c254520b49289901df4ed5d407b22a2fb4ff1576510fd5c621bdb58750b1d"),
+    ("levels_m8", 2): ("11363f5a16a50b52d0201ecf013e2e6fb575e43971ef072f8ded062420eab36b", "8a28c747c9859c72e45c0d19cf4c94521c7ec4ddeaea1d07e740b727a76c4411"),
+    ("threshold_m3", 3): ("4eed9a14a4a33eb5d7b3d234c70ed5a2c481a53c84c971f1a7ae512ea3e2b35f", "f630d4f5ac02c1cf26f78a42ad92477ff6cea95831c091f3f2e09be5ebe2fc21"),
+}
+
+# theta = 1 (the integer noise bound is 2^53), k_min above the window size
+# (256 would wrap to 0 in uint8 counts), m = 0 windows, and windows of 289
+# and 343 sites, whose counts need uint16
+EDGE_MODELS = {
+    "threshold_theta1": MovingWindowThreshold(window_radius=1, theta=1.0, k_min=3),
+    "levels_theta1": MovingWindowLevels(window_radius=2, theta=1.0, levels=4),
+    "threshold_kmin256": MovingWindowThreshold(window_radius=1, theta=0.9, k_min=256),
+    "threshold_kmin_over": MovingWindowThreshold(window_radius=1, theta=0.9, k_min=10),
+    "threshold_m0": MovingWindowThreshold(window_radius=0, theta=0.4, k_min=1),
+    "levels_m0": MovingWindowLevels(window_radius=0, theta=0.4, levels=3),
+    "levels_m8": MovingWindowLevels(window_radius=8, theta=0.37, levels=7),
+    "threshold_m3": MovingWindowThreshold(window_radius=3, theta=0.5, k_min=172),
 }
 
 
@@ -99,6 +123,8 @@ def assert_same_bits(loaded, values):
 
 
 def golden_model(name, d):
+    if name in EDGE_MODELS:
+        return EDGE_MODELS[name]
     if name == "iid":
         return IidBernoulli(p=0.3)
     if name == "threshold":

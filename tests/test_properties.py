@@ -1,14 +1,17 @@
 """Property tests: a replicate batch equals the corresponding single samples
-(field values and C_hat alike, for any integer seeds), enlarging the cube
+(field values and C_hat alike, for any integer seeds), the sampler's window
+counts equal site-by-site sums of the noise, enlarging the cube
 with the same seed keeps the interior values, samples round-trip through
 their file format bit for bit, C_hat ignores a constant shift and scales
 by a^2, model_sigma2 equals its per-lag covariance sum, invert_fraction
 inverts kill_fraction, and the normal and Weiss certificates bound the
 error of the exact tail."""
 
+import decimal
 import itertools
 import math
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -16,6 +19,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from ntcpfields import lattice_fields
 from ntcpfields.cv_ntcp import (
     invert_fraction,
     kill_fraction,
@@ -27,6 +31,7 @@ from ntcpfields.dependent_clt import (
     _variance_estimator_batch,
     variance_estimator,
 )
+from ntcpfields.errors import DomainError
 from ntcpfields.lattice_fields import (
     IidBernoulli,
     LatticeCube,
@@ -71,6 +76,43 @@ def test_batch_equals_single(model, d, n, seeds):
     batch = sample_fields_batch(model, cube, seeds)
     for row, s in zip(batch, seeds):
         assert np.array_equal(row, sample_field(model, cube, s).values)
+
+
+@st.composite
+def wide_window_models(draw):
+    """(model, d): windows of radius 0..8, theta with both ends, and k_min
+    up to 300 past the window size."""
+    d = draw(dims)
+    m = draw(st.integers(min_value=0, max_value=8))
+    theta = draw(st.one_of(st.sampled_from([0.0, 1.0]), unit))
+    if draw(st.booleans()):
+        k_min = draw(st.integers(min_value=0, max_value=(2 * m + 1) ** d + 300))
+        return MovingWindowThreshold(m, theta, k_min), d
+    return MovingWindowLevels(m, theta, draw(st.integers(min_value=2, max_value=9))), d
+
+
+@PROPERTY
+@given(model_d=wide_window_models(), n=st.integers(min_value=0, max_value=3),
+       seeds=st.lists(seed, min_size=1, max_size=3))
+@example(model_d=(MovingWindowThreshold(1, 0.9, 256), 3), n=2, seeds=[7])  # uint8 256 is 0
+@example(model_d=(MovingWindowThreshold(1, 0.9, 300), 3), n=2, seeds=[7])  # uint8 300 is 44
+@example(model_d=(MovingWindowThreshold(8, 0.5, 145), 2), n=3, seeds=[1, 2])  # uint16 counts
+@example(model_d=(MovingWindowLevels(5, 0.4, 7), 3), n=1, seeds=[3])
+@example(model_d=(MovingWindowThreshold(20, 0.5, 34461), 3), n=0, seeds=[5])  # int32 counts
+def test_sampler_matches_brute_force_windows(model_d, n, seeds):
+    """Each window count summed site by site from the noise, then the rule."""
+    model, d = model_d
+    cube = LatticeCube(d=d, n=n)
+    w = 2 * model.window_radius + 1
+    axes = [np.arange(-n - model.window_radius, n + model.window_radius + 1)] * d
+    keys = np.array([s % 2**64 for s in seeds], dtype=np.uint64)
+    noise = lattice_fields._site_noise(keys, axes, model.theta).astype(np.int64)
+    counts = np.empty((len(seeds),) + cube.shape, dtype=np.int64)
+    for site in itertools.product(range(cube.side), repeat=d):
+        window = noise[(slice(None),) + tuple(slice(j, j + w) for j in site)]
+        counts[(slice(None),) + site] = window.reshape(len(seeds), -1).sum(axis=1)
+    expected = lattice_fields._rule_on_counts(model, counts, d)
+    assert sample_fields_batch(model, cube, seeds).tobytes() == expected.tobytes()
 
 
 @PROPERTY
@@ -158,10 +200,27 @@ def test_save_load_round_trip(model, d, n, s):
 @given(kappa=unit_open, c=st.floats(min_value=0.0, max_value=100.0))
 @example(kappa=1e-6, c=1.0)
 @example(kappa=1e-10, c=1.0)
+@example(kappa=0.9, c=1e153)  # p near 8e-307, still a normal float
+@example(kappa=0.5, c=1e160)  # c * c overflows; p near 2.5e-321
+@example(kappa=0.5, c=1e200)
 def test_invert_fraction_round_trip(kappa, c):
-    p = invert_fraction(kappa, c)
-    assert 0.0 <= p <= kappa
+    try:
+        p = invert_fraction(kappa, c)
+    except DomainError:
+        # only where the exact root lies below the normal float range
+        assert exact_smaller_root(kappa, c) < sys.float_info.min
+        return
+    assert 0.0 < p <= kappa
     assert abs(kill_fraction(p, c) - kappa) <= 1e-15
+
+
+def exact_smaller_root(kappa, c):
+    """kappa^2 / (kappa + c^2/2 + c sqrt(kappa(1 - kappa) + c^2/4)) in
+    60-digit decimal arithmetic, whose exponent range holds any root."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        k, c = decimal.Decimal(kappa), decimal.Decimal(c)
+        return k * k / (k + c * c / 2 + c * (k * (1 - k) + c * c / 4).sqrt())
 
 
 @PROPERTY
