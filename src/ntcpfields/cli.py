@@ -157,8 +157,8 @@ def _cmd_estimate(args) -> List[Tuple[str, object]]:
     else:
         config = dependent_clt.EstimatorConfig(eta=args.eta)
     size = sample.cube.size
+    c_hat = dependent_clt.variance_estimator(sample, config)  # rejects nan and inf first
     total = dependent_clt.partial_sum(sample)
-    c_hat = dependent_clt.variance_estimator(sample, config)
     out: List[Tuple[str, object]] = [
         ("sum", total),
         ("mean", total / size),

@@ -162,7 +162,10 @@ def _variance_estimator_batch(values: np.ndarray, d: int, b: int) -> np.ndarray:
 
 
 def variance_estimator(sample: FieldSample, config: EstimatorConfig) -> float:
-    """C_hat(U) with bandwidth taken from the config for this cube."""
+    """C_hat(U) with bandwidth taken from the config for this cube.  A sample
+    holding nan or inf raises DomainError."""
+    if not np.isfinite(sample.values).all():
+        raise DomainError("sample holds non-finite values (nan or inf): C_hat is undefined")
     b = config.bandwidth_for(sample.cube.n)
     return float(_variance_estimator_batch(sample.values, sample.cube.d, b))
 

@@ -472,7 +472,8 @@ def model_sigma2(model: FieldModel, d: int = 1) -> Sigma2Result:
 # ---------------------------------------------------------------------------
 # Serialization: JSON header line + one %.17g value per line (round trips
 # doubles exactly); each distinct value is formatted once and the body is
-# written in _BLOCK_CELLS-line blocks
+# written in _BLOCK_CELLS-line blocks; the loader reads the body in blocks of
+# 8 * _BLOCK_CELLS characters and parses each distinct line once per block
 # ---------------------------------------------------------------------------
 
 def model_to_dict(model: FieldModel) -> dict:
@@ -544,12 +545,50 @@ def save_sample(sample: FieldSample, path) -> None:
             fh.write("".join(lines[inverse[start:start + _BLOCK_CELLS]]))
 
 
+def _parse_lines(lines) -> np.ndarray:
+    """float() of each non-blank line, in order.
+
+    Where lines repeat, each distinct line is parsed once.  Whether they do
+    is judged on an evenly strided sample of at most 1024 lines, because
+    hashing every line costs about as much as parsing it when all are
+    distinct.  A blank or malformed line sends the block through the
+    per-line parse, which skips blank lines and raises ValueError at the
+    first bad one."""
+    sample = lines[:: len(lines) // 1024 + 1]
+    try:
+        if 2 * len(set(sample)) > len(sample):  # mostly distinct: a table would not pay
+            return np.fromiter(map(float, lines), np.float64, count=len(lines))
+        distinct = set(lines)
+        table = dict(zip(distinct, map(float, distinct)))
+        return np.fromiter(map(table.__getitem__, lines), np.float64, count=len(lines))
+    except ValueError:
+        return np.fromiter(map(float, filter(str.strip, lines)), np.float64)
+
+
+def _read_values(fh) -> np.ndarray:
+    """The values of the lines left in text file ``fh``, read and parsed a
+    block of text at a time; a line cut by a block end joins the next."""
+    blocks = []
+    tail = ""
+    while text := fh.read(_BLOCK_CELLS * 8):
+        lines = (tail + text).split("\n")
+        tail = lines.pop()
+        blocks.append(_parse_lines(lines))
+    blocks.append(_parse_lines([tail]))
+    return np.concatenate(blocks)
+
+
 def load_sample(path) -> FieldSample:
-    """The sample saved at ``path``; blank lines are skipped.  A header that
-    is not an object, a value line that is not one number and a wrong value
-    count raise ConfigError."""
+    """The sample saved at ``path``; blank lines are skipped and each
+    distinct value line is parsed once per block.  A file that does not
+    decode, a header that is not an object, a value line that is not one
+    number and a wrong value count raise ConfigError."""
     with open(path) as fh:
-        header = json.loads(fh.readline())
+        try:
+            first = fh.readline()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"malformed sample file {path}: {exc}") from None
+        header = json.loads(first)
         if not isinstance(header, dict):
             raise ConfigError(f"sample header must be an object, got {header!r}")
         cube = LatticeCube(
@@ -558,8 +597,8 @@ def load_sample(path) -> FieldSample:
         model = model_from_dict(header["model"])
         seed = _number(header["seed"], "seed", integer=True)
         try:
-            values = np.fromiter(map(float, filter(str.strip, fh)), np.float64)
-        except ValueError as exc:
+            values = _read_values(fh)
+        except ValueError as exc:  # a bad value line or an undecodable byte
             raise ConfigError(f"malformed sample file {path}: {exc}") from None
     if values.size != cube.size:
         raise ConfigError(

@@ -246,6 +246,36 @@ class TestSimulateEstimate:
         assert code == 2
         assert out == "" and err.startswith("error") and "Traceback" not in err
 
+    @pytest.mark.parametrize("where", ["header", "line_2", "past_64k"])
+    def test_undecodable_byte_exit_two(self, capsys, tmp_path, where):
+        header = b'{"d": 1, "n": 2, "seed": 1, "model": {"type": "iid_bernoulli", "p": 0.5}}'
+        lines = [header, b"1", b"0", b"1", b"0", b"1"]
+        if where == "header":
+            lines[0] = header[:-1] + b', "x": "\xff"}'
+        elif where == "line_2":
+            lines[2] = b"\xff"
+        else:
+            lines += [b"1"] * 40_000 + [b"\xff"]
+        path = tmp_path / "s.dat"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        code, out, err = run(capsys, "estimate", "--sample", str(path))
+        assert code == 2
+        assert out == "" and err.startswith("error") and "Traceback" not in err
+        assert "malformed sample file" in err and "decode" in err
+
+    @pytest.mark.parametrize("body", ["nan", "inf", "-inf\ninf"], ids=["nan", "inf", "both_infs"])
+    def test_non_finite_sample_exit_one(self, capsys, tmp_path, body):
+        # the loader keeps nan and inf, so they round trip; C_hat rejects them
+        path = tmp_path / "s.dat"
+        header = '{"d": 1, "n": 2, "seed": 1, "model": {"type": "iid_bernoulli", "p": 0.5}}'
+        values = (body.split("\n") + ["1", "0", "1", "0", "1"])[:5]
+        path.write_text(header + "\n" + "\n".join(values) + "\n")
+        code, out, err = run(capsys, "estimate", "--sample", str(path), "--level", "0.95",
+                             "--x", "2", "--mean", "0.5")
+        assert code == 1
+        assert out == "" and err.startswith("error") and "Traceback" not in err
+        assert "sample holds non-finite values" in err and "Warning" not in err
+
     def test_missing_sample_exit_two(self, capsys, tmp_path):
         missing = str(tmp_path / "nope.dat")
         code, _, err = run(capsys, "estimate", "--sample", missing)

@@ -148,6 +148,13 @@ class TestVarianceEstimator:
         assert variance_estimator(scaled, config) == \
             pytest.approx(2.5**2 * variance_estimator(sample, config), abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        values = np.zeros((5, 5))
+        values[2, 3] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            variance_estimator(make_sample(values), EstimatorConfig(bandwidth=1))
+
     def test_nonnegative(self):
         for seed in range(20):
             sample = sample_field(IidBernoulli(p=0.2), LatticeCube(d=1, n=30), seed)

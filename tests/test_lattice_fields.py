@@ -1,11 +1,14 @@
+import ast
 import functools
 import hashlib
 import itertools
 import json
 import math
 import os
+import pathlib
 import tempfile
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -110,6 +113,22 @@ def per_cell_bytes(sample):
     lines = [json.dumps(header, sort_keys=True) + "\n"]
     lines += ["%.17g\n" % v for v in sample.values.ravel()]
     return "".join(lines).encode()
+
+
+def reference_load_values(path):
+    """The per-line parser the blocked loader replaced: float() over every
+    non-blank line after the header.  The reference for load_sample."""
+    with open(path) as fh:
+        fh.readline()
+        return np.fromiter(map(float, filter(str.strip, fh)), np.float64)
+
+
+# value-line kinds for the loader oracle: repeated and distinct values,
+# underscores and nan as float() reads them, padded, blank and
+# whitespace-only lines, lines float() rejects, and every line end
+LOADER_LINES = ["0", "1", "0.33333333333333331", "-0", "nan", "1_0", "  1 ", "\t0.5\t",
+                "", "   ", "\t", "\x0c", "1 0", "one"]
+LOADER_ENDS = ["\n", "\r\n", "\r"]
 
 
 def assert_same_bits(loaded, values):
@@ -485,8 +504,8 @@ class TestSerialization:
                 assert fh.read() == per_cell_bytes(sample)
             assert_same_bits(load_sample(path).values, values)
 
-    def _write(self, path, body):
-        header = {"d": 1, "n": 1, "seed": 5, "model": model_to_dict(IidBernoulli(0.5))}
+    def _write(self, path, body, n=1):
+        header = {"d": 1, "n": n, "seed": 5, "model": model_to_dict(IidBernoulli(0.5))}
         path.write_bytes(json.dumps(header).encode() + b"\n" + body)
         return path
 
@@ -507,6 +526,50 @@ class TestSerialization:
         with pytest.raises(ConfigError, match="malformed sample file") as info:
             load_sample(path)
         assert line in str(info.value)
+
+    def test_loader_counts_without_preallocating(self, tmp_path):
+        # the header's cube holds (2 * 10^8 + 1)^3, about 8e24 cells
+        path = tmp_path / "s.dat"
+        header = {"d": 3, "n": 100_000_000, "seed": 5, "model": model_to_dict(IidBernoulli(0.5))}
+        path.write_text(json.dumps(header) + "\n1\n0\n1\n")
+        with pytest.raises(ConfigError, match="holds 3 values, cube needs "):
+            load_sample(path)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        lines=st.lists(st.tuples(st.sampled_from(LOADER_LINES), st.sampled_from(LOADER_ENDS)),
+                       max_size=30),
+        final_newline=st.booleans(),
+        block_cells=st.sampled_from([1, 2, 3, lattice_fields._BLOCK_CELLS]),
+    )
+    @example(lines=[("0", "\r\n")] * 12 + [("1", "\r\n")] * 12, final_newline=True, block_cells=1)
+    @example(lines=[("1", "\n"), ("one", "\n"), ("1 0", "\n")] * 4, final_newline=True,
+             block_cells=2)
+    @example(lines=[("0", "\n"), ("-0", "\r\n"), ("nan", "\r")] * 1001, final_newline=False,
+             block_cells=lattice_fields._BLOCK_CELLS)  # one block, sampled with a stride
+    def test_loader_matches_reference(self, lines, final_newline, block_cells):
+        # small blocks cut lines, \r\n pairs and the carried partial line
+        body = "".join(line + end for line, end in lines)
+        if lines and not final_newline:
+            body = body[: -len(lines[-1][1])]
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(lattice_fields, "_BLOCK_CELLS", block_cells):
+            path = self._write(pathlib.Path(tmp) / "s.dat", body.encode())
+            try:
+                expected = reference_load_values(path)
+            except ValueError as exc:
+                bad = ast.literal_eval(str(exc).split(": ", 1)[1]).removesuffix("\n")
+                with pytest.raises(ConfigError, match="malformed sample file") as info:
+                    load_sample(path)
+                assert str(info.value).endswith(repr(bad))
+                return
+            # an odd count fills the cube of n = count // 2, an even one cannot
+            self._write(path, body.encode(), n=expected.size // 2)
+            if expected.size % 2:
+                assert_same_bits(load_sample(path).values, expected)
+            else:
+                with pytest.raises(ConfigError, match=f"holds {expected.size} values"):
+                    load_sample(path)
 
     @pytest.mark.parametrize("header", [
         "[1, 2]", "3", '"d"',
