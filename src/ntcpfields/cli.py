@@ -18,7 +18,7 @@ import sys
 from typing import List, Optional, Sequence, Tuple
 
 from . import cv_ntcp, dependent_clt, dose_response, experiment, lattice_fields
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, real
 
 
 def _f(value: float) -> str:
@@ -86,19 +86,14 @@ def _cmd_threshold(args) -> List[Tuple[str, object]]:
 
 
 def _dose_model(args) -> dose_response.DoseResponseModel:
+    """The ``--model`` family; a parameter not given is None, which it rejects."""
     kind = args.model
     if kind == "single_hit":
         return dose_response.SingleHit(alpha=args.alpha)
     if kind == "multi_target":
-        if args.m is None:
-            raise DomainError("multi_target requires --m")
         return dose_response.MultiTarget(alpha=args.alpha, m=args.m)
     if kind == "hybrid":
-        if args.m is None or args.beta is None:
-            raise DomainError("hybrid requires --beta and --m")
         return dose_response.Hybrid(alpha=args.alpha, beta=args.beta, m=args.m)
-    if args.beta is None:
-        raise DomainError("lq requires --beta")
     return dose_response.LinearQuadratic(alpha=args.alpha, beta=args.beta)
 
 
@@ -109,9 +104,7 @@ def _cmd_dose(args) -> List[Tuple[str, object]]:
         dose = dose_response.dose_for_kill_probability(
             model, cells, args.target_p, args.tolerance
         )
-    elif args.kappa is not None:
-        if args.n is None or args.gamma is None:
-            raise DomainError("--kappa requires --n and --gamma")
+    elif args.kappa is not None:  # a missing --n or --gamma is None, which is rejected
         dose = cv_ntcp.dose_for_fraction(
             model, cells, args.kappa, args.n, args.gamma, args.tolerance
         )
@@ -121,15 +114,10 @@ def _cmd_dose(args) -> List[Tuple[str, object]]:
 
 
 def _field_model(args) -> lattice_fields.FieldModel:
+    """The model of ``--field``; a missing parameter is rejected as None."""
     if args.field == "iid":
-        if args.p is None:
-            raise DomainError("iid field requires --p")
         return lattice_fields.IidBernoulli(p=args.p)
-    if args.theta is None:
-        raise DomainError("window fields require --theta")
     if args.field == "window_threshold":
-        if args.k_min is None:
-            raise DomainError("window_threshold requires --k-min")
         return lattice_fields.MovingWindowThreshold(
             window_radius=args.window_radius, theta=args.theta, k_min=args.k_min
         )
@@ -171,7 +159,7 @@ def _cmd_estimate(args) -> List[Tuple[str, object]]:
     if args.x is not None:
         if args.mean is None:
             raise DomainError("--x requires --mean (the model mean E X_0)")
-        xi = dependent_clt._standardized(args.x, size, args.mean, c_hat)
+        xi = dependent_clt._standardized(real(args.x, "x"), size, args.mean, c_hat)
         out.append(("ntcp_estimate", cv_ntcp.normal_cdf(-xi)))
     return out
 
@@ -274,7 +262,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         pairs = args.run(args)
-    except (OSError, json.JSONDecodeError, KeyError, ConfigError) as exc:
+    except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -20,7 +20,8 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import CapacityError, DegenerateError, DomainError, ShapeError
+from .errors import (CapacityError, DegenerateError, DomainError, ShapeError, integer,
+                     probability, real)
 
 #: Berry-Esseen constant for the binomial normal approximation.
 BERRY_ESSEEN_C = 0.7975
@@ -40,9 +41,7 @@ def normal_cdf(x: float) -> float:
 
 def normal_quantile(gamma: float) -> float:
     """Inverse of normal_cdf on (0, 1), Newton-polished against normal_cdf."""
-    if not (0.0 < gamma < 1.0):
-        raise DomainError(f"quantile argument must be in (0, 1), got {gamma!r}")
-    z = _NORMAL.inv_cdf(gamma)
+    z = _NORMAL.inv_cdf(real(gamma, "quantile argument", gt=0, lt=1))
     # one Newton step tightens the round trip to ~1e-15 in the bulk
     pdf = math.exp(-0.5 * z * z) / _SQRT_2PI
     if pdf > 1e-300:
@@ -64,26 +63,21 @@ class OrganSpec:
     fsu_volumes: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self):
-        _check_fsu_model(self.n)
-        if not (self.volume > 0):
-            raise DomainError("volume must be > 0")
+        integer(self.n, "n", ge=1, le=MAX_EXACT_N)
+        real(self.volume, "volume", gt=0)
         if self.fsu_volumes is None:
-            object.__setattr__(
-                self, "fsu_volumes", tuple([self.volume / self.n] * self.n)
-            )
-        vols = self.fsu_volumes
-        if len(vols) != self.n:
+            object.__setattr__(self, "fsu_volumes", tuple([self.volume / self.n] * self.n))
+        elif len(self.fsu_volumes) != self.n:
             raise ShapeError("fsu_volumes must have length n")
-        if any(v <= 0 for v in vols):
-            raise DomainError("all FSU volumes must be > 0")
-        if abs(sum(vols) - self.volume) > 1e-9 * self.volume:
-            raise DomainError("FSU volumes must sum to the total volume")
-        if isinstance(self.reserve, int):
-            if not (0 <= self.reserve <= self.n + 1):
-                raise DomainError("integer reserve L must lie in [0, n+1]")
         else:
-            if not (0.0 < self.reserve < 1.0):
-                raise DomainError("fractional reserve kappa must lie in (0, 1)")
+            for v in self.fsu_volumes:
+                real(v, "each FSU volume", gt=0)
+            if abs(sum(self.fsu_volumes) - self.volume) > 1e-9 * self.volume:
+                raise DomainError("FSU volumes must sum to the total volume")
+        if isinstance(self.reserve, (int, np.integer)):
+            integer(self.reserve, "reserve L", ge=0, le=self.n + 1)
+        else:
+            real(self.reserve, "fractional reserve kappa", gt=0, lt=1)
 
 
 @dataclass(frozen=True)
@@ -95,10 +89,9 @@ class ApproxResult:
     method: str
 
     def __post_init__(self):
-        if not (0.0 <= self.value <= 1.0):
-            raise DomainError("value must be a probability")
-        if self.error_bound is not None and self.error_bound < 0:
-            raise DomainError("error_bound must be >= 0")
+        probability(self.value, "value")
+        if self.error_bound is not None:
+            real(self.error_bound, "error_bound", ge=0)
 
 
 @dataclass(frozen=True)
@@ -123,18 +116,6 @@ MAX_EXACT_N = 10**8
 # exp(x) is exactly 0.0 in float64 for every x below about -745.13; the
 # window keeps a further 1.0 of margin against rounding in x - top.
 _EXP_UNDERFLOW = 746.0 + 1.0
-
-
-def _is_integer(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _check_fsu_model(n: int, p: Optional[float] = None) -> None:
-    """DomainError unless n is an integer >= 1 and, if given, 0 <= p <= 1."""
-    if not (_is_integer(n) and n >= 1):
-        raise DomainError(f"n must be an integer >= 1, got {n!r}")
-    if p is not None and not (0.0 <= p <= 1.0):
-        raise DomainError(f"p must be in [0, 1], got {p!r}")
 
 
 def _log_term_ratios(n: int, p: float) -> np.ndarray:
@@ -201,7 +182,8 @@ def ntcp_exact_all_thresholds(n: int, p: float) -> np.ndarray:
     Raises CapacityError, before allocating, for n above MAX_EXACT_N: the
     tail needs about 3 x 8 bytes x n of memory at its peak.
     """
-    _check_fsu_model(n, p)
+    integer(n, "n", ge=1)
+    probability(p, "p")
     if n > MAX_EXACT_N:
         raise CapacityError(
             f"exact tail of {n} FSUs exceeds the cap of {MAX_EXACT_N} "
@@ -219,9 +201,7 @@ def ntcp_exact_all_thresholds(n: int, p: float) -> np.ndarray:
 
 def ntcp_exact(n: int, p: float, threshold: int) -> float:
     """Exact binomial upper tail P(S_n >= threshold)."""
-    _check_fsu_model(n, p)
-    if not (_is_integer(threshold) and 0 <= threshold <= n + 1):
-        raise DomainError(f"threshold must be an integer in [0, {n + 1}], got {threshold!r}")
+    integer(threshold, "threshold", ge=0, le=integer(n, "n", ge=1) + 1)
     return float(ntcp_exact_all_thresholds(n, p)[threshold])
 
 
@@ -230,8 +210,8 @@ def ntcp_exact(n: int, p: float, threshold: int) -> float:
 # ---------------------------------------------------------------------------
 
 def _sigma(n: int, p: float) -> float:
-    _check_fsu_model(n, p)
-    if not (0.0 < p < 1.0):
+    integer(n, "n", ge=1)
+    if not (0.0 < probability(p, "p") < 1.0):
         raise DegenerateError("p in {0, 1} gives a degenerate distribution")
     return math.sqrt(n * p * (1.0 - p))
 
@@ -239,7 +219,7 @@ def _sigma(n: int, p: float) -> float:
 def ntcp_normal(n: int, p: float, x: float) -> ApproxResult:
     """Normal approximation 1 - Phi(z) with the Berry-Esseen certificate."""
     sigma = _sigma(n, p)
-    z = (x - n * p) / sigma
+    z = (real(x, "x") - n * p) / sigma
     return ApproxResult(
         value=normal_cdf(-z),
         error_bound=BERRY_ESSEEN_C / sigma,
@@ -280,7 +260,7 @@ def ntcp_weiss(n: int, p: float, k: int, m: int) -> ApproxResult:
     The certificate (0.12 + 0.18|p-q|)/sigma^2 + exp(-3 sigma/2) holds for
     sigma >= 5; below that the bound is reported as unavailable.
     """
-    if k > m:
+    if integer(k, "k") > integer(m, "m"):
         raise DomainError(f"need k <= m, got k={k}, m={m}")
     sigma = _sigma(n, p)
     q = 1.0 - p
@@ -302,8 +282,9 @@ def ntcp_weiss(n: int, p: float, k: int, m: int) -> ApproxResult:
 
 def ntcp_weiss_tail(n: int, p: float, threshold: int) -> ApproxResult:
     """Weiss approximation of the upper tail P(S_n >= threshold)."""
-    _check_fsu_model(n, p)
-    if threshold <= 0:
+    integer(n, "n", ge=1)
+    probability(p, "p")
+    if integer(threshold, "threshold") <= 0:
         return ApproxResult(value=1.0, error_bound=0.0, method="Weiss")
     if threshold > n:
         return ApproxResult(value=0.0, error_bound=0.0, method="Weiss")
@@ -314,24 +295,16 @@ def ntcp_weiss_tail(n: int, p: float, threshold: int) -> ApproxResult:
 # Kill-fraction calculus
 # ---------------------------------------------------------------------------
 
-def _check_c(c: float) -> None:
-    """DomainError unless the confidence multiplier c is finite and >= 0."""
-    if not (math.isfinite(c) and c >= 0.0):
-        raise DomainError(f"c must be finite and >= 0, got {c!r}")
-
-
 def kill_fraction(p: float, c: float) -> float:
     """kappa(p) = p + c sqrt(p(1-p)); the fraction threshold at confidence c."""
-    if not (0.0 <= p <= 1.0):
-        raise DomainError("p must be in [0, 1]")
-    _check_c(c)
+    probability(p, "p")
+    real(c, "c", ge=0)
     return p + c * math.sqrt(p * (1.0 - p))
 
 
 def fraction_curve_features(c: float) -> FractionCurveFeatures:
     """Closed-form landmarks of the concave curve kappa(p)."""
-    _check_c(c)
-    root = math.hypot(1.0, c)  # sqrt(1 + c^2) without forming c^2
+    root = math.hypot(1.0, real(c, "c", ge=0))  # sqrt(1 + c^2) without forming c^2
     return FractionCurveFeatures(
         c=c,
         p1=(1.0 / root) ** 2,
@@ -352,10 +325,8 @@ def invert_fraction(kappa: float, c: float) -> float:
     below the normal float range (about kappa^2 / c^2 < 2.2e-308) has lost
     its precision and raises DomainError; at c = 0, p is kappa exactly.
     """
-    if not (0.0 < kappa < 1.0):
-        raise DomainError("kappa must be in (0, 1)")
-    _check_c(c)
-    half = 0.5 * c
+    real(kappa, "kappa", gt=0, lt=1)
+    half = 0.5 * real(c, "c", ge=0)
     root = math.hypot(math.sqrt(kappa - kappa * kappa), half)
     p = kappa * (kappa / (kappa + c * (half + root)))
     if c > 0.0 and p < sys.float_info.min:
@@ -373,9 +344,8 @@ def dose_for_fraction(model, cells, kappa: float, n: int, gamma: float,
     """
     from .dose_response import dose_for_kill_probability
 
-    _check_fsu_model(n)
-    if gamma < 0.5:
-        raise DomainError("gamma must be >= 1/2 (c = z_gamma/sqrt(n) >= 0)")
+    integer(n, "n", ge=1)
+    real(gamma, "gamma", ge=0.5, lt=1)  # so that c = z_gamma/sqrt(n) >= 0
     c = normal_quantile(gamma) / math.sqrt(n) if gamma > 0.5 else 0.0
     p_bar = invert_fraction(kappa, c)
     return dose_for_kill_probability(model, cells, p_bar, tolerance)

@@ -24,8 +24,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cv_ntcp import normal_cdf, normal_quantile
-from .errors import DegenerateError, DomainError, ShapeError
+from .errors import DegenerateError, DomainError, ShapeError, integer, real
 from .lattice_fields import (
+    MAX_CELLS,
     FieldModel,
     FieldSample,
     LatticeCube,
@@ -38,9 +39,7 @@ from .lattice_fields import (
 
 def default_bandwidth(n: int) -> int:
     """ceil(n^(1/3)) clamped to [1, max(1, n-1)]: the default schedule."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    return EstimatorConfig().bandwidth_for(n)
+    return EstimatorConfig().bandwidth_for(integer(n, "n", ge=1))
 
 
 @dataclass(frozen=True)
@@ -51,10 +50,9 @@ class EstimatorConfig:
     eta: float = 1.0 / 3.0
 
     def __post_init__(self):
-        if self.bandwidth is not None and self.bandwidth < 1:
-            raise DomainError("bandwidth must be >= 1")
-        if not (0.0 < self.eta < 1.0):
-            raise DomainError("eta must be in (0, 1) so that b_n = o(n)")
+        if self.bandwidth is not None:
+            integer(self.bandwidth, "bandwidth", ge=1)
+        real(self.eta, "eta", gt=0, lt=1)  # so that b_n = o(n)
 
     def bandwidth_for(self, n: int) -> int:
         if self.bandwidth is not None:
@@ -94,25 +92,27 @@ def partial_sum(sample: FieldSample, region=None) -> float:
     """Sum of field values over a region of the cube (default: full cube).
 
     ``region`` may be a boolean mask of the cube's shape or an iterable of
-    lattice points (tuples in [-n, n]^d).
+    lattice points (integer tuples in [-n, n]^d).  A sample holding nan or
+    inf raises DomainError.
     """
+    values = _finite_values(sample)
     if region is None:
-        return float(sample.values.sum())
+        return float(values.sum())
     if isinstance(region, np.ndarray) and region.dtype == bool:
         if region.shape != sample.cube.shape:
             raise ShapeError(
                 f"mask shape {region.shape} != cube shape {sample.cube.shape}"
             )
-        return float(sample.values[region].sum())
+        return float(values[region].sum())
     n = sample.cube.n
     total = 0.0
     for point in region:
-        idx = tuple(int(c) + n for c in point)
+        idx = tuple(integer(c, "point coordinate") + n for c in point)
         if len(idx) != sample.cube.d or any(
             not (0 <= i <= 2 * n) for i in idx
         ):
             raise ShapeError(f"point {tuple(point)} lies outside the cube")
-        total += float(sample.values[idx])
+        total += float(values[idx])
     return total
 
 
@@ -147,6 +147,7 @@ def _variance_estimator_batch(values: np.ndarray, d: int, b: int) -> np.ndarray:
     """C_hat for values of shape (batch..., side, ..., side); returns (batch...)."""
     spatial = tuple(range(values.ndim - d, values.ndim))
     side = values.shape[-1]
+    b = min(b, side)  # any b >= side - 1 clips every window to the whole axis
     size = float(side**d)
     block_sums = values
     for axis in spatial:
@@ -161,13 +162,18 @@ def _variance_estimator_batch(values: np.ndarray, d: int, b: int) -> np.ndarray:
     return weighted.sum(axis=spatial) / size
 
 
+def _finite_values(sample: FieldSample) -> np.ndarray:
+    """The sample's values, once checked to hold no nan or inf."""
+    if not np.isfinite(sample.values).all():
+        raise DomainError("sample holds non-finite values (nan or inf): no sum or C_hat")
+    return sample.values
+
+
 def variance_estimator(sample: FieldSample, config: EstimatorConfig) -> float:
     """C_hat(U) with bandwidth taken from the config for this cube.  A sample
     holding nan or inf raises DomainError."""
-    if not np.isfinite(sample.values).all():
-        raise DomainError("sample holds non-finite values (nan or inf): C_hat is undefined")
     b = config.bandwidth_for(sample.cube.n)
-    return float(_variance_estimator_batch(sample.values, sample.cube.d, b))
+    return float(_variance_estimator_batch(_finite_values(sample), sample.cube.d, b))
 
 
 # ---------------------------------------------------------------------------
@@ -177,20 +183,19 @@ def variance_estimator(sample: FieldSample, config: EstimatorConfig) -> float:
 def _positive(variance, use: str):
     """The variance, a scalar or replicate array, checked to be > 0 everywhere."""
     if not np.all(variance > 0.0):
-        raise DegenerateError(f"normalizer is zero: degenerate {use}")
+        raise DegenerateError(f"normalizer is not positive: degenerate {use}")
     return variance
 
 
 def _standardized(total, size, mean, variance):
     """(total - size mean) / sqrt(variance size), elementwise."""
-    return (total - size * mean) / np.sqrt(_positive(variance, "normalization") * size)
+    centered = total - size * real(mean, "mean")
+    return centered / np.sqrt(_positive(variance, "normalization") * size)
 
 
 def _half_width(level, variance, size):
     """z_{(1+level)/2} sqrt(variance/size), elementwise: the CI half-width."""
-    if not (0.0 < level < 1.0):
-        raise DomainError("level must be in (0, 1)")
-    z = normal_quantile(0.5 * (1.0 + level))
+    z = normal_quantile(0.5 * (1.0 + real(level, "level", gt=0, lt=1)))
     return z * np.sqrt(_positive(variance, "interval") / size)
 
 
@@ -208,9 +213,7 @@ def self_normalized_statistic(
     """
     total = partial_sum(sample)
     if mode == "true_sigma":
-        if sigma2 is None:
-            raise DomainError("true_sigma mode requires sigma2")
-        variance = sigma2
+        variance = float(real(sigma2, "sigma2"))
     elif mode == "estimated":
         variance = variance_estimator(sample, config or EstimatorConfig())
     else:
@@ -247,7 +250,7 @@ def ntcp_estimate(
     certified probability.
     """
     c_hat = variance_estimator(sample, config or EstimatorConfig())
-    return normal_cdf(-_standardized(x, sample.cube.size, mean, c_hat))
+    return normal_cdf(-_standardized(real(x, "x"), sample.cube.size, mean, c_hat))
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +287,14 @@ def variance_gap(
     For the m-dependent window models the true gap decays like 1/n, the
     lambda > d+1 regime of the decay envelope; the label records that.
     """
-    if replicates < 2:
-        raise DomainError("need at least 2 replicates")
+    integer(replicates, "replicates", ge=2, le=MAX_CELLS)
+    integer(master_seed, "master_seed")
+    cubes = [LatticeCube(d=d, n=n) for n in n_schedule]
     sigma2 = model_sigma2(model, d)
     if sigma2.degenerate:
         raise DegenerateError("sigma^2 is degenerate (zero)")
     points = []
-    for n in n_schedule:
-        cube = LatticeCube(d=d, n=n)
+    for cube in cubes:
         sums = np.empty(replicates)  # S(U) per replicate, summed in one pass
         for start, _, row_sums in _replicate_batches(model, cube, replicates, master_seed):
             sums[start:start + len(row_sums)] = row_sums
@@ -301,7 +304,7 @@ def variance_gap(
         mc_variance = var_s / cube.size
         points.append(
             GapPoint(
-                n=n,
+                n=cube.n,
                 gap=abs(mc_variance - sigma2.value),
                 mc_variance=mc_variance,
                 sigma2=sigma2.value,

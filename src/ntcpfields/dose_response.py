@@ -21,16 +21,11 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import DomainError, ParameterError, UnattainableTargetError
+from .errors import ParameterError, UnattainableTargetError, integer, real
 
 # Bisection bracket cap: dose doubling stops here.  p(D) -> 1 monotonically
 # for all variants, so any target < 1 brackets long before this.
 _MAX_DOSE = 2.0**60
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ParameterError(msg)
 
 
 @dataclass(frozen=True)
@@ -38,7 +33,7 @@ class SingleHit:
     alpha: float
 
     def __post_init__(self):
-        _require(self.alpha > 0, "alpha must be > 0")
+        real(self.alpha, "alpha", gt=0, error=ParameterError)
 
 
 @dataclass(frozen=True)
@@ -47,8 +42,8 @@ class MultiTarget:
     m: int
 
     def __post_init__(self):
-        _require(self.alpha > 0, "alpha must be > 0")
-        _require(int(self.m) == self.m and self.m >= 1, "m must be an integer >= 1")
+        real(self.alpha, "alpha", gt=0, error=ParameterError)
+        integer(self.m, "m", ge=1, error=ParameterError)
 
 
 @dataclass(frozen=True)
@@ -58,9 +53,9 @@ class Hybrid:
     m: int
 
     def __post_init__(self):
-        _require(self.alpha > 0, "alpha must be > 0")
-        _require(self.beta >= 0, "beta must be >= 0")
-        _require(int(self.m) == self.m and self.m >= 1, "m must be an integer >= 1")
+        real(self.alpha, "alpha", gt=0, error=ParameterError)
+        real(self.beta, "beta", ge=0, error=ParameterError)
+        integer(self.m, "m", ge=1, error=ParameterError)
 
 
 @dataclass(frozen=True)
@@ -69,8 +64,8 @@ class LinearQuadratic:
     beta: float
 
     def __post_init__(self):
-        _require(self.alpha > 0, "alpha must be > 0")
-        _require(self.beta >= 0, "beta must be >= 0")
+        real(self.alpha, "alpha", gt=0, error=ParameterError)
+        real(self.beta, "beta", ge=0, error=ParameterError)
 
 
 DoseResponseModel = Union[SingleHit, MultiTarget, Hybrid, LinearQuadratic]
@@ -83,12 +78,7 @@ class CellPopulation:
     n0: int
 
     def __post_init__(self):
-        _require(int(self.n0) == self.n0 and self.n0 >= 1, "n0 must be an integer >= 1")
-
-
-def _check_dose(dose: float) -> None:
-    if not (dose >= 0):
-        raise DomainError(f"dose must be >= 0, got {dose!r}")
+        integer(self.n0, "n0", ge=1, error=ParameterError)
 
 
 def _pow_one_minus_exp(rate_dose: float, exponent: float) -> float:
@@ -101,7 +91,7 @@ def _pow_one_minus_exp(rate_dose: float, exponent: float) -> float:
 
 def killed_fraction_of_cells(model: DoseResponseModel, dose: float) -> float:
     """1 - SF(D), computed directly to avoid cancellation at small doses."""
-    _check_dose(dose)
+    real(dose, "dose", ge=0)
     if isinstance(model, SingleHit):
         return -math.expm1(-model.alpha * dose)
     if isinstance(model, MultiTarget):
@@ -141,11 +131,8 @@ def dose_for_kill_probability(
     below the dose cap (relevant only for targets pushed against 1 in
     floating point).
     """
-    if not (0.0 < target_p < 1.0):
-        raise DomainError(f"target_p must be in (0, 1), got {target_p!r}")
-    if not (tolerance > 0):
-        raise DomainError("tolerance must be > 0")
-
+    real(target_p, "target_p", gt=0, lt=1)
+    real(tolerance, "tolerance", gt=0)
     hi = 1.0
     while fsu_kill_probability(model, cells, hi) < target_p:
         hi *= 2.0

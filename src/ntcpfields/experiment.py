@@ -23,12 +23,14 @@ import numpy as np
 from .cv_ntcp import normal_cdf
 from .dependent_clt import (EstimatorConfig, _half_width, _replicate_batches, _standardized,
                             _variance_estimator_batch)
-from .errors import ConfigError, DegenerateError, DomainError, ShapeError
+from .errors import (ConfigError, DegenerateError, DomainError, ShapeError, integer, read_field,
+                     real)
 # derive_seeds and sample_fields_batch stay imported: perfbench/spans.py wraps them here
 from .lattice_fields import (
+    MAX_CELLS,
     FieldModel,
     LatticeCube,
-    _number,
+    _check_d,
     derive_seeds,
     model_from_dict,
     model_mean,
@@ -69,19 +71,17 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "n_schedule", tuple(self.n_schedule))
         object.__setattr__(self, "levels", tuple(self.levels))
-        if not (1 <= self.d <= 3):
-            raise DomainError("dimension d must be 1, 2 or 3")
-        if not self.n_schedule:
-            raise DomainError("n_schedule must not be empty")
-        if list(self.n_schedule) != sorted(set(self.n_schedule)):
-            raise DomainError("n_schedule must be strictly increasing")
-        if self.n_schedule[0] < 1:
-            raise DomainError("every n in n_schedule must be >= 1")
-        if self.replicates < 2:
-            raise DomainError("replicates must be >= 2")
-        for lv in self.levels:
-            if not (0.0 < lv < 1.0):
-                raise DomainError("levels must lie in (0, 1)")
+        _check_d(self.d)
+        for n in self.n_schedule:
+            integer(n, "every n in n_schedule", ge=1)
+        if not self.n_schedule or list(self.n_schedule) != sorted(set(self.n_schedule)):
+            raise DomainError("n_schedule must be nonempty and strictly increasing")
+        integer(self.replicates, "replicates", ge=2, le=MAX_CELLS)
+        integer(self.master_seed, "master_seed")
+        for level in self.levels:
+            real(level, "each level", gt=0, lt=1)
+        if self.mean_source != "model":
+            real(self.mean_source, "mean_source, unless 'model',")
 
     def mean_value(self) -> float:
         if self.mean_source == "model":
@@ -111,49 +111,40 @@ class ExperimentConfig:
         }
 
 
-def _numbers(value, name: str, integer: bool = False) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(f"{name} must be a list, got {value!r}")
-    return [_number(v, name, integer) for v in value]
-
-
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Config from its JSON form: a wrongly typed field raises ConfigError, a
-    well-typed value outside its domain DomainError."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"config must be an object, got {data!r}")
-    bandwidth = data.get("bandwidth", {})
-    if not isinstance(bandwidth, dict):
-        raise ConfigError(f"bandwidth must be an object, got {bandwidth!r}")
+    """Config from its JSON form: a missing or wrongly typed field raises
+    ConfigError, a well-typed value outside its domain DomainError."""
+    bandwidth = read_field(data, "bandwidth", dict, "config", default={})
     if "b" in bandwidth:
-        estimator = EstimatorConfig(bandwidth=int(_number(bandwidth["b"], "b", integer=True)))
+        estimator = EstimatorConfig(bandwidth=int(read_field(bandwidth, "b", int, "bandwidth")))
     elif "eta" in bandwidth:
-        estimator = EstimatorConfig(eta=float(_number(bandwidth["eta"], "eta")))
+        estimator = EstimatorConfig(eta=float(read_field(bandwidth, "eta", float, "bandwidth")))
     else:
         estimator = EstimatorConfig()
-    mean_source = data.get("mean_source", "model")
+    mean_source = read_field(data, "mean_source", (str, dict), "config", default="model")
     if isinstance(mean_source, dict):
-        mean_source = float(_number(mean_source["hypothesized"], "hypothesized"))
-    elif not isinstance(mean_source, str):
-        raise ConfigError(f"mean_source must be a string or an object, got {mean_source!r}")
-    elif mean_source != "model":
-        raise DomainError("mean_source must be 'model' or {'hypothesized': value}")
-    n_schedule = _numbers(data["n_schedule"], "n_schedule", integer=True)
+        mean_source = float(read_field(mean_source, "hypothesized", float, "mean_source"))
     return ExperimentConfig(
-        model=model_from_dict(data["model"]),
-        d=int(_number(data["d"], "d", integer=True)),
-        n_schedule=tuple(int(v) for v in n_schedule),
-        replicates=int(_number(data["replicates"], "replicates", integer=True)),
-        master_seed=int(_number(data["master_seed"], "master_seed", integer=True)),
+        model=model_from_dict(read_field(data, "model", dict, "config")),
+        d=int(read_field(data, "d", int, "config")),
+        n_schedule=tuple(map(int, read_field(data, "n_schedule", [int], "config"))),
+        replicates=int(read_field(data, "replicates", int, "config")),
+        master_seed=int(read_field(data, "master_seed", int, "config")),
         estimator=estimator,
         mean_source=mean_source,
-        levels=tuple(float(v) for v in _numbers(data.get("levels", [0.95]), "levels")),
+        levels=tuple(map(float, read_field(data, "levels", [float], "config", default=[0.95]))),
     )
 
 
 def load_config(path) -> ExperimentConfig:
+    """The config in the JSON file at ``path``; a file that is not JSON text
+    raises ConfigError."""
     with open(path) as fh:
-        return config_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # an undecodable byte, or not JSON
+            raise ConfigError(f"config {path} is not JSON: {exc}") from None
+    return config_from_dict(data)
 
 
 @dataclass(frozen=True)
@@ -195,10 +186,16 @@ class RateFit:
 # ---------------------------------------------------------------------------
 
 def ks_distance(values: Sequence[float]) -> float:
-    """sup_x |F_empirical(x) - Phi(x)|, evaluated exactly at the jumps."""
-    arr = np.sort(np.asarray(values, dtype=np.float64))
-    if arr.size == 0:
-        raise ShapeError("ks_distance needs a nonempty sample")
+    """sup_x |F_empirical(x) - Phi(x)|, evaluated exactly at the jumps, for
+    a nonempty 1-d sequence of finite values."""
+    try:
+        arr = np.sort(np.asarray(values, dtype=np.float64))
+    except (TypeError, ValueError):  # ragged or not numbers, or a scalar
+        arr = None
+    if arr is None or arr.ndim != 1 or arr.size == 0:
+        raise ShapeError("ks_distance needs a nonempty 1-d sequence of numbers")
+    if not np.isfinite(arr).all():
+        raise DomainError("ks_distance needs finite values (no nan or inf)")
     cdf = np.array([normal_cdf(v) for v in arr])
     k = np.arange(1, arr.size + 1, dtype=np.float64)
     d_plus = np.max(k / arr.size - cdf)
@@ -207,21 +204,25 @@ def ks_distance(values: Sequence[float]) -> float:
 
 
 def fit_rate(points: Sequence[Tuple[int, float]], d: int = 1) -> RateFit:
-    """Negated least-squares slope of log(ks) against log(|U_n|).
+    """Negated least-squares slope of log(ks) against log(|U_n|), over
+    (n, ks) pairs at two or more cube sizes.
 
     Nonpositive ks values are clamped to machine epsilon and flagged.
     """
-    if len(points) < 2:
-        raise DomainError("need at least 2 points to fit a rate")
+    _check_d(d)
     clipped = False
     xs, ys = [], []
-    for n, ks in points:
-        size = (2 * n + 1) ** d
+    for point in points:
+        if len(point) != 2:
+            raise ShapeError(f"each point must be a pair (n, ks), got {point!r}")
+        n, ks = integer(point[0], "n", ge=0), real(point[1], "ks")
         if ks <= 0.0:
             ks = sys.float_info.epsilon
             clipped = True
-        xs.append(math.log(size))
+        xs.append(math.log((2 * n + 1) ** d))
         ys.append(math.log(ks))
+    if len(set(xs)) < 2:
+        raise DomainError("need points at 2 or more cube sizes to fit a rate")
     slope = np.polyfit(xs, ys, 1)[0]
     return RateFit(exponent=float(-slope), clipped=clipped)
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
@@ -43,7 +42,8 @@ from typing import Sequence, Tuple, Union
 import numpy as np
 
 from .cv_ntcp import _binomial_pmf
-from .errors import CapacityError, ConfigError, DomainError, ParameterError, ShapeError
+from .errors import (CapacityError, ConfigError, ParameterError, ShapeError, integer, read_field,
+                     probability)
 
 #: Refuse to allocate enlarged noise grids beyond this many cells.
 MAX_CELLS = 1 << 26
@@ -142,10 +142,10 @@ def derive_seeds(master_seed: int, group: int, indices) -> np.ndarray:
     indices."""
     indices = np.asarray(indices, dtype=np.int64)
     h = _mix64(
-        np.full(indices.shape, master_seed & (2**64 - 1), dtype=np.uint64)
+        np.full(indices.shape, int(master_seed) & (2**64 - 1), dtype=np.uint64)
         ^ _TAG_REPLICATE
     )
-    c0 = np.full(indices.shape, group, dtype=np.int64).astype(np.uint64)
+    c0 = np.full(indices.shape, int(group) & (2**64 - 1), dtype=np.uint64)
     h = _mix64(h ^ (c0 * _AXIS_KEYS[0]))
     h = _mix64(h ^ (indices.astype(np.uint64) * _AXIS_KEYS[1]))
     return h
@@ -155,6 +155,11 @@ def derive_seeds(master_seed: int, group: int, indices) -> np.ndarray:
 # Domain types
 # ---------------------------------------------------------------------------
 
+def _check_d(d: int) -> int:
+    """``d`` if it is a supported lattice dimension: 1, 2 or 3."""
+    return integer(d, "dimension d", ge=1, le=3)
+
+
 @dataclass(frozen=True)
 class LatticeCube:
     """The integer cube [-n, n]^d."""
@@ -163,10 +168,8 @@ class LatticeCube:
     n: int
 
     def __post_init__(self):
-        if not (1 <= self.d <= 3):
-            raise DomainError("dimension d must be 1, 2 or 3")
-        if self.n < 0:
-            raise DomainError("half-width n must be >= 0")
+        _check_d(self.d)
+        integer(self.n, "half-width n", ge=0)
 
     @property
     def side(self) -> int:
@@ -186,8 +189,7 @@ class IidBernoulli:
     p: float
 
     def __post_init__(self):
-        if not (0.0 <= self.p <= 1.0):
-            raise ParameterError("p must be in [0, 1]")
+        probability(self.p, "p", error=ParameterError)
 
     @property
     def window_radius(self) -> int:
@@ -201,12 +203,9 @@ class MovingWindowThreshold:
     k_min: int
 
     def __post_init__(self):
-        if self.window_radius < 0:
-            raise ParameterError("window_radius must be >= 0")
-        if not (0.0 <= self.theta <= 1.0):
-            raise ParameterError("theta must be in [0, 1]")
-        if self.k_min < 0:
-            raise ParameterError("k_min must be >= 0")
+        integer(self.window_radius, "window_radius", ge=0, error=ParameterError)
+        probability(self.theta, "theta", error=ParameterError)
+        integer(self.k_min, "k_min", ge=0, error=ParameterError)
 
 
 @dataclass(frozen=True)
@@ -216,12 +215,9 @@ class MovingWindowLevels:
     levels: int = 5
 
     def __post_init__(self):
-        if self.window_radius < 0:
-            raise ParameterError("window_radius must be >= 0")
-        if not (0.0 <= self.theta <= 1.0):
-            raise ParameterError("theta must be in [0, 1]")
-        if self.levels < 2:
-            raise ParameterError("levels must be >= 2")
+        integer(self.window_radius, "window_radius", ge=0, error=ParameterError)
+        probability(self.theta, "theta", error=ParameterError)
+        integer(self.levels, "levels", ge=2, error=ParameterError)
 
 
 FieldModel = Union[IidBernoulli, MovingWindowThreshold, MovingWindowLevels]
@@ -393,20 +389,31 @@ def sample_field(model: FieldModel, cube: LatticeCube, seed: int) -> FieldSample
 # Exact moments by enumeration
 # ---------------------------------------------------------------------------
 
+def _shared_count_means(model: FieldModel, shared: int, only: int, d: int):
+    """The pmf of the shared noise count a and g(a) = E[f(a + private count)]
+    for ``only`` private sites, from a (shared + 1) x (only + 1) count table
+    that must fit MAX_CELLS (else CapacityError, before allocating)."""
+    if (shared + 1) * (only + 1) > MAX_CELLS:
+        raise CapacityError(
+            f"a {shared + 1} x {only + 1} table of window counts exceeds the cap of {MAX_CELLS}"
+        )
+    pmf_shared = _binomial_pmf(shared, model.theta)
+    pmf_only = _binomial_pmf(only, model.theta)
+    counts = np.arange(shared + 1)[:, None] + np.arange(only + 1)[None, :]
+    return pmf_shared, _rule_on_counts(model, counts, d) @ pmf_only
+
+
 def model_mean(model: FieldModel, d: int = 1) -> float:
     """E X_0 by exhaustive enumeration over one window's noise states.
 
     The window rules are symmetric in the window noise, so configurations
     are grouped by their noise count (binomial weights); the value is exact.
     """
-    if not (1 <= d <= 3):
-        raise DomainError("dimension d must be 1, 2 or 3")
+    _check_d(d)
     if isinstance(model, IidBernoulli):
         return model.p
-    w_size = (2 * model.window_radius + 1) ** d
-    pmf = _binomial_pmf(w_size, model.theta)
-    vals = _rule_on_counts(model, np.arange(w_size + 1), d)
-    return float(pmf @ vals)
+    pmf, g = _shared_count_means(model, (2 * model.window_radius + 1) ** d, 0, d)
+    return float(pmf @ g)
 
 
 def covariance_at_lag(model: FieldModel, lag: Sequence[int]) -> float:
@@ -415,12 +422,11 @@ def covariance_at_lag(model: FieldModel, lag: Sequence[int]) -> float:
     The two windows split into shared and private noise sites; grouping
     configurations by the three independent noise counts makes the
     enumeration exact for every supported window size.  Disjoint windows
-    (any |lag_k| > 2m) give exactly zero.
+    (any |lag_k| > 2m) give exactly zero; a count table above MAX_CELLS
+    raises CapacityError before it is allocated.
     """
-    lag = tuple(int(v) for v in lag)
-    d = len(lag)
-    if not (1 <= d <= 3):
-        raise DomainError("lag must have 1 to 3 components")
+    lag = tuple(integer(v, "lag component") for v in lag)
+    d = _check_d(len(lag))
     if isinstance(model, IidBernoulli):
         if all(v == 0 for v in lag):
             return model.p * (1.0 - model.p)
@@ -433,15 +439,10 @@ def covariance_at_lag(model: FieldModel, lag: Sequence[int]) -> float:
     w_size = w**d
     if shared == 0:
         return 0.0
-    only = w_size - shared
-    pmf_shared = _binomial_pmf(shared, model.theta)
-    pmf_only = _binomial_pmf(only, model.theta)
-    counts = np.arange(shared + 1)[:, None] + np.arange(only + 1)[None, :]
-    vals = _rule_on_counts(model, counts, d)
-    # g(a) = E[f(a + private count)]; X_0 and X_j are independent given the
-    # shared count a, so cov = Var_a(g(a)), summed centered to avoid the
-    # cancellation of E[g^2] - mu^2 when the covariance is far below mu^2
-    g = vals @ pmf_only
+    pmf_shared, g = _shared_count_means(model, shared, w_size - shared, d)
+    # X_0 and X_j are independent given the shared count a, so
+    # cov = Var_a(g(a)), summed centered to avoid the cancellation of
+    # E[g^2] - mu^2 when the covariance is far below mu^2
     centered = g - pmf_shared @ g
     return float(pmf_shared @ (centered * centered))
 
@@ -454,11 +455,9 @@ def model_sigma2(model: FieldModel, d: int = 1) -> Sigma2Result:
     each standing for 2^(nonzero components) signed lags, and one
     covariance is computed per group.
     """
-    if not (1 <= d <= 3):
-        raise DomainError("dimension d must be 1, 2 or 3")
     w = 2 * model.window_radius + 1
     groups = {}  # shared-window count -> [covariance, number of signed lags]
-    for lag in itertools.product(range(w), repeat=d):
+    for lag in itertools.product(range(w), repeat=_check_d(d)):
         shared = math.prod(w - j for j in lag)
         if shared not in groups:
             groups[shared] = [covariance_at_lag(model, lag), 0]
@@ -496,34 +495,21 @@ def model_to_dict(model: FieldModel) -> dict:
     raise ParameterError(f"unknown model {model!r}")
 
 
-def _number(value, name: str, integer: bool = False):
-    """``value`` unchanged if it is a number (an integer when ``integer``);
-    any other type in a config or header field raises ConfigError."""
-    kind = numbers.Integral if integer else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, kind):
-        expected = "an integer" if integer else "a number"
-        raise ConfigError(f"{name} must be {expected}, got {value!r}")
-    return value
-
-
 def model_from_dict(data: dict) -> FieldModel:
-    if not isinstance(data, dict):
-        raise ConfigError(f"model must be an object, got {data!r}")
-    kind = data.get("type")
+    """The model of a config or sample header: a missing or wrongly typed
+    field raises ConfigError, an unknown type ParameterError."""
+    def get(key, kind, default=None):
+        return read_field(data, key, kind, "model", default)
+
+    kind = get("type", str)
     if kind == "iid_bernoulli":
-        return IidBernoulli(p=_number(data["p"], "p"))
+        return IidBernoulli(get("p", float))
     if kind == "moving_window_threshold":
         return MovingWindowThreshold(
-            window_radius=_number(data["window_radius"], "window_radius", integer=True),
-            theta=_number(data["theta"], "theta"),
-            k_min=_number(data["k_min"], "k_min", integer=True),
-        )
+            get("window_radius", int), get("theta", float), get("k_min", int))
     if kind == "moving_window_levels":
         return MovingWindowLevels(
-            window_radius=_number(data["window_radius"], "window_radius", integer=True),
-            theta=_number(data["theta"], "theta"),
-            levels=_number(data.get("levels", 5), "levels", integer=True),
-        )
+            get("window_radius", int), get("theta", float), get("levels", int, 5))
     raise ParameterError(f"unknown field model type {kind!r}")
 
 
@@ -581,21 +567,19 @@ def _read_values(fh) -> np.ndarray:
 def load_sample(path) -> FieldSample:
     """The sample saved at ``path``; blank lines are skipped and each
     distinct value line is parsed once per block.  A file that does not
-    decode, a header that is not an object, a value line that is not one
-    number and a wrong value count raise ConfigError."""
+    decode, a header that is not a JSON object with the fields d, n, seed
+    and model, a value line that is not one number and a wrong value count
+    raise ConfigError."""
+    where = f"the header of sample file {path}"
     with open(path) as fh:
         try:
-            first = fh.readline()
-        except UnicodeDecodeError as exc:
+            header = json.loads(fh.readline())
+        except ValueError as exc:  # an undecodable byte, or not JSON
             raise ConfigError(f"malformed sample file {path}: {exc}") from None
-        header = json.loads(first)
-        if not isinstance(header, dict):
-            raise ConfigError(f"sample header must be an object, got {header!r}")
-        cube = LatticeCube(
-            d=_number(header["d"], "d", integer=True), n=_number(header["n"], "n", integer=True)
-        )
-        model = model_from_dict(header["model"])
-        seed = _number(header["seed"], "seed", integer=True)
+        d, n = read_field(header, "d", int, where), read_field(header, "n", int, where)
+        cube = LatticeCube(d, n)
+        model = model_from_dict(read_field(header, "model", dict, where))
+        seed = read_field(header, "seed", int, where)
         try:
             values = _read_values(fh)
         except ValueError as exc:  # a bad value line or an undecodable byte

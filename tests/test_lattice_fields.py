@@ -7,6 +7,7 @@ import math
 import os
 import pathlib
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -424,6 +425,23 @@ class TestMoments:
                 model_sigma2(model, d)
             with pytest.raises(DomainError):
                 model_mean(model, d)
+
+    def test_enumeration_cap_raises_before_allocating(self):
+        # lag (1, 0, 0) of a radius-50 window in 3-d shares 1020100 noise
+        # sites and keeps 10201 private: a 1020101 x 10202 table, 77.5 GiB
+        wide = MovingWindowThreshold(window_radius=50, theta=0.5, k_min=2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                covariance_at_lag(wide, (1, 0, 0))
+            with pytest.raises(CapacityError):
+                model_mean(MovingWindowThreshold(10**4, 0.5, 2), 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        with pytest.raises(CapacityError):  # after lag 0, a 1030302 x 1 table
+            model_sigma2(wide, 3)
 
 
 class TestSerialization:
