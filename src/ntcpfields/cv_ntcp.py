@@ -108,24 +108,31 @@ class FractionCurveFeatures:
 # Exact binomial tail
 # ---------------------------------------------------------------------------
 
-#: Largest FSU count for the exact tail.  Its prefix sum holds about three
-#: float64 arrays of n entries at once (the logs, the term ratios and the
-#: (n + 2,) output), so the cap keeps that near 3 x 8 bytes x 10^8 = 2.4 GB.
+#: Largest FSU count for the exact tail.  Its prefix sum holds two float64
+#: arrays of n entries at once (the logs and the (n + 2,) output, filled up
+#: to past the window top), so the cap keeps that near 2 x 8 bytes x 10^8
+#: = 1.6 GB.
 MAX_EXACT_N = 10**8
 
 # exp(x) is exactly 0.0 in float64 for every x below about -745.13; the
 # window keeps a further 1.0 of margin against rounding in x - top.
 _EXP_UNDERFLOW = 746.0 + 1.0
 
+# counts per step of the log-pmf prefix sum: the sum stops at the first
+# chunk that ends below the window, so the work above it is never done
+_CHUNK = 1 << 16
 
-def _log_term_ratios(n: int, p: float) -> np.ndarray:
-    """log(pmf(k+1)/pmf(k)) = log(n-k) - log(k+1) + log(p) - log(q), k < n.
+
+def _log_term_ratios(logs: np.ndarray, p: float, start: int, stop: int,
+                     out: np.ndarray) -> None:
+    """log(pmf(k+1)/pmf(k)) = log(n-k) - log(k+1) + log(p) - log(q) into
+    out, for start <= k < stop, where logs[k] = log(k+1) for k < n.
 
     log(n-k) for k = 0..n-1 is log(k+1) reversed, so one log array gives both.
     """
-    logs = np.arange(1, n + 1, dtype=np.float64)
-    np.log(logs, out=logs)
-    return logs[::-1] - logs + math.log(p) - math.log1p(-p)
+    np.subtract(logs[::-1][start:stop], logs[start:stop], out=out)
+    out += math.log(p)
+    out -= math.log1p(-p)
 
 
 def _pmf_window(n: int, p: float) -> Tuple[np.ndarray, int, int]:
@@ -139,39 +146,56 @@ def _pmf_window(n: int, p: float) -> Tuple[np.ndarray, int, int]:
         lo = 0 if p == 0.0 else n
         out[lo] = 1.0
         return out, lo, lo + 1
-    log_pmf = out[:n + 1]
-    _log_term_ratios(n, p).cumsum(out=out[1:n + 1])
     # The term ratios are non-increasing in k (log(n-k) falls, log(k+1)
     # rises, and rounding keeps that order), so their prefix sum log_pmf
-    # rises up to its first maximum and falls after it.  Each half is
-    # monotone, so one search on each finds where it crosses the floor.
-    # Every entry below the floor has exp(x - top) == 0.0 exactly, so the
-    # window [lo, hi) is a superset of the nonzero pmf entries.
-    # (The array methods below skip the np.* wrappers: the moments path
-    # calls this for many tiny n.)
+    # rises up to its first maximum and falls after it.  The ratios go
+    # straight into out[k + 1] a chunk at a time, and each chunk's prefix
+    # sum carries on in place from the entry before it.  Once a chunk ends
+    # below the running maximum less the underflow margin, every later
+    # entry lies below the floor too and would exp to 0.0: those stay the
+    # zeros np.zeros gave them.
+    logs = np.arange(1, n + 1, dtype=np.float64)
+    np.log(logs, out=logs)
+    top = stop = 0
+    while True:
+        start, stop = stop, min(stop + _CHUNK, n)
+        _log_term_ratios(logs, p, start, stop, out[start + 1:stop + 1])
+        head = out[start:stop + 1]
+        np.add.accumulate(head, out=head)  # cumsum, less call overhead
+        if stop == n:  # the last chunk needs no stop test
+            break
+        top = max(top, head.max())
+        if head[-1] < top - _EXP_UNDERFLOW:
+            break
+    # Each half of the computed head is monotone, so one search on each
+    # finds where it crosses the floor.  Every entry below the floor has
+    # exp(x - top) == 0.0 exactly, so the window [lo, hi) is a superset of
+    # the nonzero pmf entries.  (The array methods below skip the np.*
+    # wrappers: the moments path calls this for many tiny n.)
+    log_pmf = out[:stop + 1]
     mode = int(log_pmf.argmax())
     top = log_pmf[mode]
     floor = top - _EXP_UNDERFLOW
     lo = int(log_pmf[:mode + 1].searchsorted(floor))
-    hi = n + 1 - int(log_pmf[mode:][::-1].searchsorted(floor))
-    window = log_pmf[lo:hi]
+    hi = stop + 1 - int(log_pmf[mode:][::-1].searchsorted(floor))
+    window = out[lo:hi]
     window -= top
     np.exp(window, out=window)
-    log_pmf[:lo].fill(0.0)
-    log_pmf[hi:].fill(0.0)
+    out[:lo].fill(0.0)
+    out[hi:stop + 1].fill(0.0)
     # the full-length sum keeps numpy's pairwise summation order
-    window /= log_pmf.sum()
+    window /= out[:n + 1].sum()
     return out, lo, hi
 
 
 def _binomial_pmf(n: int, p: float) -> np.ndarray:
     """Full pmf of Binomial(n, p) via a log-space term-ratio recursion.
 
-    Ratios pmf(k+1)/pmf(k) = (n-k)/(k+1) * p/q are accumulated in log space,
-    shifted by their maximum and exponentiated only on the window where
-    exp does not underflow to 0.0; every other entry is exactly 0.0.  The
-    accumulation costs three float64 arrays of n entries, hence the
-    MAX_EXACT_N cap of the exact tail.
+    Ratios pmf(k+1)/pmf(k) = (n-k)/(k+1) * p/q are accumulated in log space
+    up to past the window top, shifted by their maximum and exponentiated
+    only on the window where exp does not underflow to 0.0; every other
+    entry is exactly 0.0.  The accumulation costs two float64 arrays of n
+    entries, hence the MAX_EXACT_N cap of the exact tail.
     """
     return _pmf_window(n, p)[0][:n + 1]
 
@@ -180,14 +204,14 @@ def ntcp_exact_all_thresholds(n: int, p: float) -> np.ndarray:
     """P(S_n >= L) for every L = 0..n+1, as one array of length n+2.
 
     Raises CapacityError, before allocating, for n above MAX_EXACT_N: the
-    tail needs about 3 x 8 bytes x n of memory at its peak.
+    tail needs about 2 x 8 bytes x n of memory at its peak.
     """
     integer(n, "n", ge=1)
     probability(p, "p")
     if n > MAX_EXACT_N:
         raise CapacityError(
             f"exact tail of {n} FSUs exceeds the cap of {MAX_EXACT_N} "
-            f"(about 24 bytes per FSU)"
+            f"(about 16 bytes per FSU)"
         )
     tail, lo, hi = _pmf_window(n, p)
     # reversed cumsum of the pmf, in place: above the window it sums only
@@ -196,7 +220,9 @@ def ntcp_exact_all_thresholds(n: int, p: float) -> np.ndarray:
     window.cumsum(out=window)
     tail[:lo].fill(tail[lo])
     tail[0] = 1.0  # whole sample space; shields L=0 from summation dust
-    return tail.clip(0.0, 1.0, out=tail)
+    head = tail[:hi]  # every entry from hi up is already 0.0
+    head.clip(0.0, 1.0, out=head)
+    return tail
 
 
 def ntcp_exact(n: int, p: float, threshold: int) -> float:
@@ -352,7 +378,16 @@ def dose_for_fraction(model, cells, kappa: float, n: int, gamma: float,
 
 
 def damage_volume(organ: OrganSpec, states: Sequence[int]) -> float:
-    """Total volume of killed FSUs: sum of V_i over sites with state 1."""
+    """Total volume of killed FSUs: sum of V_i over sites with state 1.
+
+    A state other than 0 (survived) or 1 (killed) raises DomainError.
+    """
     if len(states) != organ.n:
         raise ShapeError(f"expected {organ.n} states, got {len(states)}")
-    return float(sum(v for v, s in zip(organ.fsu_volumes, states) if s))
+    total = 0.0
+    for v, s in zip(organ.fsu_volumes, states):
+        if s == 1:
+            total += v
+        elif s != 0:  # nan, too, is neither
+            raise DomainError(f"each FSU state must be 0 or 1, got {s!r}")
+    return total

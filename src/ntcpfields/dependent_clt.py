@@ -93,17 +93,19 @@ def partial_sum(sample: FieldSample, region=None) -> float:
 
     ``region`` may be a boolean mask of the cube's shape or an iterable of
     lattice points (integer tuples in [-n, n]^d).  A sample holding nan or
-    inf raises DomainError.
+    inf, or a sum beyond the float64 range, raises DomainError.
     """
     values = _finite_values(sample)
     if region is None:
-        return float(values.sum())
+        with np.errstate(over="ignore"):
+            return _finite_result(float(values.sum()), "sum")
     if isinstance(region, np.ndarray) and region.dtype == bool:
         if region.shape != sample.cube.shape:
             raise ShapeError(
                 f"mask shape {region.shape} != cube shape {sample.cube.shape}"
             )
-        return float(values[region].sum())
+        with np.errstate(over="ignore"):
+            return _finite_result(float(values[region].sum()), "sum")
     n = sample.cube.n
     total = 0.0
     for point in region:
@@ -113,7 +115,7 @@ def partial_sum(sample: FieldSample, region=None) -> float:
         ):
             raise ShapeError(f"point {tuple(point)} lies outside the cube")
         total += float(values[idx])
-    return total
+    return _finite_result(total, "sum")
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +171,22 @@ def _finite_values(sample: FieldSample) -> np.ndarray:
     return sample.values
 
 
+def _finite_result(value: float, what: str) -> float:
+    """A sum or C_hat of finite values, checked not to have overflowed."""
+    if not math.isfinite(value):
+        raise DomainError(f"the {what} of this sample overflows float64: its values are too large")
+    return value
+
+
 def variance_estimator(sample: FieldSample, config: EstimatorConfig) -> float:
     """C_hat(U) with bandwidth taken from the config for this cube.  A sample
-    holding nan or inf raises DomainError."""
+    holding nan or inf, or one whose C_hat overflows float64 (values near
+    1e154 and above), raises DomainError."""
     b = config.bandwidth_for(sample.cube.n)
-    return float(_variance_estimator_batch(_finite_values(sample), sample.cube.d, b))
+    values = _finite_values(sample)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan
+        c_hat = float(_variance_estimator_batch(values, sample.cube.d, b))
+    return _finite_result(c_hat, "C_hat")
 
 
 # ---------------------------------------------------------------------------

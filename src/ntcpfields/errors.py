@@ -13,9 +13,12 @@ Every input check goes through a validator that returns the value it accepts:
   model or sample-header mapping, else ConfigError naming key and ``where``.
 
 The first three raise DomainError, or ParameterError in model constructors.
+``naming(source)`` puts the file a config or model came from in front of
+the message of any error raised while it is read.
 """
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -97,3 +100,13 @@ def read_field(data, key, kind, where, default=None):
                     else " or ".join(map(names.get, kind if isinstance(kind, tuple) else [kind])))
         raise ConfigError(f"{key} in {where} must be {expected}, got {value!r}")
     return value
+
+
+@contextmanager
+def naming(source):
+    """Re-raise an error of this module from the block as the same type, its
+    message led by ``source`` (say, the file being read)."""
+    try:
+        yield
+    except (DomainError, ShapeError, CapacityError, ConfigError) as exc:
+        raise type(exc)(f"{source}: {exc}") from None

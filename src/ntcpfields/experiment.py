@@ -23,8 +23,8 @@ import numpy as np
 from .cv_ntcp import normal_cdf
 from .dependent_clt import (EstimatorConfig, _half_width, _replicate_batches, _standardized,
                             _variance_estimator_batch)
-from .errors import (ConfigError, DegenerateError, DomainError, ShapeError, integer, read_field,
-                     real)
+from .errors import (ConfigError, DegenerateError, DomainError, ShapeError, integer, naming,
+                     read_field, real)
 # derive_seeds and sample_fields_batch stay imported: perfbench/spans.py wraps them here
 from .lattice_fields import (
     MAX_CELLS,
@@ -138,13 +138,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     """The config in the JSON file at ``path``; a file that is not JSON text
-    raises ConfigError."""
+    raises ConfigError, and every error in its fields names the file."""
     with open(path) as fh:
         try:
             data = json.load(fh)
         except ValueError as exc:  # an undecodable byte, or not JSON
             raise ConfigError(f"config {path} is not JSON: {exc}") from None
-    return config_from_dict(data)
+    with naming(f"config {path}"):
+        return config_from_dict(data)
 
 
 @dataclass(frozen=True)

@@ -42,8 +42,8 @@ from typing import Sequence, Tuple, Union
 import numpy as np
 
 from .cv_ntcp import _binomial_pmf
-from .errors import (CapacityError, ConfigError, ParameterError, ShapeError, integer, read_field,
-                     probability)
+from .errors import (CapacityError, ConfigError, ParameterError, ShapeError, integer, naming,
+                     probability, read_field)
 
 #: Refuse to allocate enlarged noise grids beyond this many cells.
 MAX_CELLS = 1 << 26
@@ -569,17 +569,17 @@ def load_sample(path) -> FieldSample:
     distinct value line is parsed once per block.  A file that does not
     decode, a header that is not a JSON object with the fields d, n, seed
     and model, a value line that is not one number and a wrong value count
-    raise ConfigError."""
-    where = f"the header of sample file {path}"
+    raise ConfigError; every error in the header names the file."""
     with open(path) as fh:
         try:
             header = json.loads(fh.readline())
         except ValueError as exc:  # an undecodable byte, or not JSON
             raise ConfigError(f"malformed sample file {path}: {exc}") from None
-        d, n = read_field(header, "d", int, where), read_field(header, "n", int, where)
-        cube = LatticeCube(d, n)
-        model = model_from_dict(read_field(header, "model", dict, where))
-        seed = read_field(header, "seed", int, where)
+        with naming(f"sample file {path}"):
+            d, n = read_field(header, "d", int, "header"), read_field(header, "n", int, "header")
+            cube = LatticeCube(d, n)
+            model = model_from_dict(read_field(header, "model", dict, "header"))
+            seed = read_field(header, "seed", int, "header")
         try:
             values = _read_values(fh)
         except ValueError as exc:  # a bad value line or an undecodable byte

@@ -112,11 +112,16 @@ class TestNtcpExact:
     @pytest.mark.parametrize("n", [1, 2, 7, 1000, 10**6])
     @pytest.mark.parametrize("p", [1e-9, 0.3, 0.5, 0.98])
     def test_log_ratios_from_one_log_array(self, n, p):
-        # one log array, read forwards and reversed, gives the same bits as
-        # taking log(n - k) and log(k + 1) separately
+        # one log array, read forwards and reversed a chunk at a time, gives
+        # the same bits as taking log(n - k) and log(k + 1) separately
         k = np.arange(n, dtype=np.float64)
         separate = np.log(n - k) - np.log(k + 1) + math.log(p) - math.log1p(-p)
-        assert np.array_equal(_log_term_ratios(n, p), separate)
+        logs = np.log(np.arange(1, n + 1, dtype=np.float64))
+        ratios = np.full(n, np.nan)
+        for start in range(0, n, cv_ntcp._CHUNK):
+            stop = min(start + cv_ntcp._CHUNK, n)
+            _log_term_ratios(logs, p, start, stop, ratios[start:stop])
+        assert np.array_equal(ratios, separate)
 
     @pytest.mark.parametrize("n, p, threshold", [
         pytest.param(10, 0.5, 12, id="L_above_n_plus_1"),
@@ -145,6 +150,47 @@ class TestExactTailBits:
     def test_property_matches_full_array_formula(self, n, p):
         assert _binomial_pmf(n, p).tobytes() == reference_pmf(n, p).tobytes()
         assert ntcp_exact_all_thresholds(n, p).tobytes() == reference_tail(n, p).tobytes()
+
+    C = cv_ntcp._CHUNK
+
+    @pytest.mark.parametrize("n", [C - 1, C, C + 1, 2 * C + 1, 3 * C + 7])
+    @pytest.mark.parametrize("p", [1e-300, 1e-9, 1e-3, 0.5, 0.999, 1.0 - 2.0**-53])
+    def test_chunk_edges_match_full_array_formula(self, n, p):
+        assert _binomial_pmf(n, p).tobytes() == reference_pmf(n, p).tobytes()
+        assert ntcp_exact_all_thresholds(n, p).tobytes() == reference_tail(n, p).tobytes()
+
+    @pytest.mark.parametrize("n", [2 * C + 1, 3 * C + 7])
+    @pytest.mark.parametrize("z", [-38.4, -38.0, -37.6, -1.0, 0.0, 1.0])
+    def test_window_across_a_chunk_edge(self, n, z):
+        # the mode sits z standard deviations from count C, the first
+        # chunk's end, so the window spans that end; near z = -38 the end
+        # falls in the window's last ~50 log units (exp still above 0.0),
+        # and the prefix sum must carry on into the next chunk
+        sigma = math.sqrt(self.C * (1.0 - self.C / n))
+        p = (self.C + z * sigma) / n
+        assert _binomial_pmf(n, p).tobytes() == reference_pmf(n, p).tobytes()
+        assert ntcp_exact_all_thresholds(n, p).tobytes() == reference_tail(n, p).tobytes()
+
+    @PROPERTY
+    @given(n=st.integers(min_value=1, max_value=4 * C + 3),
+           p=st.one_of(st.floats(min_value=0.0, max_value=1e-3),
+                       st.floats(min_value=0.999, max_value=1.0)))
+    def test_property_near_0_and_1_across_chunks(self, n, p):
+        assert _binomial_pmf(n, p).tobytes() == reference_pmf(n, p).tobytes()
+        assert ntcp_exact_all_thresholds(n, p).tobytes() == reference_tail(n, p).tobytes()
+
+    def test_peak_memory_is_two_arrays_of_n(self):
+        # the output and the logs, plus one chunk: a full-length temporary
+        # would take the peak to three arrays
+        n = 10**6
+        ntcp_exact_all_thresholds(n, 0.4335)
+        tracemalloc.start()
+        try:
+            ntcp_exact_all_thresholds(n, 0.4335)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.1 * 8 * (n + 2)
 
     # sha256 of the full-array formula's bytes at n = 10^6 (numpy 2.4, x86-64)
     @pytest.mark.parametrize("p, digest", [
@@ -451,6 +497,12 @@ class TestDamageVolume:
         organ = OrganSpec(n=10, volume=1.0, reserve=3)
         states = [1, 1, 1] + [0] * 7
         assert damage_volume(organ, states) == pytest.approx(0.3)
+
+    @pytest.mark.parametrize("state", [2, -1, 0.5, math.nan])
+    def test_state_must_be_0_or_1(self, state):
+        organ = OrganSpec(n=2, volume=1.0, reserve=1)
+        with pytest.raises(DomainError, match="state must be 0 or 1"):
+            damage_volume(organ, [1, state])
 
     def test_length_mismatch(self):
         organ = OrganSpec(n=10, volume=1.0, reserve=3)

@@ -299,6 +299,8 @@ def _numbers(value):
 MAJORITY = MovingWindowThreshold(1, 0.5, 2)
 SAMPLE = sample_field(MAJORITY, LatticeCube(1, 5), 1)
 INF_SAMPLE = FieldSample(LatticeCube(1, 2), np.array([inf, -inf, 0.0, 1.0, 0.0]), MAJORITY, 1)
+HUGE_SAMPLE = FieldSample(LatticeCube(1, 1), np.array([1e200, -1e200, 1e200]), MAJORITY, 1)
+MAX_SAMPLE = FieldSample(LatticeCube(1, 1), np.full(3, 1.7e308), MAJORITY, 1)
 
 
 def _config(**changes):
@@ -353,6 +355,10 @@ DEFECTS = [
                  {"mode": "true_sigma", "sigma2": 1.0}, id="statistic_true_sigma_infs"),
     pytest.param(model_sigma2, (MovingWindowThreshold(50, 0.5, 2), 3), {},
                  id="sigma2_table_above_cap"),
+    pytest.param(damage_volume, (OrganSpec(2, 1.0, 1), [2, nan]), {}, id="damage_states_2_nan"),
+    pytest.param(variance_estimator, (HUGE_SAMPLE, EstimatorConfig()), {}, id="chat_overflows"),
+    pytest.param(partial_sum, (MAX_SAMPLE,), {}, id="sum_overflows"),
+    pytest.param(partial_sum, (MAX_SAMPLE, [(0,), (1,)]), {}, id="point_sum_overflows"),
 ]
 
 
@@ -509,19 +515,46 @@ def test_config_without_a_required_key_exits_two(path):
     files = [("c.json", json.dumps(_edit(CONFIG, path, DROP)).encode())]
     code, out, err = run_cli(["experiment", "--config", "{tmp}/c.json", "--out", "{tmp}/r"],
                              files)
-    assert (code, out) == (2, "") and repr(path[-1]) in err
+    assert (code, out) == (2, "") and repr(path[-1]) in err and "c.json" in err
 
 
-@pytest.mark.parametrize("header", [
-    *(json.dumps(_edit(HEADER, (key,), DROP)) for key in ("d", "n", "seed", "model")),
-    "not json",
-], ids=["no_d", "no_n", "no_seed", "no_model", "not_json"])
-def test_header_without_a_required_key_exits_two(header):
+HEADER_KEYS = [("d",), ("n",), ("seed",), ("model",),
+               *(("model", key) for key in ("type", "window_radius", "theta", "k_min"))]
+
+
+@pytest.mark.parametrize("path", HEADER_KEYS + [None],
+                         ids=["no_" + "_".join(path) for path in HEADER_KEYS] + ["not_json"])
+def test_header_without_a_required_key_exits_two(path):
+    header = "not json" if path is None else json.dumps(_edit(HEADER, path, DROP))
     code, out, err = run_cli(["estimate", "--sample", "{tmp}/s.dat"],
                              [("s.dat", (header + "\n1\n0\n1\n").encode())])
     assert (code, out) == (2, "") and "s.dat" in err
-    if header != "not json":
-        assert repr((set(HEADER) - set(json.loads(header))).pop()) in err
+    if path is not None:
+        assert repr(path[-1]) in err
+
+
+@pytest.mark.parametrize("model, code", [
+    pytest.param({**MODEL, "theta": 2.0}, 1, id="theta_out_of_range"),
+    pytest.param({**MODEL, "type": "nope"}, 1, id="unknown_type"),
+    pytest.param({**MODEL, "k_min": "x"}, 2, id="k_min_a_string"),
+])
+def test_bad_model_names_the_file(model, code):
+    config = json.dumps({**CONFIG, "model": model}).encode()
+    header = (json.dumps({**HEADER, "model": model}) + "\n1\n0\n1\n").encode()
+    for argv, name, content in [
+        (["experiment", "--config", "{tmp}/c.json", "--out", "{tmp}/r"], "c.json", config),
+        (["estimate", "--sample", "{tmp}/s.dat"], "s.dat", header),
+    ]:
+        status, out, err = run_cli(argv, [(name, content)])
+        assert (status, out) == (code, "") and name in err
+
+
+def test_overflowing_sample_exits_one():
+    # finite values whose squared deviations pass 1.8e308: C_hat would be inf
+    sample = json.dumps(HEADER) + "\n1e200\n-1e200\n1e200\n"
+    code, out, err = run_cli(["estimate", "--sample", "{tmp}/s.dat", "--level", "0.95"],
+                             [("s.dat", sample.encode())])
+    assert (code, out) == (1, "") and "overflows" in err
 
 
 def test_wide_window_config_exits_one():
