@@ -171,10 +171,10 @@ def _finite_values(sample: FieldSample) -> np.ndarray:
     return sample.values
 
 
-def _finite_result(value: float, what: str) -> float:
-    """A sum or C_hat of finite values, checked not to have overflowed."""
-    if not math.isfinite(value):
-        raise DomainError(f"the {what} of this sample overflows float64: its values are too large")
+def _finite_result(value, what: str):
+    """A sum, C_hat or standardized sum, scalar or array, checked to be finite."""
+    if not np.all(np.isfinite(value)):
+        raise DomainError(f"the {what} of this sample overflows float64")
     return value
 
 
@@ -201,9 +201,11 @@ def _positive(variance, use: str):
 
 
 def _standardized(total, size, mean, variance):
-    """(total - size mean) / sqrt(variance size), elementwise."""
-    centered = total - size * real(mean, "mean")
-    return centered / np.sqrt(_positive(variance, "normalization") * size)
+    """(total - size mean) / sqrt(variance size), elementwise; a result
+    beyond the float64 range raises DomainError."""
+    mean, variance = real(mean, "mean"), _positive(variance, "normalization")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite_result((total - size * mean) / np.sqrt(variance * size), "standardized sum")
 
 
 def _half_width(level, variance, size):
@@ -278,14 +280,15 @@ def _replicate_batches(model: FieldModel, cube: LatticeCube, replicates: int,
     Yields (start, values, row_sums): the block's first replicate index, its
     values of shape (block,) + cube.shape and each replicate's sum S(U).  A
     block holds ``_seeds_per_block`` replicates, so a consumer that reduces
-    each block as it arrives works on it while it is still in cache.
+    each block as it arrives works on it while it is still in cache.  The
+    cube's seeds are derived in one call, 8 bytes per replicate.
     Both calls go through this module's names, which perfbench/spans.py wraps.
     """
+    seeds = derive_seeds(master_seed, cube.n, np.arange(replicates))
     step = _seeds_per_block(model, cube)
     for start in range(0, replicates, step):
-        indices = np.arange(start, min(start + step, replicates))
-        values = sample_fields_batch(model, cube, derive_seeds(master_seed, cube.n, indices))
-        yield start, values, values.reshape(len(indices), -1).sum(axis=1)
+        values = sample_fields_batch(model, cube, seeds[start:start + step])
+        yield start, values, values.reshape(len(values), -1).sum(axis=1)
 
 
 def variance_gap(

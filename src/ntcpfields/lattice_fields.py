@@ -18,16 +18,17 @@ coordinates): the value at a lattice site is a pure hash of the seed and
 the coordinates, so samples are reproducible, embarrassingly parallel,
 and consistent under cube enlargement without storing noise arrays.  A
 site's noise is 1 when u < theta for the uniform u = (h >> 11) * 2^-53 of
-its 64-bit hash h, evaluated exactly in integers on the raw hash as
-h < ceil(theta * 2^53) * 2^11 (every site is 1 at theta = 1, where that
-bound is 2^64).  Window counts are exact integer sums in the smallest of
-uint8, uint16 and int32 that holds the window size plus one, summed by
-doubling along each axis.  Seeds are taken modulo 2^64, in a batch as for
-a single sample, which is a batch of one.  A batch is computed in blocks of
+its 64-bit hash h, compared exactly in integers on the raw hash.  Window
+counts are exact integer sums in the smallest of uint8, uint16 and int32
+that holds the window size plus one, summed by doubling along each axis;
+the iid field is sampled as the radius-0 window.  Seeds are taken modulo
+2^64, in a batch as for a single sample, which is a batch of one.
+Replicate seeds come from the same keyed hash under a replicate tag, at
+the sites (n, r) of the master seed.  A batch is computed in blocks of
 seeds whose noise grids hold about 2^16 cells, so the working set stays in
 cache, and each block's rule writes straight into the output.  Replicate
-streams request one such block at a time, so a campaign holds one block
-plus its per-replicate arrays.
+streams derive a cube's seeds once and take one block at a time, so a
+campaign holds one block plus 8 bytes of seed, S(U) and C_hat per replicate.
 """
 
 from __future__ import annotations
@@ -86,33 +87,26 @@ def _mix64(h: np.ndarray) -> np.ndarray:
 
 def _axis_keys(coord_axes: Sequence[np.ndarray]) -> list:
     """The per-axis hash inputs c * _AXIS_KEYS[k] for the coordinates c of
-    axis k, shaped to broadcast along axis 1 + k of a (seeds,) + grid array."""
+    axis k, taken modulo 2^64, shaped to broadcast along axis 1 + k of a
+    (seeds,) + grid array."""
     d = len(coord_axes)
     keys = []
     for k, axis in enumerate(coord_axes):
-        c = np.asarray(axis, dtype=np.int64).astype(np.uint64)
-        shape = (1,) * (1 + k) + (len(axis),) + (1,) * (d - k - 1)
+        c = np.asarray(axis).astype(np.uint64)
+        shape = (1,) * (1 + k) + (len(c),) + (1,) * (d - k - 1)
         keys.append(c.reshape(shape) * _AXIS_KEYS[k])
     return keys
 
 
-def _keyed_hash(seeds: np.ndarray, keys: Sequence[np.ndarray]) -> np.ndarray:
-    """uint64 hashes for a 1-d batch of seeds on the grid whose
-    ``_axis_keys`` are ``keys``; the result has shape seeds.shape + grid."""
-    h = _mix64(seeds ^ _TAG_NOISE).reshape(seeds.shape + (1,) * len(keys))
+def _keyed_hash(seeds: np.ndarray, keys: Sequence[np.ndarray], tag: np.uint64) -> np.ndarray:
+    """uint64 hashes under ``tag`` (_TAG_NOISE or _TAG_REPLICATE) of a 1-d
+    batch of seeds on the grid whose ``_axis_keys`` are ``keys``, of shape
+    seeds.shape + grid.  Each value depends only on (tag, seed, coordinates),
+    so nested cubes agree and a batch can be computed in any blocking."""
+    h = _mix64(seeds ^ tag).reshape(seeds.shape + (1,) * len(keys))
     for key in keys:
         h = _mix64(h ^ key)
     return h
-
-
-def _site_hash(seeds: np.ndarray, coord_axes: Sequence[np.ndarray]) -> np.ndarray:
-    """uint64 hashes on the grid spanned by ``coord_axes``, for a 1-d batch
-    of seeds; the result has shape ``seeds.shape + grid_shape``.
-
-    Each value depends only on (seed, site coordinates), which is what makes
-    nested cubes agree and lets a batch be computed in any blocking.
-    """
-    return _keyed_hash(seeds, _axis_keys(coord_axes))
 
 
 def _noise_from_hash(h: np.ndarray, theta: float) -> np.ndarray:
@@ -130,25 +124,14 @@ def _noise_from_hash(h: np.ndarray, theta: float) -> np.ndarray:
     return h < _U64(bound)
 
 
-def _site_noise(
-    seeds: np.ndarray, coord_axes: Sequence[np.ndarray], theta: float
-) -> np.ndarray:
-    """Boolean Bernoulli(theta) noise on the grid spanned by ``coord_axes``."""
-    return _noise_from_hash(_site_hash(seeds, coord_axes), theta)
-
-
 def derive_seeds(master_seed: int, group: int, indices) -> np.ndarray:
     """Deterministic child seeds from a master seed, a group and an array of
-    indices."""
-    indices = np.asarray(indices, dtype=np.int64)
-    h = _mix64(
-        np.full(indices.shape, int(master_seed) & (2**64 - 1), dtype=np.uint64)
-        ^ _TAG_REPLICATE
-    )
-    c0 = np.full(indices.shape, int(group) & (2**64 - 1), dtype=np.uint64)
-    h = _mix64(h ^ (c0 * _AXIS_KEYS[0]))
-    h = _mix64(h ^ (indices.astype(np.uint64) * _AXIS_KEYS[1]))
-    return h
+    indices: the keyed hash of the master seed at the sites (group, index)
+    under _TAG_REPLICATE, of the shape of ``indices``."""
+    indices = np.asarray(indices)
+    master = np.array([int(master_seed) & (2**64 - 1)], dtype=np.uint64)
+    keys = _axis_keys([[int(group) & (2**64 - 1)], indices.ravel()])
+    return _keyed_hash(master, keys, _TAG_REPLICATE).reshape(indices.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +170,15 @@ class LatticeCube:
 @dataclass(frozen=True)
 class IidBernoulli:
     p: float
+    window_radius = 0  # sampled as the radius-0 threshold window at theta = p
+    k_min = 1
 
     def __post_init__(self):
         probability(self.p, "p", error=ParameterError)
 
     @property
-    def window_radius(self) -> int:
-        return 0
+    def theta(self) -> float:
+        return self.p
 
 
 @dataclass(frozen=True)
@@ -320,11 +305,6 @@ def _rule_on_counts(
     if out is None:
         out = np.empty(counts.shape)
     w_size = (2 * model.window_radius + 1) ** d
-    if isinstance(model, MovingWindowThreshold):
-        # counts never exceed w_size, so a larger k_min acts as w_size + 1;
-        # the count dtype holds that, so the comparison never depends on
-        # how numpy casts a Python int outside the dtype's range
-        return np.greater_equal(counts, min(model.k_min, w_size + 1), out=out)
     if isinstance(model, MovingWindowLevels):
         steps = model.levels - 1
         np.divide(counts, w_size, out=out)
@@ -332,7 +312,10 @@ def _rule_on_counts(
         np.round(out, out=out)
         out /= steps
         return out
-    raise ParameterError(f"not a window model: {model!r}")
+    # a threshold window, iid being the radius-0 one; counts never exceed w_size,
+    # so a larger k_min acts as w_size + 1, which the count dtype holds: the
+    # comparison never depends on how numpy casts an out-of-range Python int
+    return np.greater_equal(counts, min(model.k_min, w_size + 1), out=out)
 
 
 def _seeds_per_block(model: FieldModel, cube: LatticeCube) -> int:
@@ -357,7 +340,6 @@ def sample_fields_batch(
     if seeds.ndim != 1:
         raise ShapeError(f"seeds must be one-dimensional, got shape {seeds.shape}")
     m = model.window_radius
-    theta = model.p if isinstance(model, IidBernoulli) else model.theta
     enlarged = (cube.side + 2 * m) ** cube.d
     if seeds.size * enlarged > MAX_CELLS:
         raise CapacityError(
@@ -368,14 +350,11 @@ def sample_fields_batch(
     step = _seeds_per_block(model, cube)
     dtype = _count_dtype((2 * m + 1) ** cube.d)
     for start in range(0, seeds.size, step):
-        noise = _noise_from_hash(_keyed_hash(seeds[start:start + step], keys), theta)
-        if isinstance(model, IidBernoulli):
-            out[start:start + step] = noise
-        else:
-            counts = noise.view(np.uint8)
-            for k in range(cube.d):
-                counts = _valid_window_sum(counts, 2 * m + 1, 1 + k, dtype)
-            _rule_on_counts(model, counts, cube.d, out=out[start:start + step])
+        hashes = _keyed_hash(seeds[start:start + step], keys, _TAG_NOISE)
+        counts = _noise_from_hash(hashes, model.theta).view(np.uint8)
+        for k in range(cube.d):
+            counts = _valid_window_sum(counts, 2 * m + 1, 1 + k, dtype)
+        _rule_on_counts(model, counts, cube.d, out=out[start:start + step])
     return out
 
 

@@ -341,3 +341,26 @@ class TestBlockIndependence:
         assert starts[0][0] == 0
         assert all(a + k == b for (a, k), (b, _) in zip(starts, starts[1:]))
         assert sum(k for _, k in starts) == 50
+
+    def test_seeds_derived_once_per_cube(self, monkeypatch):
+        from ntcpfields import dependent_clt
+
+        cube = LatticeCube(d=1, n=30)
+        replicates = 3 * lattice_fields._seeds_per_block(MAJORITY, cube) + 5
+        derived, blocks = [], []
+
+        def derive(*args):
+            derived.append(args)
+            return lattice_fields.derive_seeds(*args)
+
+        def sample(model, cube, seeds):
+            blocks.append(np.array(seeds))
+            return lattice_fields.sample_fields_batch(model, cube, seeds)
+
+        monkeypatch.setattr(dependent_clt, "derive_seeds", derive)
+        monkeypatch.setattr(dependent_clt, "sample_fields_batch", sample)
+        for _ in _replicate_batches(MAJORITY, cube, replicates, 9):
+            pass
+        assert len(derived) == 1 and len(blocks) == 4
+        expected = lattice_fields.derive_seeds(9, cube.n, np.arange(replicates))
+        assert np.array_equal(np.concatenate(blocks), expected)

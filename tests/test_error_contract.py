@@ -301,6 +301,8 @@ SAMPLE = sample_field(MAJORITY, LatticeCube(1, 5), 1)
 INF_SAMPLE = FieldSample(LatticeCube(1, 2), np.array([inf, -inf, 0.0, 1.0, 0.0]), MAJORITY, 1)
 HUGE_SAMPLE = FieldSample(LatticeCube(1, 1), np.array([1e200, -1e200, 1e200]), MAJORITY, 1)
 MAX_SAMPLE = FieldSample(LatticeCube(1, 1), np.full(3, 1.7e308), MAJORITY, 1)
+BIG_SAMPLE = FieldSample(LatticeCube(1, 2), np.full(5, 1e300), MAJORITY, 1)
+TINY_SAMPLE = FieldSample(LatticeCube(1, 2), np.array([0.0, 1e-160, 0.0, 0.0, 0.0]), MAJORITY, 1)
 
 
 def _config(**changes):
@@ -359,6 +361,9 @@ DEFECTS = [
     pytest.param(variance_estimator, (HUGE_SAMPLE, EstimatorConfig()), {}, id="chat_overflows"),
     pytest.param(partial_sum, (MAX_SAMPLE,), {}, id="sum_overflows"),
     pytest.param(partial_sum, (MAX_SAMPLE, [(0,), (1,)]), {}, id="point_sum_overflows"),
+    pytest.param(self_normalized_statistic, (BIG_SAMPLE, 0.0),
+                 {"mode": "true_sigma", "sigma2": 1e-300}, id="statistic_overflows"),
+    pytest.param(ntcp_estimate, (TINY_SAMPLE, 1e300, 0.0), {}, id="ntcp_estimate_overflows"),
 ]
 
 

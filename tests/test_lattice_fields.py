@@ -285,15 +285,16 @@ class TestSampling:
 
     def test_noise_rule_matches_float_rule(self):
         seeds = derive_seeds(3, 0, np.arange(8))
-        axes = [np.arange(-40, 41)] * 2
-        k = lattice_fields._site_hash(seeds, axes) >> np.uint64(11)
+        hashes = lattice_fields._keyed_hash(seeds, lattice_fields._axis_keys(
+            [np.arange(-40, 41)] * 2), lattice_fields._TAG_NOISE)
+        k = hashes >> np.uint64(11)
         u = k * 2.0**-53  # the float rule the integer rule replaces: u < theta
         thetas = [0.0, 1.0, 2.0**-53, 5e-324]
         for site in (0, 17, 4000, k.size - 1):
             exact = float(k.flat[site]) * 2.0**-53
             thetas += [np.nextafter(exact, 0.0), exact, np.nextafter(exact, 1.0)]
         for theta in thetas:
-            noise = lattice_fields._site_noise(seeds, axes, theta)
+            noise = lattice_fields._noise_from_hash(hashes, theta)
             assert noise.dtype == bool
             assert np.array_equal(noise, u < theta), theta
 
@@ -320,6 +321,11 @@ class TestSampling:
         batch = derive_seeds(42, 7, np.arange(5))
         for r in range(5):
             assert int(batch[r]) == int(derive_seeds(42, 7, [r])[0])
+        # a 0-d index gives a 0-d seed, with no overflow warning on the way
+        assert derive_seeds(3, 0, 7) == 2166129563473858780 == derive_seeds(3, 0, [7])[0]
+        # a group at or above 2^63 is taken modulo 2^64, as a seed is
+        assert derive_seeds(0, 2**63, [0, 1]).tolist() == [
+            3018623931144797763, 13353105414922722561]
 
     def test_derived_seeds_pinned(self):
         # the seed contract: these values key every stored sample and report

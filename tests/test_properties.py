@@ -106,7 +106,9 @@ def test_sampler_matches_brute_force_windows(model_d, n, seeds):
     w = 2 * model.window_radius + 1
     axes = [np.arange(-n - model.window_radius, n + model.window_radius + 1)] * d
     keys = np.array([s % 2**64 for s in seeds], dtype=np.uint64)
-    noise = lattice_fields._site_noise(keys, axes, model.theta).astype(np.int64)
+    hashes = lattice_fields._keyed_hash(keys, lattice_fields._axis_keys(axes),
+                                        lattice_fields._TAG_NOISE)
+    noise = lattice_fields._noise_from_hash(hashes, model.theta).astype(np.int64)
     counts = np.empty((len(seeds),) + cube.shape, dtype=np.int64)
     for site in itertools.product(range(cube.side), repeat=d):
         window = noise[(slice(None),) + tuple(slice(j, j + w) for j in site)]
