@@ -43,8 +43,8 @@ from typing import Sequence, Tuple, Union
 import numpy as np
 
 from .cv_ntcp import _binomial_pmf
-from .errors import (CapacityError, ConfigError, ParameterError, ShapeError, integer, naming,
-                     probability, read_field)
+from .errors import (CapacityError, ConfigError, DomainError, ParameterError, ShapeError, integer,
+                     naming, probability, read_field)
 
 #: Refuse to allocate enlarged noise grids beyond this many cells.
 MAX_CELLS = 1 << 26
@@ -127,10 +127,15 @@ def _noise_from_hash(h: np.ndarray, theta: float) -> np.ndarray:
 def derive_seeds(master_seed: int, group: int, indices) -> np.ndarray:
     """Deterministic child seeds from a master seed, a group and an array of
     indices: the keyed hash of the master seed at the sites (group, index)
-    under _TAG_REPLICATE, of the shape of ``indices``."""
+    under _TAG_REPLICATE, of the shape of ``indices``.  All three are
+    integers taken modulo 2^64; an index that is not an integer of an
+    integer array (a float, a bool, 2^64 or more) raises DomainError."""
     indices = np.asarray(indices)
-    master = np.array([int(master_seed) & (2**64 - 1)], dtype=np.uint64)
-    keys = _axis_keys([[int(group) & (2**64 - 1)], indices.ravel()])
+    if indices.size and indices.dtype.kind not in "iu":
+        raise DomainError(f"indices must be integers in [-2^63, 2^64), got {indices.dtype} "
+                          f"array {indices.ravel()[:3].tolist()}")
+    master = np.array([int(integer(master_seed, "master seed")) & (2**64 - 1)], dtype=np.uint64)
+    keys = _axis_keys([[int(integer(group, "group")) & (2**64 - 1)], indices.ravel()])
     return _keyed_hash(master, keys, _TAG_REPLICATE).reshape(indices.shape)
 
 
@@ -449,9 +454,19 @@ def model_sigma2(model: FieldModel, d: int = 1) -> Sigma2Result:
 
 # ---------------------------------------------------------------------------
 # Serialization: JSON header line + one %.17g value per line (round trips
-# doubles exactly); each distinct value is formatted once and the body is
-# written in _BLOCK_CELLS-line blocks; the loader reads the body in blocks of
-# 8 * _BLOCK_CELLS characters and parses each distinct line once per block
+# doubles exactly).  Sample values repeat (a threshold field holds two), so
+# both directions key the body and work on a table of its distinct keys,
+# found without a sort: np.unique of an evenly strided sample of at most 1024
+# keys, then searchsorted and a check, the keys it missed appended (_index).
+# The saver keys cells by their float64 bits, formats each distinct value
+# once and gathers each _BLOCK_CELLS-line block from a table of one
+# fixed-width element per line, or joins it from an object array when the
+# lines differ in width.  The loader reads 8 * _BLOCK_CELLS characters at a
+# time; an ASCII block's lines are keyed by their bytes, padded with "\n"
+# (_parse_table), and each distinct line is parsed once.  A non-ASCII or
+# mostly distinct block is parsed line by line, and a block with a blank or
+# bad line by the filtered per-line parse, which skips blank lines and
+# names the first bad one.
 # ---------------------------------------------------------------------------
 
 def model_to_dict(model: FieldModel) -> dict:
@@ -492,9 +507,49 @@ def model_from_dict(data: dict) -> FieldModel:
     raise ParameterError(f"unknown field model type {kind!r}")
 
 
+def _sample_step(count: int) -> int:
+    """The stride of an evenly strided sample of at most 1024 of ``count`` keys."""
+    return count // 1024 + 1
+
+
+def _probe(sample: np.ndarray):
+    """The distinct keys of a strided sample, sorted; None when more than
+    half the sample is distinct, so that a table of distinct keys would not
+    pay."""
+    table = np.unique(sample)
+    return None if 2 * table.size > sample.size else table
+
+
+def _index(keys: np.ndarray, table: np.ndarray):
+    """(table, inverse) with table[inverse] == keys and each key in the table
+    once: ``searchsorted`` into the probed ``table``, verified, and the keys
+    the sample missed appended."""
+    inverse = np.searchsorted(table, keys)
+    missed = table.take(inverse, mode="clip") != keys
+    if missed.any():
+        extra, where = np.unique(keys[missed], return_inverse=True)
+        inverse[missed] = table.size + where
+        table = np.concatenate([table, extra])
+    return table, inverse
+
+
+def _line_width(newline: np.ndarray) -> int:
+    """The width of every line of a text whose "\n" bytes ``newline`` marks,
+    lines that each end in their only "\n", when they all have one; else 0."""
+    count = np.count_nonzero(newline)
+    width = newline.size // count
+    return width if width * count == newline.size and newline[width - 1::width].all() else 0
+
+
+_UINTS = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+
+
 def save_sample(sample: FieldSample, path) -> None:
     """Write ``sample`` to ``path``, its values as float64 in row-major
-    order.  Distinct values are keyed by bit pattern, so -0.0 stays ``-0``."""
+    order, one ``"%.17g"`` line each.  Distinct values are keyed by bit
+    pattern, so -0.0 stays ``-0``, and formatted once.  When their lines
+    share one width the body is gathered from a table of one fixed-width
+    element per line, else joined from an object array of the lines."""
     header = {
         "d": sample.cube.d,
         "n": sample.cube.n,
@@ -502,32 +557,117 @@ def save_sample(sample: FieldSample, path) -> None:
         "model": model_to_dict(sample.model),
     }
     values = np.asarray(sample.values, dtype=np.float64).ravel()
-    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-    lines = np.array(["%.17g\n" % v for v in bits.view(np.float64).tolist()], dtype=object)
-    with open(path, "w") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
+    bits = values.view(np.uint64)
+    table = _probe(bits[:: _sample_step(bits.size)])
+    repeated = table is not None
+    table, inverse = _index(bits, table) if repeated else np.unique(bits, return_inverse=True)
+    lines = ["%.17g\n" % v for v in table.view(np.float64).tolist()]
+    width = 0
+    if repeated:  # the gather pays only where lines repeat
+        raw = "".join(lines).encode()
+        width = _line_width(np.frombuffer(raw, np.uint8) == ord("\n"))
+    lines = np.frombuffer(raw, _UINTS.get(width, f"V{width}")) if width else np.array(lines, object)
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
         for start in range(0, values.size, _BLOCK_CELLS):
-            fh.write("".join(lines[inverse[start:start + _BLOCK_CELLS]]))
+            body = lines[inverse[start:start + _BLOCK_CELLS]]
+            fh.write(body.tobytes() if width else "".join(body).encode())
 
 
-def _parse_lines(lines) -> np.ndarray:
-    """float() of each non-blank line, in order.
+#: The first k bytes of a little-endian uint64 word, for k = 0..8.
+_FIRST_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+_NEWLINES = np.uint64(int.from_bytes(b"\n" * 8, "little"))
 
-    Where lines repeat, each distinct line is parsed once.  Whether they do
-    is judged on an evenly strided sample of at most 1024 lines, because
-    hashing every line costs about as much as parsing it when all are
-    distinct.  A blank or malformed line sends the block through the
-    per-line parse, which skips blank lines and raises ValueError at the
-    first bad one."""
-    sample = lines[:: len(lines) // 1024 + 1]
+
+def _padded_lines(raw: bytes, starts: np.ndarray, lengths: np.ndarray, words: int) -> np.ndarray:
+    """The lines raw[start:start + length] padded with "\n" to ``words``
+    little-endian uint64 words each, shape (lines, words).  No line holds a
+    "\n", so equal rows are equal lines.  ``raw`` must hold 8 * ``words``
+    bytes past its last line."""
+    offsets = 8 * np.arange(words)
+    # row L: the bytes of a line of length L within each of its words
+    keep = _FIRST_BYTES[np.clip(np.arange(8 * words + 1)[:, None] - offsets, 0, 8)]
+    windows = np.lib.stride_tricks.sliding_window_view(np.frombuffer(raw, np.uint8), 8 * words)
+    rows = windows[starts].view("<u8")
+    rows ^= _NEWLINES
+    rows &= keep.take(lengths, axis=0)
+    rows ^= _NEWLINES  # the kept bytes back, "\n" past the line end
+    return rows
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One uint64 key per row of words: the word itself for one word, else
+    a hash of the words, so equal rows have equal keys."""
+    keys = rows[:, 0].astype(np.uint64)
+    for column in rows[:, 1:].T:
+        _mix64(keys)
+        keys ^= column
+    return keys
+
+
+def _parse_table(text: str):
+    """float() of each line of ``text``, ASCII whole lines, each distinct
+    line parsed once; None when the lines look mostly distinct or their
+    padded rows would take more than 8 bytes per character of text.
+
+    Lines are keyed by their bytes: the lines themselves when they share a
+    width of 1, 2, 4 or 8 bytes, else a hash of the "\n"-padded rows of
+    ``_padded_lines``, checked against the rows.  Finding the lines costs
+    about a twentieth of parsing them, so a block whose first 64 lines are
+    all distinct is left to the per-line parse at once."""
+    head = text.split("\n", 64)[:-1]
+    if len(set(head)) == len(head):
+        return None
+    raw = text.encode("ascii")
+    newline = np.frombuffer(raw, np.uint8) == ord("\n")
+    width = _line_width(newline)
+    if width in _UINTS:
+        rows = keys = np.frombuffer(raw, _UINTS[width])
+        table = _probe(keys[:: _sample_step(keys.size)])
+    else:
+        ends = np.flatnonzero(newline)
+        starts = np.concatenate([[0], ends[:-1] + 1])
+        lengths = ends - starts
+        words = max(1, -(-int(lengths.max()) // 8))
+        if words * ends.size > len(raw):
+            return None
+        raw += b"\n" * (8 * words)
+        step = _sample_step(ends.size)
+        table = _probe(_row_keys(_padded_lines(raw, starts[::step], lengths[::step], words)))
+        if table is not None:
+            rows = _padded_lines(raw, starts, lengths, words)
+            keys = _row_keys(rows)
+    if table is None:
+        return None
+    table, inverse = _index(keys, table)
+    one = np.empty(table.size, np.intp)
+    one[inverse] = np.arange(inverse.size)  # a line of each key
+    lines = rows[one]
+    if rows.ndim > 1 and rows.shape[1] > 1 and not np.array_equal(lines[inverse], rows):
+        return None  # two distinct lines hashed to one key
+    lines = lines.tobytes()
+    size = len(lines) // table.size
+    # parsed as str, as the per-line parse does
+    return np.array([float(lines[i:i + size].partition(b"\n")[0].decode())
+                     for i in range(0, len(lines), size)])[inverse]
+
+
+def _parse_lines(text: str) -> np.ndarray:
+    """float() of each non-blank line of ``text``, whole lines, in order.
+
+    An ASCII block goes through ``_parse_table``; a non-ASCII block, or one
+    whose lines are mostly distinct, is parsed line by line.  A blank or
+    malformed line sends the block through the filtered per-line parse,
+    which skips blank lines and raises ValueError at the first bad one."""
     try:
-        if 2 * len(set(sample)) > len(sample):  # mostly distinct: a table would not pay
-            return np.fromiter(map(float, lines), np.float64, count=len(lines))
-        distinct = set(lines)
-        table = dict(zip(distinct, map(float, distinct)))
-        return np.fromiter(map(table.__getitem__, lines), np.float64, count=len(lines))
+        values = _parse_table(text) if text.isascii() and text else None
+        if values is not None:
+            return values
+        lines = text.split("\n")
+        lines.pop()  # the empty string after the last "\n"
+        return np.fromiter(map(float, lines), np.float64, count=len(lines))
     except ValueError:
-        return np.fromiter(map(float, filter(str.strip, lines)), np.float64)
+        return np.fromiter(map(float, filter(str.strip, text.split("\n"))), np.float64)
 
 
 def _read_values(fh) -> np.ndarray:
@@ -536,16 +676,17 @@ def _read_values(fh) -> np.ndarray:
     blocks = []
     tail = ""
     while text := fh.read(_BLOCK_CELLS * 8):
-        lines = (tail + text).split("\n")
-        tail = lines.pop()
-        blocks.append(_parse_lines(lines))
-    blocks.append(_parse_lines([tail]))
+        text = tail + text
+        cut = text.rfind("\n") + 1
+        tail = text[cut:]
+        blocks.append(_parse_lines(text[:cut]))
+    blocks.append(_parse_lines(tail + "\n"))
     return np.concatenate(blocks)
 
 
 def load_sample(path) -> FieldSample:
-    """The sample saved at ``path``; blank lines are skipped and each
-    distinct value line is parsed once per block.  A file that does not
+    """The sample saved at ``path``; blank lines are skipped, and in a block
+    whose lines repeat each distinct line is parsed once.  A file that does not
     decode, a header that is not a JSON object with the fields d, n, seed
     and model, a value line that is not one number and a wrong value count
     raise ConfigError; every error in the header names the file."""

@@ -36,6 +36,44 @@ MAJORITY = MovingWindowThreshold(window_radius=1, theta=0.5, k_min=2)
 LEVELS4 = MovingWindowLevels(window_radius=1, theta=0.4, levels=4)
 
 
+# float.hex of C_hat from variance_estimator on sample_field(model, cube,
+# 123), and of the two _variance_estimator_batch rows over the seeds
+# derive_seeds(7, n, [0, 1]), with cubes of half-width CHAT_PIN_N[d]; the
+# threshold field is the majority rule of the d-dimensional window (MAJORITY
+# at d = 1, which is constant in 3-d): pinned so that no rewrite of C_hat
+# moves a bit
+CHAT_PIN_N = {1: 40, 2: 12, 3: 5}
+CHAT_PINS = {
+    (1, "majority", 1): ("0x1.d5583b363158ep-2", "0x1.fcb8b36669ed4p-2", "0x1.cbac821c11b6ap-2"),
+    (1, "majority", 3): ("0x1.1324994879841p-1", "0x1.10b76d5934ce8p-1", "0x1.6aab5067cb7a8p-1"),
+    (1, "levels7", 1): ("0x1.784860a733239p-3", "0x1.dd6dfe3484d1cp-3", "0x1.4152d5038a1f9p-3"),
+    (1, "levels7", 3): ("0x1.073baabf2378bp-2", "0x1.14b04e2df8ff4p-2", "0x1.e40c560d4d00ep-3"),
+    (1, "iid", 1): ("0x1.ee7c6bb060988p-3", "0x1.0ca0079190b67p-2", "0x1.9b2be941ee988p-3"),
+    (1, "iid", 3): ("0x1.e8e51cd7458a6p-3", "0x1.fc00294ecf8ebp-3", "0x1.a0bc21528412ep-3"),
+    (2, "majority", 1): ("0x1.8de1385eb9c95p-1", "0x1.b6cb6a6f12ccbp-1", "0x1.f606f08442d6cp-1"),
+    (2, "majority", 3): ("0x1.b9c09af3e0083p-1", "0x1.52440c4ec5b9bp+0", "0x1.060348ef05d86p+1"),
+    (2, "levels7", 1): ("0x1.07c72a7abef4dp-3", "0x1.d9d208c83a293p-4", "0x1.eb77ce723066ap-4"),
+    (2, "levels7", 3): ("0x1.769a5fd1b6f56p-3", "0x1.3d1038367f495p-3", "0x1.57a119d9d511dp-3"),
+    (2, "iid", 1): ("0x1.c479a5a089f76p-3", "0x1.880d1e2a7d0d9p-3", "0x1.cebafe382ffc0p-3"),
+    (2, "iid", 3): ("0x1.bd0b1cc15b720p-3", "0x1.a9da58cb27112p-3", "0x1.b2914a4d7c518p-3"),
+    (3, "majority", 1): ("0x1.3615f9e3f4553p+0", "0x1.9370d74408011p+0", "0x1.731fdd694bf35p+0"),
+    (3, "majority", 3): ("0x1.6f939b2ccdd45p+0", "0x1.1df38a422de00p+1", "0x1.3a9f2eba3f888p+1"),
+    (3, "levels7", 1): ("0x1.0a29fb0496178p-4", "0x1.27aa825f355b6p-4", "0x1.b38641e4f906cp-5"),
+    (3, "levels7", 3): ("0x1.d58b221862b8ap-4", "0x1.29b63a53e68cdp-4", "0x1.c6a27833e4dd8p-5"),
+    (3, "iid", 1): ("0x1.d989005ac4f01p-3", "0x1.c86b05bf6c1bap-3", "0x1.91ef57fa3c407p-3"),
+    (3, "iid", 3): ("0x1.bedafed663f01p-3", "0x1.d750aa59ff9a1p-4", "0x1.535a2d13782bbp-3"),
+}
+
+
+def chat_pin_model(name, d):
+    if name == "majority":
+        return MovingWindowThreshold(window_radius=1, theta=0.5, k_min=(3**d + 1) // 2)
+    if name == "levels7":
+        return MovingWindowLevels(window_radius=1, theta=0.37, levels=7)
+    return IidBernoulli(p=0.3)
+
+
+
 def make_sample(values, d=None):
     values = np.asarray(values, dtype=np.float64)
     d = d if d is not None else values.ndim
@@ -186,6 +224,14 @@ class TestVarianceEstimator:
         config = EstimatorConfig(bandwidth=b)
         singles = [variance_estimator(sample_field(model, cube, s), config) for s in seeds]
         assert rows.tolist() == singles
+
+    @pytest.mark.parametrize("d, name, b", sorted(CHAT_PINS))
+    def test_chat_bits_pinned(self, d, name, b):
+        model, cube = chat_pin_model(name, d), LatticeCube(d=d, n=CHAT_PIN_N[d])
+        single = variance_estimator(sample_field(model, cube, 123), EstimatorConfig(bandwidth=b))
+        seeds = lattice_fields.derive_seeds(7, cube.n, np.arange(2))
+        rows = _variance_estimator_batch(sample_fields_batch(model, cube, seeds), d, b)
+        assert (single.hex(), *map(float.hex, rows)) == CHAT_PINS[(d, name, b)]
 
     def test_iid_mean_near_pq(self):
         values = sample_fields_batch(IidBernoulli(p=0.3), LatticeCube(d=1, n=200), range(100))

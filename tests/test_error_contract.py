@@ -47,7 +47,7 @@ from ntcpfields import (
 )
 from ntcpfields.cv_ntcp import ntcp_weiss_tail
 from ntcpfields.experiment import config_from_dict
-from ntcpfields.lattice_fields import model_from_dict
+from ntcpfields.lattice_fields import derive_seeds, model_from_dict
 
 ERRORS = tuple(v for v in vars(errors).values()
                if isinstance(v, type) and issubclass(v, Exception))
@@ -364,6 +364,11 @@ DEFECTS = [
     pytest.param(self_normalized_statistic, (BIG_SAMPLE, 0.0),
                  {"mode": "true_sigma", "sigma2": 1e-300}, id="statistic_overflows"),
     pytest.param(ntcp_estimate, (TINY_SAMPLE, 1e300, 0.0), {}, id="ntcp_estimate_overflows"),
+    pytest.param(derive_seeds, (1.5, 0, [1]), {}, id="derive_seeds_master_fractional"),
+    pytest.param(derive_seeds, (1, 0.5, [1]), {}, id="derive_seeds_group_fractional"),
+    pytest.param(derive_seeds, (1, 0, [1.5]), {}, id="derive_seeds_index_fractional"),
+    pytest.param(derive_seeds, (1, 0, [True]), {}, id="derive_seeds_index_bool"),
+    pytest.param(derive_seeds, (1, 0, [2**64]), {}, id="derive_seeds_index_2_64"),
 ]
 
 

@@ -595,6 +595,38 @@ class TestSerialization:
                 with pytest.raises(ConfigError, match=f"holds {expected.size} values"):
                     load_sample(path)
 
+    @pytest.mark.parametrize("model, cube, rare", [
+        (MovingWindowThreshold(window_radius=1, theta=0.5, k_min=14), LatticeCube(3, 10), 7),
+        (MovingWindowLevels(window_radius=1, theta=0.37, levels=7), LatticeCube(3, 8), None),
+    ], ids=["threshold_one_rare_cell", "levels7"])
+    def test_repeated_values_round_trip(self, model, cube, rare, tmp_path):
+        # the strided probes see every 10th or 5th cell: a value in cell 7
+        # alone is missed by both, and levels(7) lines span three 8-byte words
+        sample = sample_field(model, cube, 201)
+        if rare is not None:
+            sample.values.ravel()[rare] = 0.5
+        path = tmp_path / "sample.dat"
+        save_sample(sample, path)
+        assert path.read_bytes() == per_cell_bytes(sample)
+        loaded = load_sample(path).values
+        assert_same_bits(loaded, reference_load_values(path))
+        assert_same_bits(loaded, sample.values)
+
+    @pytest.mark.parametrize("body", [
+        "\u0661\n" * 3001,  # non-ASCII: float() reads it as 1.0
+        "0\n \n1\n\x0c\n0.5\n" * 1001,  # blank and form-feed lines among values
+        "100\n1\n" * 1000 + "1\n",  # two widths whose mean is whole
+        "1\n" * 2000 + "10\n",  # a length that is not a multiple of the line width
+        "0.33333333333333331\n-0\n" * 1500 + "  0.33333333333333331\n",
+    ], ids=["non_ascii", "blank_and_form_feed", "two_widths", "odd_length", "wide_lines"])
+    @pytest.mark.parametrize("block_cells", [64, lattice_fields._BLOCK_CELLS])
+    def test_loader_byte_table_edges(self, body, block_cells, tmp_path):
+        with mock.patch.object(lattice_fields, "_BLOCK_CELLS", block_cells):
+            path = self._write(tmp_path / "s.dat", body.encode())
+            expected = reference_load_values(path)
+            self._write(path, body.encode(), n=expected.size // 2)
+            assert_same_bits(load_sample(path).values, expected)
+
     @pytest.mark.parametrize("header", [
         "[1, 2]", "3", '"d"',
         '{"d": 1, "n": 1, "seed": "abc", "model": {"type": "iid_bernoulli", "p": 0.5}}',
