@@ -128,8 +128,8 @@ def derive_seeds(master_seed: int, group: int, indices) -> np.ndarray:
     """Deterministic child seeds from a master seed, a group and an array of
     indices: the keyed hash of the master seed at the sites (group, index)
     under _TAG_REPLICATE, of the shape of ``indices``.  All three are
-    integers taken modulo 2^64; an index that is not an integer of an
-    integer array (a float, a bool, 2^64 or more) raises DomainError."""
+    integers taken modulo 2^64, the indices an integer array: a float or
+    bool index, or one at or above 2^64, raises DomainError."""
     indices = np.asarray(indices)
     if indices.size and indices.dtype.kind not in "iu":
         raise DomainError(f"indices must be integers in [-2^63, 2^64), got {indices.dtype} "
@@ -605,33 +605,33 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _parse_table(text: str):
-    """float() of each line of ``text``, ASCII whole lines, each distinct
-    line parsed once; None when the lines look mostly distinct or their
-    padded rows would take more than 8 bytes per character of text.
+def _parse_table(text: str, cut: int):
+    """float() of each line of the ASCII text[:cut], whole lines, each
+    distinct line parsed once; None when the lines look mostly distinct or
+    their padded rows would take more than 8 bytes per character of text.
 
     Lines are keyed by their bytes: the lines themselves when they share a
     width of 1, 2, 4 or 8 bytes, else a hash of the "\n"-padded rows of
-    ``_padded_lines``, checked against the rows.  Finding the lines costs
-    about a twentieth of parsing them, so a block whose first 64 lines are
-    all distinct is left to the per-line parse at once."""
-    head = text.split("\n", 64)[:-1]
+    ``_padded_lines``, checked against the rows.  Finding the lines of a
+    mixed-width block costs a few percent of parsing them one by one, so a
+    block whose first 64 lines are all distinct goes to that parse at once."""
+    head = text[:2048].split("\n", 64)[:-1]
     if len(set(head)) == len(head):
         return None
     raw = text.encode("ascii")
-    newline = np.frombuffer(raw, np.uint8) == ord("\n")
+    newline = np.frombuffer(raw, np.uint8, count=cut) == ord("\n")
     width = _line_width(newline)
     if width in _UINTS:
-        rows = keys = np.frombuffer(raw, _UINTS[width])
+        rows = keys = np.frombuffer(raw, _UINTS[width], count=cut // width)
         table = _probe(keys[:: _sample_step(keys.size)])
     else:
         ends = np.flatnonzero(newline)
         starts = np.concatenate([[0], ends[:-1] + 1])
         lengths = ends - starts
         words = max(1, -(-int(lengths.max()) // 8))
-        if words * ends.size > len(raw):
+        if words * ends.size > cut:
             return None
-        raw += b"\n" * (8 * words)
+        raw = raw[:cut] + b"\n" * (8 * words)
         step = _sample_step(ends.size)
         table = _probe(_row_keys(_padded_lines(raw, starts[::step], lengths[::step], words)))
         if table is not None:
@@ -652,22 +652,22 @@ def _parse_table(text: str):
                      for i in range(0, len(lines), size)])[inverse]
 
 
-def _parse_lines(text: str) -> np.ndarray:
-    """float() of each non-blank line of ``text``, whole lines, in order.
+def _parse_lines(text: str, cut: int) -> np.ndarray:
+    """float() of each non-blank line of text[:cut], whole lines, in order.
 
     An ASCII block goes through ``_parse_table``; a non-ASCII block, or one
     whose lines are mostly distinct, is parsed line by line.  A blank or
     malformed line sends the block through the filtered per-line parse,
     which skips blank lines and raises ValueError at the first bad one."""
     try:
-        values = _parse_table(text) if text.isascii() and text else None
+        values = _parse_table(text, cut) if cut and text.isascii() else None
         if values is not None:
             return values
         lines = text.split("\n")
-        lines.pop()  # the empty string after the last "\n"
+        lines.pop()  # text[cut:]
         return np.fromiter(map(float, lines), np.float64, count=len(lines))
     except ValueError:
-        return np.fromiter(map(float, filter(str.strip, text.split("\n"))), np.float64)
+        return np.fromiter(map(float, filter(str.strip, text[:cut].split("\n"))), np.float64)
 
 
 def _read_values(fh) -> np.ndarray:
@@ -679,8 +679,8 @@ def _read_values(fh) -> np.ndarray:
         text = tail + text
         cut = text.rfind("\n") + 1
         tail = text[cut:]
-        blocks.append(_parse_lines(text[:cut]))
-    blocks.append(_parse_lines(tail + "\n"))
+        blocks.append(_parse_lines(text, cut))
+    blocks.append(_parse_lines(tail + "\n", len(tail) + 1))
     return np.concatenate(blocks)
 
 

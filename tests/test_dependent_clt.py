@@ -38,10 +38,10 @@ LEVELS4 = MovingWindowLevels(window_radius=1, theta=0.4, levels=4)
 
 # float.hex of C_hat from variance_estimator on sample_field(model, cube,
 # 123), and of the two _variance_estimator_batch rows over the seeds
-# derive_seeds(7, n, [0, 1]), with cubes of half-width CHAT_PIN_N[d]; the
-# threshold field is the majority rule of the d-dimensional window (MAJORITY
-# at d = 1, which is constant in 3-d): pinned so that no rewrite of C_hat
-# moves a bit
+# derive_seeds(7, n, [0, 1]), on cubes of half-width CHAT_PIN_N[d], so that
+# no rewrite of C_hat moves a bit.  "majority" is the majority rule of the
+# d-dimensional window: MAJORITY at d = 1 (its k_min = 2 is almost surely
+# reached by a 27-site window, so it would pin only zeros in 3-d)
 CHAT_PIN_N = {1: 40, 2: 12, 3: 5}
 CHAT_PINS = {
     (1, "majority", 1): ("0x1.d5583b363158ep-2", "0x1.fcb8b36669ed4p-2", "0x1.cbac821c11b6ap-2"),
