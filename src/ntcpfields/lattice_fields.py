@@ -607,8 +607,9 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 
 def _parse_table(text: str, cut: int):
     """float() of each line of the ASCII text[:cut], whole lines, each
-    distinct line parsed once; None when the lines look mostly distinct or
-    their padded rows would take more than 8 bytes per character of text.
+    distinct line parsed once; None when the lines look mostly distinct,
+    their padded rows would take more than 8 bytes per character of text,
+    or a line is blank or not a number.
 
     Lines are keyed by their bytes: the lines themselves when they share a
     width of 1, 2, 4 or 8 bytes, else a hash of the "\n"-padded rows of
@@ -647,40 +648,43 @@ def _parse_table(text: str, cut: int):
         return None  # two distinct lines hashed to one key
     lines = lines.tobytes()
     size = len(lines) // table.size
-    # parsed as str, as the per-line parse does
-    return np.array([float(lines[i:i + size].partition(b"\n")[0].decode())
-                     for i in range(0, len(lines), size)])[inverse]
+    try:  # parsed as str, as the per-line parse does
+        return np.array([float(lines[i:i + size].partition(b"\n")[0].decode())
+                         for i in range(0, len(lines), size)])[inverse]
+    except ValueError:  # a blank or bad line, which the per-line parse skips or names
+        return None
 
 
-def _parse_lines(text: str, cut: int) -> np.ndarray:
-    """float() of each non-blank line of text[:cut], whole lines, in order.
-
-    An ASCII block goes through ``_parse_table``; a non-ASCII block, or one
-    whose lines are mostly distinct, is parsed line by line.  A blank or
-    malformed line sends the block through the filtered per-line parse,
-    which skips blank lines and raises ValueError at the first bad one."""
+def _parse_lines(lines) -> np.ndarray:
+    """float() of each non-blank line, in order.  A blank or malformed line
+    sends the block through the filtered per-line parse, which skips blank
+    lines and raises ValueError at the first bad one."""
     try:
-        values = _parse_table(text, cut) if cut and text.isascii() else None
-        if values is not None:
-            return values
-        lines = text.split("\n")
-        lines.pop()  # text[cut:]
         return np.fromiter(map(float, lines), np.float64, count=len(lines))
     except ValueError:
-        return np.fromiter(map(float, filter(str.strip, text[:cut].split("\n"))), np.float64)
+        return np.fromiter(map(float, filter(str.strip, lines)), np.float64)
 
 
 def _read_values(fh) -> np.ndarray:
     """The values of the lines left in text file ``fh``, read and parsed a
-    block of text at a time; a line cut by a block end joins the next."""
+    block of text at a time; a line cut by a block end joins the next.  An
+    ASCII block goes through ``_parse_table``; a non-ASCII block, or one it
+    leaves, is parsed line by line."""
     blocks = []
     tail = ""
     while text := fh.read(_BLOCK_CELLS * 8):
         text = tail + text
         cut = text.rfind("\n") + 1
         tail = text[cut:]
-        blocks.append(_parse_lines(text, cut))
-    blocks.append(_parse_lines(tail + "\n", len(tail) + 1))
+        values = _parse_table(text, cut) if text.isascii() else None
+        if values is None:
+            # split in this loop, so that the list lives until the next block's
+            # split: freeing it sooner read all-distinct samples ~2% slower
+            lines = text.split("\n")
+            lines.pop()  # the tail
+            values = _parse_lines(lines)
+        blocks.append(values)
+    blocks.append(_parse_lines([tail]))
     return np.concatenate(blocks)
 
 
