@@ -615,7 +615,7 @@ class TestSerialization:
     @pytest.mark.parametrize("body", [
         "\u0661\n" * 3001,  # non-ASCII: float() reads it as 1.0
         "0\n \n1\n\x0c\n0.5\n" * 1001,  # blank and form-feed lines among values
-        "100\n1\n" * 1000 + "1\n",  # two widths whose mean is whole
+        "10\n1000\n" * 1000 + "10\n1000\n100\n",  # widths whose mean is 4 bytes
         "1\n" * 2000 + "10\n",  # a length that is not a multiple of the line width
         "0.33333333333333331\n-0\n" * 1500 + "  0.33333333333333331\n",
     ], ids=["non_ascii", "blank_and_form_feed", "two_widths", "odd_length", "wide_lines"])
