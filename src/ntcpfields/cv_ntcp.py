@@ -108,10 +108,10 @@ class FractionCurveFeatures:
 # Exact binomial tail
 # ---------------------------------------------------------------------------
 
-#: Largest FSU count for the exact tail.  Its prefix sum holds two float64
-#: arrays of n entries at once (the logs and the (n + 2,) output, filled up
-#: to past the window top), so the cap keeps that near 2 x 8 bytes x 10^8
-#: = 1.6 GB.
+#: Largest FSU count for the exact tail.  It holds one float64 array of n
+#: entries, the (n + 2,) output (filled up to past the window top), and the
+#: logs of one chunk of counts at a time, so the cap keeps that near
+#: 8 bytes x 10^8 = 0.8 GB.
 MAX_EXACT_N = 10**8
 
 # exp(x) is exactly 0.0 in float64 for every x below about -745.13; the
@@ -123,14 +123,25 @@ _EXP_UNDERFLOW = 746.0 + 1.0
 _CHUNK = 1 << 16
 
 
-def _log_term_ratios(logs: np.ndarray, p: float, start: int, stop: int,
-                     out: np.ndarray) -> None:
+def _log_term_ratios(n: int, p: float, start: int, stop: int, out: np.ndarray) -> None:
     """log(pmf(k+1)/pmf(k)) = log(n-k) - log(k+1) + log(p) - log(q) into
-    out, for start <= k < stop, where logs[k] = log(k+1) for k < n.
+    out, for start <= k < stop.
 
-    log(n-k) for k = 0..n-1 is log(k+1) reversed, so one log array gives both.
+    log(k+1) is taken in one scratch array of stop - start entries and
+    log(n-k) in out itself, so the logs never take more than a chunk.  When
+    start + stop == n (one chunk for all of n, as on the many tiny-n calls
+    of the moments path), n-k runs over the counts k+1 reversed, and the
+    one log array gives both.
     """
-    np.subtract(logs[::-1][start:stop], logs[start:stop], out=out)
+    logs = np.arange(start + 1, stop + 1, dtype=np.float64)
+    if start + stop == n:
+        np.log(logs, out=logs)
+        np.subtract(logs[::-1], logs, out=out)
+    else:
+        np.subtract(n + 1, logs, out=out)  # n - k, exact below 2^53
+        np.log(out, out=out)
+        np.log(logs, out=logs)
+        out -= logs
     out += math.log(p)
     out -= math.log1p(-p)
 
@@ -154,12 +165,10 @@ def _pmf_window(n: int, p: float) -> Tuple[np.ndarray, int, int]:
     # below the running maximum less the underflow margin, every later
     # entry lies below the floor too and would exp to 0.0: those stay the
     # zeros np.zeros gave them.
-    logs = np.arange(1, n + 1, dtype=np.float64)
-    np.log(logs, out=logs)
     top = stop = 0
     while True:
         start, stop = stop, min(stop + _CHUNK, n)
-        _log_term_ratios(logs, p, start, stop, out[start + 1:stop + 1])
+        _log_term_ratios(n, p, start, stop, out[start + 1:stop + 1])
         head = out[start:stop + 1]
         np.add.accumulate(head, out=head)  # cumsum, less call overhead
         if stop == n:  # the last chunk needs no stop test
@@ -194,8 +203,9 @@ def _binomial_pmf(n: int, p: float) -> np.ndarray:
     Ratios pmf(k+1)/pmf(k) = (n-k)/(k+1) * p/q are accumulated in log space
     up to past the window top, shifted by their maximum and exponentiated
     only on the window where exp does not underflow to 0.0; every other
-    entry is exactly 0.0.  The accumulation costs two float64 arrays of n
-    entries, hence the MAX_EXACT_N cap of the exact tail.
+    entry is exactly 0.0.  The accumulation costs one float64 array of n
+    entries, the output, plus the logs of one chunk of counts, hence the
+    MAX_EXACT_N cap of the exact tail.
     """
     return _pmf_window(n, p)[0][:n + 1]
 
@@ -204,24 +214,26 @@ def ntcp_exact_all_thresholds(n: int, p: float) -> np.ndarray:
     """P(S_n >= L) for every L = 0..n+1, as one array of length n+2.
 
     Raises CapacityError, before allocating, for n above MAX_EXACT_N: the
-    tail needs about 2 x 8 bytes x n of memory at its peak.
+    tail needs about 8 bytes x n of memory at its peak.
     """
     integer(n, "n", ge=1)
     probability(p, "p")
     if n > MAX_EXACT_N:
         raise CapacityError(
             f"exact tail of {n} FSUs exceeds the cap of {MAX_EXACT_N} "
-            f"(about 16 bytes per FSU)"
+            f"(about 8 bytes per FSU)"
         )
     tail, lo, hi = _pmf_window(n, p)
     # reversed cumsum of the pmf, in place: above the window it sums only
     # zeros (0.0) and below it adds only zeros to the value at lo
     window = tail[lo:hi][::-1]
     window.cumsum(out=window)
+    # clip is elementwise, so clipping the window before copying tail[lo]
+    # below it gives the bits of clipping all of tail[:hi]; every entry
+    # from hi up is already 0.0
+    window.clip(0.0, 1.0, out=window)
     tail[:lo].fill(tail[lo])
     tail[0] = 1.0  # whole sample space; shields L=0 from summation dust
-    head = tail[:hi]  # every entry from hi up is already 0.0
-    head.clip(0.0, 1.0, out=head)
     return tail
 
 

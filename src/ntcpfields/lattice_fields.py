@@ -463,10 +463,10 @@ def model_sigma2(model: FieldModel, d: int = 1) -> Sigma2Result:
 # fixed-width element per line, or joins it from an object array when the
 # lines differ in width.  The loader reads 8 * _BLOCK_CELLS characters at a
 # time; an ASCII block's lines are keyed by their bytes, padded with "\n"
-# (_parse_table), and each distinct line is parsed once.  A non-ASCII or
-# mostly distinct block is parsed line by line, and a block with a blank or
-# bad line by the filtered per-line parse, which skips blank lines and
-# names the first bad one.
+# (_parse_table), each distinct line is parsed once and blank lines are
+# dropped.  A non-ASCII or mostly distinct block is parsed line by line, and
+# a block with a bad line by the filtered per-line parse, which skips blank
+# lines and names the first bad one.
 # ---------------------------------------------------------------------------
 
 def model_to_dict(model: FieldModel) -> dict:
@@ -607,9 +607,9 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 
 def _parse_table(text: str, cut: int):
     """float() of each line of the ASCII text[:cut], whole lines, each
-    distinct line parsed once; None when the lines look mostly distinct,
-    their padded rows would take more than 8 bytes per character of text,
-    or a line is blank or not a number.
+    distinct line parsed once, blank and whitespace-only lines dropped;
+    None when the lines look mostly distinct, their padded rows would take
+    more than 8 bytes per character of text, or a line is not a number.
 
     Lines are keyed by their bytes: the lines themselves when they share a
     width of 1, 2, 4 or 8 bytes, else a hash of the "\n"-padded rows of
@@ -648,11 +648,15 @@ def _parse_table(text: str, cut: int):
         return None  # two distinct lines hashed to one key
     lines = lines.tobytes()
     size = len(lines) // table.size
+    lines = [lines[i:i + size].partition(b"\n")[0].decode() for i in range(0, len(lines), size)]
+    blank = np.array([not line.strip() for line in lines])  # as filter(str.strip, ...) drops
     try:  # parsed as str, as the per-line parse does
-        return np.array([float(lines[i:i + size].partition(b"\n")[0].decode())
-                         for i in range(0, len(lines), size)])[inverse]
-    except ValueError:  # a blank or bad line, which the per-line parse skips or names
+        values = np.array([0.0 if skip else float(line) for line, skip in zip(lines, blank)])
+    except ValueError:  # a bad line, which the per-line parse names
         return None
+    if blank.any():
+        inverse = inverse[~blank[inverse]]
+    return values[inverse]
 
 
 def _parse_lines(lines) -> np.ndarray:

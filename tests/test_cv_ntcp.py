@@ -120,7 +120,7 @@ class TestNtcpExact:
         ratios = np.full(n, np.nan)
         for start in range(0, n, cv_ntcp._CHUNK):
             stop = min(start + cv_ntcp._CHUNK, n)
-            _log_term_ratios(logs, p, start, stop, ratios[start:stop])
+            _log_term_ratios(n, p, start, stop, ratios[start:stop])
         assert np.array_equal(ratios, separate)
 
     @pytest.mark.parametrize("n, p, threshold", [
@@ -191,6 +191,20 @@ class TestExactTailBits:
         finally:
             tracemalloc.stop()
         assert peak < 2.1 * 8 * (n + 2)
+
+    @pytest.mark.parametrize("p", [0.42, 0.5, 0.58])
+    def test_peak_memory_is_one_array_of_n(self, p):
+        # the output plus the logs of one chunk: an n-length log table
+        # would take the peak to two arrays
+        n = 10**6
+        ntcp_exact_all_thresholds(n, p)
+        tracemalloc.start()
+        try:
+            ntcp_exact_all_thresholds(n, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * 8 * (n + 2)
 
     # sha256 of the full-array formula's bytes at n = 10^6 (numpy 2.4, x86-64)
     @pytest.mark.parametrize("p, digest", [

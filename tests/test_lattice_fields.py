@@ -627,6 +627,32 @@ class TestSerialization:
             self._write(path, body.encode(), n=expected.size // 2)
             assert_same_bits(load_sample(path).values, expected)
 
+    @pytest.mark.parametrize("blank", ["", " ", "\t", "\x0c", "\x1c", "  \x0b "])
+    def test_blank_lines_stay_on_the_byte_table(self, blank, tmp_path):
+        # one whitespace-only line per 1000 values of a threshold sample: the
+        # table drops what filter(str.strip, ...) drops, so no block of it
+        # falls back to the per-line parse, which sees only the final tail
+        sample = sample_field(MovingWindowThreshold(window_radius=1, theta=0.5, k_min=14),
+                              LatticeCube(3, 20), 201)
+        path = tmp_path / "sample.dat"
+        save_sample(sample, path)
+        header, *lines = path.read_text().split("\n")
+        for i in range(len(lines) - 1000, 0, -1000):
+            lines.insert(i, blank)
+        path.write_text("\n".join([header] + lines))
+        per_line = []
+
+        def spy(lines):
+            per_line.append(len(lines))
+            return parse_lines(lines)
+
+        parse_lines = lattice_fields._parse_lines
+        with mock.patch.object(lattice_fields, "_parse_lines", spy):
+            loaded = load_sample(path).values
+        assert per_line == [1]
+        assert_same_bits(loaded, reference_load_values(path))
+        assert_same_bits(loaded, sample.values)
+
     @pytest.mark.parametrize("header", [
         "[1, 2]", "3", '"d"',
         '{"d": 1, "n": 1, "seed": "abc", "model": {"type": "iid_bernoulli", "p": 0.5}}',
