@@ -228,9 +228,8 @@ def ntcp_exact_all_thresholds(n: int, p: float) -> np.ndarray:
     # zeros (0.0) and below it adds only zeros to the value at lo
     window = tail[lo:hi][::-1]
     window.cumsum(out=window)
-    # clip is elementwise, so clipping the window before copying tail[lo]
-    # below it gives the bits of clipping all of tail[:hi]; every entry
-    # from hi up is already 0.0
+    # clip is elementwise: the clipped tail[lo] copied below the window
+    # gives the bits of clipping all of tail[:hi] (from hi up, all 0.0)
     window.clip(0.0, 1.0, out=window)
     tail[:lo].fill(tail[lo])
     tail[0] = 1.0  # whole sample space; shields L=0 from summation dust

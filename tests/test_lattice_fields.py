@@ -628,7 +628,8 @@ class TestSerialization:
             assert_same_bits(load_sample(path).values, expected)
 
     @pytest.mark.parametrize("blank", ["", " ", "\t", "\x0c", "\x1c", "  \x0b "])
-    def test_blank_lines_stay_on_the_byte_table(self, blank, tmp_path):
+    @pytest.mark.parametrize("block_cells", [64, lattice_fields._BLOCK_CELLS])
+    def test_blank_lines_stay_on_the_byte_table(self, blank, block_cells, tmp_path):
         # one whitespace-only line per 1000 values of a threshold sample: the
         # table drops what filter(str.strip, ...) drops, so no block of it
         # falls back to the per-line parse, which sees only the final tail
@@ -640,16 +641,11 @@ class TestSerialization:
         for i in range(len(lines) - 1000, 0, -1000):
             lines.insert(i, blank)
         path.write_text("\n".join([header] + lines))
-        per_line = []
-
-        def spy(lines):
-            per_line.append(len(lines))
-            return parse_lines(lines)
-
-        parse_lines = lattice_fields._parse_lines
-        with mock.patch.object(lattice_fields, "_parse_lines", spy):
+        with mock.patch.object(lattice_fields, "_parse_lines",
+                               wraps=lattice_fields._parse_lines) as per_line, \
+                mock.patch.object(lattice_fields, "_BLOCK_CELLS", block_cells):
             loaded = load_sample(path).values
-        assert per_line == [1]
+        assert [len(call.args[0]) for call in per_line.call_args_list] == [1]
         assert_same_bits(loaded, reference_load_values(path))
         assert_same_bits(loaded, sample.values)
 
