@@ -128,20 +128,13 @@ def _log_term_ratios(n: int, p: float, start: int, stop: int, out: np.ndarray) -
     out, for start <= k < stop.
 
     log(k+1) is taken in one scratch array of stop - start entries and
-    log(n-k) in out itself, so the logs never take more than a chunk.  When
-    start + stop == n (one chunk for all of n, as on the many tiny-n calls
-    of the moments path), n-k runs over the counts k+1 reversed, and the
-    one log array gives both.
+    log(n-k) in out itself, so the logs never take more than a chunk.
     """
     logs = np.arange(start + 1, stop + 1, dtype=np.float64)
-    if start + stop == n:
-        np.log(logs, out=logs)
-        np.subtract(logs[::-1], logs, out=out)
-    else:
-        np.subtract(n + 1, logs, out=out)  # n - k, exact below 2^53
-        np.log(out, out=out)
-        np.log(logs, out=logs)
-        out -= logs
+    np.subtract(n + 1, logs, out=out)  # n - k, exact below 2^53
+    np.log(out, out=out)
+    np.log(logs, out=logs)
+    out -= logs
     out += math.log(p)
     out -= math.log1p(-p)
 
