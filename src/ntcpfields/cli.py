@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -69,8 +68,7 @@ def _cmd_ntcp(args) -> List[Tuple[str, object]]:
 def _cmd_threshold(args) -> List[Tuple[str, object]]:
     x_gamma = cv_ntcp.threshold_for_confidence(args.n, args.p, args.gamma)
     l_gamma, res = cv_ntcp.ntcp_normal_integer_threshold(args.n, args.p, args.gamma)
-    c = cv_ntcp.normal_quantile(args.gamma) / math.sqrt(args.n) if args.gamma >= 0.5 else 0.0
-    feats = cv_ntcp.fraction_curve_features(max(c, 0.0))
+    feats = cv_ntcp.fraction_curve_features(cv_ntcp._fraction_c(args.n, args.gamma))
     out: List[Tuple[str, object]] = [
         ("x_gamma", x_gamma),
         ("L_gamma", l_gamma),

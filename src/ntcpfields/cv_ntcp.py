@@ -343,6 +343,11 @@ def fraction_curve_features(c: float) -> FractionCurveFeatures:
     )
 
 
+def _fraction_c(n: int, gamma: float) -> float:
+    """The kill-fraction confidence c = z_gamma / sqrt(n), and 0 at gamma <= 1/2."""
+    return normal_quantile(gamma) / math.sqrt(n) if gamma > 0.5 else 0.0
+
+
 def invert_fraction(kappa: float, c: float) -> float:
     """The unique p in (0, kappa] with kill_fraction(p, c) = kappa.
 
@@ -376,8 +381,7 @@ def dose_for_fraction(model, cells, kappa: float, n: int, gamma: float,
 
     integer(n, "n", ge=1)
     real(gamma, "gamma", ge=0.5, lt=1)  # so that c = z_gamma/sqrt(n) >= 0
-    c = normal_quantile(gamma) / math.sqrt(n) if gamma > 0.5 else 0.0
-    p_bar = invert_fraction(kappa, c)
+    p_bar = invert_fraction(kappa, _fraction_c(n, gamma))
     return dose_for_kill_probability(model, cells, p_bar, tolerance)
 
 

@@ -6,8 +6,9 @@ n streams its replicates from ``dependent_clt._replicate_batches``, in which
 replicate r uses the seed ``derive_seeds(master_seed, n, r)``, so reports
 are reproducible byte for byte and replicates can be computed in parallel or
 in any blocking without changing the result.  S(U) and C_hat are computed on
-each sampler block as it arrives, so a campaign holds one block plus the
-per-replicate S(U) and C_hat arrays.
+each sampler block as it arrives, so a campaign holds one block plus one
+n's S(U) and C_hat arrays at a time; each front-end derives from them only
+what it returns.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, fields
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,20 +39,6 @@ from .lattice_fields import (
     model_to_dict,
     sample_fields_batch,
 )
-
-#: Fixed column order of the report CSV.
-REPORT_COLUMNS = (
-    "n",
-    "cube_size",
-    "mode",
-    "ks",
-    "chat_mean",
-    "chat_sd",
-    "sigma2",
-    "level",
-    "coverage",
-)
-
 
 # ---------------------------------------------------------------------------
 # Config / report types
@@ -161,6 +148,10 @@ class ReportRow:
     coverage: Optional[float]
 
 
+#: Fixed column order of the report CSV.
+REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
+
+
 @dataclass(frozen=True)
 class ExperimentReport:
     config: ExperimentConfig
@@ -232,29 +223,29 @@ def fit_rate(points: Sequence[Tuple[int, float]], d: int = 1) -> RateFit:
 # Campaign core
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _PerN:
-    n: int
-    cube_size: int
-    ks_true: float
-    ks_estimated: float
-    chat: np.ndarray      # per-replicate C_hat values
-    coverage: Dict[float, Optional[float]]
+def _campaign(config: ExperimentConfig) -> Tuple[float, float, Iterator]:
+    """sigma^2, the centering mean and a lazy stream of (n, |U|, S(U), C_hat)
+    over the schedule, one n at a time.
 
-
-def _run_campaign(config: ExperimentConfig) -> Tuple[List[_PerN], float]:
+    A degenerate sigma^2 raises DegenerateError before any sampling, as
+    does, at its n, a replicate with C_hat = 0.  The stream refills the same
+    two per-replicate arrays for every n, so a consumer derives what it
+    needs from one n before it asks for the next.
+    """
     sigma2 = model_sigma2(config.model, config.d)
     if sigma2.degenerate:
         raise DegenerateError(
             f"sigma^2 = {sigma2.value:g} is degenerate; campaign aborted"
         )
-    mean = config.mean_value()
-    results = []
+    return sigma2.value, config.mean_value(), _stream(config)
+
+
+def _stream(config: ExperimentConfig):
+    sums = np.empty(config.replicates)
+    chats = np.empty(config.replicates)
     for n in config.n_schedule:
         cube = LatticeCube(d=config.d, n=n)
         b = config.estimator.bandwidth_for(n)
-        sums = np.empty(config.replicates)
-        chats = np.empty(config.replicates)
         for start, values, row_sums in _replicate_batches(
             config.model, cube, config.replicates, config.master_seed
         ):
@@ -264,65 +255,46 @@ def _run_campaign(config: ExperimentConfig) -> Tuple[List[_PerN], float]:
         zero = int(np.sum(chats <= 0.0))
         if zero:
             raise DegenerateError(f"C_hat = 0 in {zero} replicates at n={n}; campaign aborted")
-        size = cube.size
-        coverage: Dict[float, Optional[float]] = dict.fromkeys(config.levels)
-        if config.mean_source == "model":
-            for level in config.levels:
-                hits = np.abs(sums / size - mean) <= _half_width(level, chats, size)
-                coverage[level] = float(np.mean(hits))
-        results.append(
-            _PerN(
-                n=n,
-                cube_size=size,
-                ks_true=ks_distance(_standardized(sums, size, mean, sigma2.value)),
-                ks_estimated=ks_distance(_standardized(sums, size, mean, chats)),
-                chat=chats,
-                coverage=coverage,
-            )
-        )
-    return results, sigma2.value
+        yield n, cube.size, sums, chats
+
+
+def _hit_rate(sums, size, mean, level, chats) -> float:
+    """Share of replicates whose level interval S(U)/|U| +- half-width holds mean."""
+    return float(np.mean(np.abs(sums / size - mean) <= _half_width(level, chats, size)))
 
 
 def run_clt_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Full campaign: per (n, mode, level) KS distances, C_hat summaries and
     coverage, deterministic given the config."""
-    per_n, sigma2 = _run_campaign(config)
+    sigma2, mean, stream = _campaign(config)
+    scored = config.mean_source == "model"
     rows: List[ReportRow] = []
-    levels: Tuple[Optional[float], ...] = config.levels or (None,)
-    for res in per_n:
-        chat_mean = float(np.mean(res.chat))
-        chat_sd = float(np.std(res.chat, ddof=1))
-        for mode, ks in (("true_sigma", res.ks_true), ("estimated", res.ks_estimated)):
-            for level in levels:
-                cov = res.coverage.get(level) if (mode == "estimated" and level) else None
-                rows.append(
-                    ReportRow(
-                        n=res.n,
-                        cube_size=res.cube_size,
-                        mode=mode,
-                        ks=ks,
-                        chat_mean=chat_mean,
-                        chat_sd=chat_sd,
-                        sigma2=sigma2,
-                        level=level,
-                        coverage=cov,
-                    )
-                )
+    for n, size, sums, chats in stream:
+        chat_mean = float(np.mean(chats))
+        chat_sd = float(np.std(chats, ddof=1))
+        for mode, variance in (("true_sigma", sigma2), ("estimated", chats)):
+            ks = ks_distance(_standardized(sums, size, mean, variance))
+            for level in config.levels or (None,):
+                coverage = (_hit_rate(sums, size, mean, level, chats)
+                            if scored and mode == "estimated" and level else None)
+                rows.append(ReportRow(n=n, cube_size=size, mode=mode, ks=ks,
+                                      chat_mean=chat_mean, chat_sd=chat_sd, sigma2=sigma2,
+                                      level=level, coverage=coverage))
     return ExperimentReport(config=config, rows=tuple(rows))
 
 
 def estimator_consistency(config: ExperimentConfig) -> List[ConsistencySummary]:
     """Per-n distribution summary of C_hat around sigma^2."""
-    per_n, sigma2 = _run_campaign(config)
+    sigma2, _, stream = _campaign(config)
     return [
         ConsistencySummary(
-            n=res.n,
-            chat_mean=float(np.mean(res.chat)),
-            chat_sd=float(np.std(res.chat, ddof=1)),
-            chat_mad=float(np.median(np.abs(res.chat - sigma2))),
+            n=n,
+            chat_mean=float(np.mean(chats)),
+            chat_sd=float(np.std(chats, ddof=1)),
+            chat_mad=float(np.median(np.abs(chats - sigma2))),
             sigma2=sigma2,
         )
-        for res in per_n
+        for n, _, _, chats in stream
     ]
 
 
@@ -334,12 +306,9 @@ def coverage_study(config: ExperimentConfig) -> List[Tuple[int, float, float]]:
     """
     if config.mean_source != "model":
         raise DomainError("coverage_study requires mean_source = 'model'")
-    per_n, _ = _run_campaign(config)
-    out = []
-    for res in per_n:
-        for level in config.levels:
-            out.append((res.n, level, res.coverage[level]))
-    return out
+    _, mean, stream = _campaign(config)
+    return [(n, level, _hit_rate(sums, size, mean, level, chats))
+            for n, size, sums, chats in stream for level in config.levels]
 
 
 # ---------------------------------------------------------------------------

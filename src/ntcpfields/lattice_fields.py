@@ -37,7 +37,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Sequence, Tuple, Union
 
 import numpy as np
@@ -212,6 +212,15 @@ class MovingWindowLevels:
 
 FieldModel = Union[IidBernoulli, MovingWindowThreshold, MovingWindowLevels]
 
+#: The serialized ``type`` of each model; its dataclass fields, in order,
+#: are the other keys of its dict form.
+_MODEL_TYPES = {
+    "iid_bernoulli": IidBernoulli,
+    "moving_window_threshold": MovingWindowThreshold,
+    "moving_window_levels": MovingWindowLevels,
+}
+_KINDS = {"int": int, "float": float}  # field annotations, strings under postponed evaluation
+
 
 @dataclass(frozen=True)
 class FieldSample:
@@ -240,13 +249,6 @@ class Sigma2Result:
 # ---------------------------------------------------------------------------
 # Dose linkage
 # ---------------------------------------------------------------------------
-
-def bernoulli_from_dose(dr_model, cells, dose: float) -> IidBernoulli:
-    """Independent-FSU field whose kill probability comes from dose response."""
-    from .dose_response import fsu_kill_probability
-
-    return IidBernoulli(p=fsu_kill_probability(dr_model, cells, dose))
-
 
 def threshold_model_from_dose(
     dr_model, cells, dose: float, window_radius: int, k_min: int
@@ -470,41 +472,22 @@ def model_sigma2(model: FieldModel, d: int = 1) -> Sigma2Result:
 # ---------------------------------------------------------------------------
 
 def model_to_dict(model: FieldModel) -> dict:
-    if isinstance(model, IidBernoulli):
-        return {"type": "iid_bernoulli", "p": model.p}
-    if isinstance(model, MovingWindowThreshold):
-        return {
-            "type": "moving_window_threshold",
-            "window_radius": model.window_radius,
-            "theta": model.theta,
-            "k_min": model.k_min,
-        }
-    if isinstance(model, MovingWindowLevels):
-        return {
-            "type": "moving_window_levels",
-            "window_radius": model.window_radius,
-            "theta": model.theta,
-            "levels": model.levels,
-        }
+    for kind, cls in _MODEL_TYPES.items():
+        if isinstance(model, cls):
+            return {"type": kind, **{f.name: getattr(model, f.name) for f in fields(cls)}}
     raise ParameterError(f"unknown model {model!r}")
 
 
 def model_from_dict(data: dict) -> FieldModel:
     """The model of a config or sample header: a missing or wrongly typed
     field raises ConfigError, an unknown type ParameterError."""
-    def get(key, kind, default=None):
-        return read_field(data, key, kind, "model", default)
-
-    kind = get("type", str)
-    if kind == "iid_bernoulli":
-        return IidBernoulli(get("p", float))
-    if kind == "moving_window_threshold":
-        return MovingWindowThreshold(
-            get("window_radius", int), get("theta", float), get("k_min", int))
-    if kind == "moving_window_levels":
-        return MovingWindowLevels(
-            get("window_radius", int), get("theta", float), get("levels", int, 5))
-    raise ParameterError(f"unknown field model type {kind!r}")
+    kind = read_field(data, "type", str, "model")
+    cls = _MODEL_TYPES.get(kind)
+    if cls is None:
+        raise ParameterError(f"unknown field model type {kind!r}")
+    return cls(*(read_field(data, f.name, _KINDS[f.type], "model",
+                            None if f.default is MISSING else f.default)
+                 for f in fields(cls)))
 
 
 def _sample_step(count: int) -> int:

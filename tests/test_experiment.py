@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from ntcpfields import experiment
 from ntcpfields.errors import ConfigError, DegenerateError, DomainError, ShapeError
 from ntcpfields.experiment import (
     REPORT_COLUMNS,
@@ -195,6 +196,22 @@ class TestConsistencyAndCoverage:
         assert set(cov) == {(100, 0.5), (100, 0.95)}
         assert abs(cov[(100, 0.5)] - 0.5) < 0.15
         assert cov[(100, 0.95)] > cov[(100, 0.5)]
+
+    def test_only_what_is_returned_is_derived(self, monkeypatch):
+        # neither front-end returns a KS distance, so neither computes one
+        expected = estimator_consistency(small_config()), coverage_study(small_config())
+
+        def no_ks(values):
+            raise AssertionError("ks_distance called")
+
+        monkeypatch.setattr(experiment, "ks_distance", no_ks)
+        assert (estimator_consistency(small_config()), coverage_study(small_config())) == expected
+
+    def test_stream_refills_one_pair_of_arrays(self):
+        # no n's S(U) or C_hat array outlives the next n
+        _, _, stream = experiment._campaign(small_config(n_schedule=(20, 30, 40)))
+        pairs = [(sums, chats) for _, _, sums, chats in stream]
+        assert all(sums is pairs[0][0] and chats is pairs[0][1] for sums, chats in pairs)
 
     def test_coverage_requires_model_mean(self):
         with pytest.raises(DomainError):
