@@ -7,9 +7,12 @@ block means from the global mean:
     C_hat(U) = |U|^-1 sum_{j in U} |Q_j| (S(Q_j)/|Q_j| - S(U)/|U|)^2
 
 with Q_j = U intersect K_j(b), K_j(b) the sup-norm ball of radius b at j.
-Boundary sites use the truncated Q_j exactly as written: no padding, no
-wraparound.  With a bandwidth schedule b_n -> infinity, b_n = o(n), C_hat
-is consistent for sigma^2 and can replace it in the CLT normalizer (random
+Boundary sites use the truncated Q_j exactly as written: no wraparound.
+A float field's window sums S(Q_j) are differences of float64 prefix
+sums.  A binary field, held as bool, takes exact integer sums instead: the
+sampler's doubling rule over the field padded with b zeros, the same bits.
+With a bandwidth schedule b_n -> infinity, b_n = o(n), C_hat is consistent
+for sigma^2 and can replace it in the CLT normalizer (random
 normalization).  One formula, (S(U) - |U| mean) / sqrt(v |U|), v = sigma^2
 or C_hat, and its half-width z sqrt(v/|U|) serve the statistic, the interval,
 the NTCP estimate, the campaign and CLI ``estimate`` (one C_hat per sample).
@@ -30,7 +33,10 @@ from .lattice_fields import (
     FieldModel,
     FieldSample,
     LatticeCube,
+    _count_dtype,
     _seeds_per_block,
+    _valid_window_sum,
+    _value_dtype,
     derive_seeds,
     model_sigma2,
     sample_fields_batch,
@@ -92,8 +98,10 @@ def partial_sum(sample: FieldSample, region=None) -> float:
     """Sum of field values over a region of the cube (default: full cube).
 
     ``region`` may be a boolean mask of the cube's shape or an iterable of
-    lattice points (integer tuples in [-n, n]^d).  A sample holding nan or
-    inf, or a sum beyond the float64 range, raises DomainError.
+    lattice points (integer tuples in [-n, n]^d); a point that is not a
+    sequence, such as an entry of an integer mask, raises ShapeError.  A
+    sample holding nan or inf, or a sum beyond the float64 range, raises
+    DomainError.
     """
     values = _finite_values(sample)
     if region is None:
@@ -109,6 +117,9 @@ def partial_sum(sample: FieldSample, region=None) -> float:
     n = sample.cube.n
     total = 0.0
     for point in region:
+        if not np.iterable(point):
+            raise ShapeError(f"region point {point!r} is not a tuple of coordinates "
+                             f"(a mask must be a bool array)")
         idx = tuple(integer(c, "point coordinate") + n for c in point)
         if len(idx) != sample.cube.d or any(
             not (0 <= i <= 2 * n) for i in idx
@@ -135,6 +146,20 @@ def _truncated_window_sum(a: np.ndarray, b: int, axis: int) -> np.ndarray:
     return np.moveaxis(out, -1, axis)
 
 
+def _exact_window_sums(values: np.ndarray, d: int, b: int) -> np.ndarray:
+    """The clipped window sums of a bool field, exact integers: each spatial
+    axis is padded with b zeros on both sides and summed over windows of
+    2b + 1 by the sampler's doubling rule, in the smallest count dtype that
+    holds a window of the field.  b must not exceed the side."""
+    batch, side = values.shape[:-d], values.shape[-1]
+    sums = np.zeros(batch + (side + 2 * b,) * d, dtype=np.uint8)
+    sums[(...,) + (slice(b, b + side),) * d] = values
+    dtype = _count_dtype(min(2 * b + 1, side) ** d)
+    for axis in range(values.ndim - d, values.ndim):
+        sums = _valid_window_sum(sums, 2 * b + 1, axis, dtype)
+    return sums
+
+
 def _window_counts(side: int, b: int, d: int) -> np.ndarray:
     """|Q_j| over the cube: outer product of per-axis clipped widths."""
     i = np.arange(side)
@@ -151,13 +176,19 @@ def _variance_estimator_batch(values: np.ndarray, d: int, b: int) -> np.ndarray:
     side = values.shape[-1]
     b = min(b, side)  # any b >= side - 1 clips every window to the whole axis
     size = float(side**d)
-    block_sums = values
-    for axis in spatial:
-        block_sums = _truncated_window_sum(block_sums, b, axis)
+    if values.dtype == bool:
+        # every float cumsum entry and difference of a 0/1 field is an exact
+        # integer below 2^53, so the exact integer sums carry the same bits
+        block_sums = _exact_window_sums(values, d, b)
+        dev = np.empty(values.shape)  # C order, so the final .sum pairs as the float path's
+    else:
+        block_sums = values
+        for axis in spatial:
+            block_sums = _truncated_window_sum(block_sums, b, axis)
+        dev = block_sums  # a fresh array: the deviations overwrite it in place
     counts = _window_counts(side, b, d)
     global_mean = values.sum(axis=spatial, keepdims=True) / size
-    # block_sums is a fresh array, so the deviations overwrite it in place
-    dev = np.divide(block_sums, counts, out=block_sums)
+    np.divide(block_sums, counts, out=dev)
     dev -= global_mean
     weighted = counts * dev
     weighted *= dev
@@ -281,14 +312,20 @@ def _replicate_batches(model: FieldModel, cube: LatticeCube, replicates: int,
     values of shape (block,) + cube.shape and each replicate's sum S(U).  A
     block holds ``_seeds_per_block`` replicates, so a consumer that reduces
     each block as it arrives works on it while it is still in cache.  The
-    cube's seeds are derived in one call, 8 bytes per replicate.
-    Both calls go through this module's names, which perfbench/spans.py wraps.
+    values are one buffer per cube in the field's own dtype (bool for the
+    threshold and iid fields), refilled by every block, so a consumer is
+    done with a block before it asks for the next.  The cube's seeds are
+    derived in one call, 8 bytes per replicate.  Both calls go through this
+    module's names, which perfbench/spans.py wraps.
     """
     seeds = derive_seeds(master_seed, cube.n, np.arange(replicates))
     step = _seeds_per_block(model, cube)
+    block = np.empty((min(step, replicates),) + cube.shape, dtype=_value_dtype(model))
     for start in range(0, replicates, step):
-        values = sample_fields_batch(model, cube, seeds[start:start + step])
-        yield start, values, values.reshape(len(values), -1).sum(axis=1)
+        chunk = seeds[start:start + step]
+        values = sample_fields_batch(model, cube, chunk, block[:len(chunk)])
+        # exact integers for a 0/1 field, so the same bits as a float64 sum
+        yield start, values, values.reshape(len(values), -1).sum(axis=1, dtype=np.float64)
 
 
 def variance_gap(

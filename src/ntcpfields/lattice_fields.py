@@ -26,9 +26,11 @@ the iid field is sampled as the radius-0 window.  Seeds are taken modulo
 Replicate seeds come from the same keyed hash under a replicate tag, at
 the sites (n, r) of the master seed.  A batch is computed in blocks of
 seeds whose noise grids hold about 2^16 cells, so the working set stays in
-cache, and each block's rule writes straight into the output.  Replicate
-streams derive a cube's seeds once and take one block at a time, so a
-campaign holds one block plus 8 bytes of seed, S(U) and C_hat per replicate.
+cache, and each block's rule writes straight into the output, float64 or
+the field's own dtype (bool for the threshold and iid fields).  Replicate
+streams derive a cube's seeds once and refill one block buffer per cube in
+the field's own dtype, so a campaign holds one block plus 8 bytes of seed,
+S(U) and C_hat per replicate.
 """
 
 from __future__ import annotations
@@ -304,11 +306,18 @@ def _valid_window_sum(a: np.ndarray, w: int, axis: int, dtype: type) -> np.ndarr
     return out
 
 
+def _value_dtype(model: FieldModel) -> type:
+    """The field's own dtype: bool for the threshold and iid fields, whose
+    rule is a comparison, float64 for the levels field."""
+    return np.float64 if isinstance(model, MovingWindowLevels) else bool
+
+
 def _rule_on_counts(
     model: FieldModel, counts: np.ndarray, d: int, out: np.ndarray = None
 ) -> np.ndarray:
-    """Map window noise counts to field values, written into the float64
-    array ``out`` of the counts' shape when given."""
+    """Map window noise counts to field values, written into the array
+    ``out`` of the counts' shape when given: float64, or bool for a
+    threshold rule."""
     if out is None:
         out = np.empty(counts.shape)
     w_size = (2 * model.window_radius + 1) ** d
@@ -332,13 +341,16 @@ def _seeds_per_block(model: FieldModel, cube: LatticeCube) -> int:
 
 
 def sample_fields_batch(
-    model: FieldModel, cube: LatticeCube, seeds: Sequence[int]
+    model: FieldModel, cube: LatticeCube, seeds: Sequence[int], out: np.ndarray = None
 ) -> np.ndarray:
     """Values for many seeds at once, shape (len(seeds),) + cube.shape.
 
     Seeds are integers taken modulo 2^64, and row r is bit-identical to
     ``sample_field(model, cube, seeds[r]).values``.  The batch is computed
-    in blocks of ``_seeds_per_block`` seeds.
+    in blocks of ``_seeds_per_block`` seeds.  Given ``out``, a float64 array
+    of that shape or one in the field's own dtype (``_value_dtype``), the
+    rows are written into it and it is returned; any other raises
+    ShapeError.
     """
     if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
         seeds = seeds.astype(np.uint64, copy=False)  # wraps modulo 2^64
@@ -352,8 +364,15 @@ def sample_fields_batch(
         raise CapacityError(
             f"{seeds.size} x {enlarged} noise cells exceed the cap of {MAX_CELLS}"
         )
+    shape = seeds.shape + cube.shape
+    if out is None:
+        out = np.empty(shape)
+    elif not (isinstance(out, np.ndarray) and out.shape == shape
+              and out.dtype in (np.float64, _value_dtype(model))):
+        raise ShapeError(
+            f"out must be a float64 or {np.dtype(_value_dtype(model))} array of shape {shape}"
+        )
     keys = _axis_keys([np.arange(-cube.n - m, cube.n + m + 1)] * cube.d)
-    out = np.empty(seeds.shape + cube.shape)
     step = _seeds_per_block(model, cube)
     dtype = _count_dtype((2 * m + 1) ** cube.d)
     for start in range(0, seeds.size, step):

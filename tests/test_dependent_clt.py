@@ -133,6 +133,12 @@ class TestPartialSum:
         with pytest.raises(ShapeError):
             partial_sum(sample, [(3, 0)])
 
+    @pytest.mark.parametrize("region", [np.array([0, 1, 0, 1, 1]), [0], [np.int64(2)]],
+                             ids=["integer_mask", "bare_int", "bare_numpy_int"])
+    def test_point_that_is_not_a_tuple(self, region):
+        with pytest.raises(ShapeError, match="not a tuple of coordinates"):
+            partial_sum(make_sample(np.zeros(5)), region)
+
 
 class TestBandwidth:
     @pytest.mark.parametrize("n,expected", [(1, 1), (8, 2), (27, 3), (1000, 10), (2, 1)])
@@ -370,6 +376,33 @@ class TestBlockIndependence:
         pts = variance_gap(LEVELS4, 1, (20, 40, 300), 3000, master_seed=11)
         assert [p.gap.hex() for p in pts] == self.GAPS
 
+    # binary fields: the d-dimensional majority rule of CHAT_PINS and the
+    # iid field, whose blocks stream and whose C_hat sums windows as bool
+    BINARY_REPORT_SHA256 = {
+        ("majority", 1): "7b651d492a61b4c2797f9c56e5c4994c86efa978f2bfc15273568c9b1f3c8c95",
+        ("majority", 2): "c68faf0ac787853d72b22473b77cab6d07c4398d00370157d86003062d41892b",
+        ("majority", 3): "e3c6421097e2b1ff6e268f8a9a534efa674811013fadff97f26e0765d99073e6",
+        ("iid", 1): "e39447ca47b07596ef5a749292c6de76b3ba4f9c30a467ac4e70553007dfb9a6",
+    }
+    BINARY_SCHEDULES = {1: (16, 32, 64), 2: (3, 5, 9), 3: (2, 3, 5)}
+    MAJORITY_GAPS = ["0x1.833a4ba1d86e0p-6", "0x1.5bf31501ab120p-6", "0x1.7d95537b18c00p-10"]
+
+    @pytest.mark.parametrize("block_cells", [64, 1 << 16, 1 << 24])
+    @pytest.mark.parametrize("name, d", sorted(BINARY_REPORT_SHA256))
+    def test_binary_report_bytes(self, monkeypatch, block_cells, name, d):
+        monkeypatch.setattr(lattice_fields, "_BLOCK_CELLS", block_cells)
+        config = ExperimentConfig(model=chat_pin_model(name, d), d=d,
+                                  n_schedule=self.BINARY_SCHEDULES[d],
+                                  replicates=300, master_seed=7)
+        csv = report_to_csv(run_clt_experiment(config))
+        assert hashlib.sha256(csv.encode()).hexdigest() == self.BINARY_REPORT_SHA256[(name, d)]
+
+    @pytest.mark.parametrize("block_cells", [64, 1 << 16, 1 << 24])
+    def test_binary_variance_gap_bits(self, monkeypatch, block_cells):
+        monkeypatch.setattr(lattice_fields, "_BLOCK_CELLS", block_cells)
+        pts = variance_gap(MAJORITY, 1, (20, 40, 300), 3000, master_seed=11)
+        assert [p.gap.hex() for p in pts] == self.MAJORITY_GAPS
+
     @pytest.mark.parametrize("block_cells", [64, 1000, 1 << 16])
     @pytest.mark.parametrize("model, d, n", [
         (LEVELS4, 1, 30), (MAJORITY, 2, 4), (IidBernoulli(p=0.3), 3, 2), (MAJORITY, 3, 12),
@@ -399,9 +432,9 @@ class TestBlockIndependence:
             derived.append(args)
             return lattice_fields.derive_seeds(*args)
 
-        def sample(model, cube, seeds):
+        def sample(model, cube, seeds, out):
             blocks.append(np.array(seeds))
-            return lattice_fields.sample_fields_batch(model, cube, seeds)
+            return lattice_fields.sample_fields_batch(model, cube, seeds, out)
 
         monkeypatch.setattr(dependent_clt, "derive_seeds", derive)
         monkeypatch.setattr(dependent_clt, "sample_fields_batch", sample)

@@ -298,6 +298,7 @@ def _numbers(value):
 
 MAJORITY = MovingWindowThreshold(1, 0.5, 2)
 SAMPLE = sample_field(MAJORITY, LatticeCube(1, 5), 1)
+SAMPLE_5 = sample_field(MAJORITY, LatticeCube(1, 2), 1)
 INF_SAMPLE = FieldSample(LatticeCube(1, 2), np.array([inf, -inf, 0.0, 1.0, 0.0]), MAJORITY, 1)
 HUGE_SAMPLE = FieldSample(LatticeCube(1, 1), np.array([1e200, -1e200, 1e200]), MAJORITY, 1)
 MAX_SAMPLE = FieldSample(LatticeCube(1, 1), np.full(3, 1.7e308), MAJORITY, 1)
@@ -346,6 +347,8 @@ DEFECTS = [
     pytest.param(SingleHit, (inf,), {}, id="single_hit_alpha_inf"),
     pytest.param(covariance_at_lag, (MAJORITY, (0.5,)), {}, id="lag_fractional"),
     pytest.param(partial_sum, (SAMPLE, [(1.5,)]), {}, id="point_fractional"),
+    pytest.param(partial_sum, (SAMPLE_5, np.array([0, 1, 0, 1, 1])), {}, id="region_integer_mask"),
+    pytest.param(partial_sum, (SAMPLE, [0]), {}, id="region_bare_int"),
     pytest.param(ExperimentConfig, (), _config(mean_source=nan),
                  id="experiment_mean_source_nan"),
     pytest.param(OrganSpec, (3, inf, 1), {}, id="organ_volume_inf"),

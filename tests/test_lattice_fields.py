@@ -317,6 +317,27 @@ class TestSampling:
         with pytest.raises(ShapeError):
             sample_fields_batch(model, LatticeCube(d=1, n=2), seeds)
 
+    @pytest.mark.parametrize("model, out", [
+        (MovingWindowLevels(1, 0.4, 5), np.empty((2, 5), dtype=bool)),  # a levels field is not 0/1
+        (MAJORITY, np.empty((2, 5), dtype=np.float32)),
+        (MAJORITY, np.empty((2, 5), dtype=np.uint8)),
+        (MAJORITY, np.empty((3, 5), dtype=bool)),
+        (MAJORITY, np.empty((2, 5))[:, None]),
+        (IidBernoulli(p=0.5), [[0.0] * 5] * 2),
+    ], ids=["levels_bool", "float32", "uint8", "rows", "ndim", "list"])
+    def test_out_of_wrong_shape_or_dtype_rejected(self, model, out):
+        with pytest.raises(ShapeError):
+            sample_fields_batch(model, LatticeCube(d=1, n=2), [1, 2], out)
+
+    @pytest.mark.parametrize("model", [MAJORITY, MovingWindowLevels(1, 0.4, 5)])
+    def test_out_is_filled_and_returned(self, model):
+        cube = LatticeCube(d=2, n=3)
+        expected = sample_fields_batch(model, cube, [4, 5])
+        for dtype in {np.float64, lattice_fields._value_dtype(model)}:
+            out = np.empty((2,) + cube.shape, dtype=dtype)
+            assert sample_fields_batch(model, cube, [4, 5], out) is out
+            assert np.array_equal(out, expected)
+
     def test_derive_seeds_matches_scalar(self):
         batch = derive_seeds(42, 7, np.arange(5))
         for r in range(5):

@@ -1,11 +1,12 @@
 """Property tests: a replicate batch equals the corresponding single samples
-(field values and C_hat alike, for any integer seeds), the sampler's window
-counts equal site-by-site sums of the noise, enlarging the cube
-with the same seed keeps the interior values, samples round-trip through
-their file format bit for bit, C_hat ignores a constant shift and scales
-by a^2, model_sigma2 equals its per-lag covariance sum, invert_fraction
-inverts kill_fraction, and the normal and Weiss certificates bound the
-error of the exact tail."""
+(field values and C_hat alike, for any integer seeds), a 0/1 field held
+as bool gives the bits it gives as float64 (sampled and through C_hat),
+the sampler's window counts equal site-by-site sums of the noise,
+enlarging the cube with the same seed keeps the interior values, samples
+round-trip through their file format bit for bit, C_hat ignores a
+constant shift and scales by a^2, model_sigma2 equals its per-lag
+covariance sum, invert_fraction inverts kill_fraction, and the normal and
+Weiss certificates bound the error of the exact tail."""
 
 import decimal
 import itertools
@@ -58,6 +59,7 @@ models = st.one_of(
     st.builds(MovingWindowLevels, window_radius=radius, theta=unit,
               levels=st.integers(min_value=2, max_value=9)),
 )
+binary_models = models.filter(lambda model: not isinstance(model, MovingWindowLevels))
 dims = st.integers(min_value=1, max_value=3)
 half_widths = st.integers(min_value=0, max_value=5)
 # any integer: seeds are taken modulo 2^64, in a batch as for one sample
@@ -127,6 +129,31 @@ def test_chat_batch_equals_single(model, d, n, seeds, b):
     assert rows.tolist() == [
         variance_estimator(sample_field(model, cube, s), config) for s in seeds
     ]
+
+
+@PROPERTY
+@given(d=dims, side=st.integers(min_value=1, max_value=9), b=bandwidths,
+       batch=st.integers(min_value=1, max_value=3), p=unit, s=seed)
+@example(d=1, side=1, b=1, batch=1, p=0.5, s=0)
+@example(d=3, side=9, b=12, batch=2, p=0.5, s=1)  # b >= side: every window is the axis
+@example(d=3, side=9, b=4, batch=1, p=0.9, s=2)  # 729-site windows: uint16 counts
+@example(d=2, side=9, b=3, batch=3, p=0.3, s=3)
+def test_chat_on_bool_equals_float(d, side, b, batch, p, s):
+    """A 0/1 field as bool takes the exact integer window sums, bit for bit
+    the float64 result."""
+    bits = np.random.default_rng(s % 2**64).random((batch,) + (side,) * d) < p
+    exact = _variance_estimator_batch(bits, d, b)
+    assert exact.tobytes() == _variance_estimator_batch(bits.astype(np.float64), d, b).tobytes()
+
+
+@PROPERTY
+@given(model=binary_models, d=dims, n=half_widths,
+       seeds=st.lists(seed, min_size=1, max_size=8))
+def test_sampler_into_bool_equals_float(model, d, n, seeds):
+    cube = LatticeCube(d=d, n=n)
+    out = np.empty((len(seeds),) + cube.shape, dtype=bool)
+    assert sample_fields_batch(model, cube, seeds, out) is out
+    assert np.array_equal(out, sample_fields_batch(model, cube, seeds).astype(bool))
 
 
 @PROPERTY
