@@ -11,6 +11,8 @@ Boundary sites use the truncated Q_j exactly as written: no wraparound.
 A float field's window sums S(Q_j) are differences of float64 prefix
 sums.  A binary field, held as bool, takes exact integer sums instead: the
 sampler's doubling rule over the field padded with b zeros, the same bits.
+So does a single sample of a binary model whose values are all 0 or 1,
+whatever their dtype; any other integer values are taken as float64.
 With a bandwidth schedule b_n -> infinity, b_n = o(n), C_hat is consistent
 for sigma^2 and can replace it in the CLT normalizer (random
 normalization).  One formula, (S(U) - |U| mean) / sqrt(v |U|), v = sigma^2
@@ -170,8 +172,9 @@ def _window_counts(side: int, b: int, d: int) -> np.ndarray:
     return counts
 
 
-def _variance_estimator_batch(values: np.ndarray, d: int, b: int) -> np.ndarray:
-    """C_hat for values of shape (batch..., side, ..., side); returns (batch...)."""
+def _variance_estimator_batch(values: np.ndarray, d: int, b: int, sums=None) -> np.ndarray:
+    """C_hat for values of shape (batch..., side, ..., side); returns (batch...).
+    ``sums``, when given, are the values' sums S(U) as float64, of shape (batch...)."""
     spatial = tuple(range(values.ndim - d, values.ndim))
     side = values.shape[-1]
     b = min(b, side)  # any b >= side - 1 clips every window to the whole axis
@@ -187,10 +190,13 @@ def _variance_estimator_batch(values: np.ndarray, d: int, b: int) -> np.ndarray:
             block_sums = _truncated_window_sum(block_sums, b, axis)
         dev = block_sums  # a fresh array: the deviations overwrite it in place
     counts = _window_counts(side, b, d)
-    global_mean = values.sum(axis=spatial, keepdims=True) / size
+    if sums is None:
+        sums = values.sum(axis=spatial)
+    global_mean = np.reshape(sums, np.shape(sums) + (1,) * d) / size
     np.divide(block_sums, counts, out=dev)
     dev -= global_mean
-    weighted = counts * dev
+    # a single sample's weights overwrite its counts, which it no longer needs
+    weighted = np.multiply(counts, dev, out=counts if counts.shape == dev.shape else None)
     weighted *= dev
     return weighted.sum(axis=spatial) / size
 
@@ -215,6 +221,10 @@ def variance_estimator(sample: FieldSample, config: EstimatorConfig) -> float:
     1e154 and above), raises DomainError."""
     b = config.bandwidth_for(sample.cube.n)
     values = _finite_values(sample)
+    if _value_dtype(sample.model) is bool and np.array_equal(bits := values != 0, values):
+        values = bits  # 0/1 values of a binary model: exact integer window sums
+    elif values.dtype.kind in "iu":
+        values = values.astype(np.float64)
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan
         c_hat = float(_variance_estimator_batch(values, sample.cube.d, b))
     return _finite_result(c_hat, "C_hat")

@@ -251,7 +251,7 @@ def _stream(config: ExperimentConfig):
         ):
             stop = start + len(row_sums)
             sums[start:stop] = row_sums
-            chats[start:stop] = _variance_estimator_batch(values, config.d, b)
+            chats[start:stop] = _variance_estimator_batch(values, config.d, b, row_sums)
         zero = int(np.sum(chats <= 0.0))
         if zero:
             raise DegenerateError(f"C_hat = 0 in {zero} replicates at n={n}; campaign aborted")

@@ -27,7 +27,10 @@ Replicate seeds come from the same keyed hash under a replicate tag, at
 the sites (n, r) of the master seed.  A batch is computed in blocks of
 seeds whose noise grids hold about 2^16 cells, so the working set stays in
 cache, and each block's rule writes straight into the output, float64 or
-the field's own dtype (bool for the threshold and iid fields).  Replicate
+the field's own dtype (bool for the threshold and iid fields).  One large
+cube whose grid alone overflows a block is computed in slabs of first-axis
+rows instead, each hashed with its 2m-row halo: a site's noise depends only
+on the seed and its coordinates, so the slabs give the same bits.  Replicate
 streams derive a cube's seeds once and refill one block buffer per cube in
 the field's own dtype, so a campaign holds one block plus 8 bytes of seed,
 S(U) and C_hat per replicate.
@@ -51,9 +54,10 @@ from .errors import (CapacityError, ConfigError, DomainError, ParameterError, Sh
 #: Refuse to allocate enlarged noise grids beyond this many cells.
 MAX_CELLS = 1 << 26
 
-#: Noise cells hashed at once when sampling a batch: a block of seeds whose
-#: hash, noise and window-sum arrays stay in cache.  Replicate streams use
-#: the same blocks (``_seeds_per_block``), so C_hat reads them from cache too.
+#: Noise cells hashed at once when sampling a batch: a block of seeds, or a
+#: slab of one large cube, whose hash, noise and window-sum arrays stay in
+#: cache.  Replicate streams use the same blocks (``_seeds_per_block``), so
+#: C_hat reads them from cache too.
 _BLOCK_CELLS = 1 << 16
 
 #: Treat |sigma^2| below this as the degenerate sigma = 0 case.
@@ -347,7 +351,9 @@ def sample_fields_batch(
 
     Seeds are integers taken modulo 2^64, and row r is bit-identical to
     ``sample_field(model, cube, seeds[r]).values``.  The batch is computed
-    in blocks of ``_seeds_per_block`` seeds.  Given ``out``, a float64 array
+    in blocks of ``_seeds_per_block`` seeds, and a seed whose enlarged grid
+    overflows ``_BLOCK_CELLS`` in slabs of first-axis rows that, with their
+    2m-row halo, fit it (at least one row).  Given ``out``, a float64 array
     of that shape or one in the field's own dtype (``_value_dtype``), the
     rows are written into it and it is returned; any other raises
     ShapeError.
@@ -374,13 +380,17 @@ def sample_fields_batch(
         )
     keys = _axis_keys([np.arange(-cube.n - m, cube.n + m + 1)] * cube.d)
     step = _seeds_per_block(model, cube)
+    # first-axis rows per slab: every row when a seed's grid fits the block
+    rows = min(cube.side, max(1, _BLOCK_CELLS // (cube.side + 2 * m) ** (cube.d - 1) - 2 * m))
     dtype = _count_dtype((2 * m + 1) ** cube.d)
     for start in range(0, seeds.size, step):
-        hashes = _keyed_hash(seeds[start:start + step], keys, _TAG_NOISE)
-        counts = _noise_from_hash(hashes, model.theta).view(np.uint8)
-        for k in range(cube.d):
-            counts = _valid_window_sum(counts, 2 * m + 1, 1 + k, dtype)
-        _rule_on_counts(model, counts, cube.d, out=out[start:start + step])
+        for top in range(0, cube.side, rows):
+            slab = [keys[0][:, top:top + rows + 2 * m], *keys[1:]]
+            hashes = _keyed_hash(seeds[start:start + step], slab, _TAG_NOISE)
+            counts = _noise_from_hash(hashes, model.theta).view(np.uint8)
+            for k in range(cube.d):
+                counts = _valid_window_sum(counts, 2 * m + 1, 1 + k, dtype)
+            _rule_on_counts(model, counts, cube.d, out=out[start:start + step, top:top + rows])
     return out
 
 

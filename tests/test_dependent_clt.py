@@ -28,8 +28,10 @@ from ntcpfields.lattice_fields import (
     MovingWindowLevels,
     MovingWindowThreshold,
     covariance_at_lag,
+    load_sample,
     sample_field,
     sample_fields_batch,
+    save_sample,
 )
 
 MAJORITY = MovingWindowThreshold(window_radius=1, theta=0.5, k_min=2)
@@ -63,6 +65,12 @@ CHAT_PINS = {
     (3, "iid", 1): ("0x1.d989005ac4f01p-3", "0x1.c86b05bf6c1bap-3", "0x1.91ef57fa3c407p-3"),
     (3, "iid", 3): ("0x1.bedafed663f01p-3", "0x1.d750aa59ff9a1p-4", "0x1.535a2d13782bbp-3"),
 }
+
+
+# float.hex of C_hat at the default bandwidth (4) on the 3-d n = 35
+# threshold sample at seed 201, the one large cube of CLI simulate and
+# estimate; pinned from the float cumsum path its 0/1 values no longer take
+LARGE_CHAT = "0x1.96fbb2b1c2f55p+1"
 
 
 def chat_pin_model(name, d):
@@ -238,6 +246,32 @@ class TestVarianceEstimator:
         seeds = lattice_fields.derive_seeds(7, cube.n, np.arange(2))
         rows = _variance_estimator_batch(sample_fields_batch(model, cube, seeds), d, b)
         assert (single.hex(), *map(float.hex, rows)) == CHAT_PINS[(d, name, b)]
+
+    def test_large_binary_chat_pinned(self, tmp_path):
+        sample = sample_field(MovingWindowThreshold(window_radius=1, theta=0.5, k_min=14),
+                              LatticeCube(d=3, n=35), 201)
+        path = tmp_path / "sample.dat"
+        save_sample(sample, path)
+        # the same values under a levels model take the float path
+        as_levels = FieldSample(sample.cube, sample.values, LEVELS4, sample.seed)
+        chats = [variance_estimator(s, EstimatorConfig()).hex()
+                 for s in (sample, load_sample(path), as_levels)]
+        assert chats == [LARGE_CHAT] * 3
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64])
+    @pytest.mark.parametrize("model", [MAJORITY, IidBernoulli(p=0.3), LEVELS4],
+                             ids=["majority", "iid", "levels"])
+    @pytest.mark.parametrize("high", [2, 4], ids=["zero_one", "zero_to_three"])
+    def test_integer_values_give_float64_bits(self, model, dtype, high):
+        values = np.random.default_rng(high).integers(0, high, size=(9, 9, 9))
+        cube, config = LatticeCube(d=3, n=4), EstimatorConfig(bandwidth=2)
+        ints = FieldSample(cube, values.astype(dtype), model, 0)
+        floats = FieldSample(cube, values.astype(np.float64), model, 0)
+        assert variance_estimator(ints, config).hex() == variance_estimator(floats, config).hex()
+        assert confidence_interval(ints, 0.9, config) == confidence_interval(floats, 0.9, config)
+        assert ntcp_estimate(ints, 400.0, 0.5, config) == ntcp_estimate(floats, 400.0, 0.5, config)
+        assert (self_normalized_statistic(ints, 0.5, config)
+                == self_normalized_statistic(floats, 0.5, config))
 
     def test_iid_mean_near_pq(self):
         values = sample_fields_batch(IidBernoulli(p=0.3), LatticeCube(d=1, n=200), range(100))

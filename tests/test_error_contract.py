@@ -304,6 +304,9 @@ HUGE_SAMPLE = FieldSample(LatticeCube(1, 1), np.array([1e200, -1e200, 1e200]), M
 MAX_SAMPLE = FieldSample(LatticeCube(1, 1), np.full(3, 1.7e308), MAJORITY, 1)
 BIG_SAMPLE = FieldSample(LatticeCube(1, 2), np.full(5, 1e300), MAJORITY, 1)
 TINY_SAMPLE = FieldSample(LatticeCube(1, 2), np.array([0.0, 1e-160, 0.0, 0.0, 0.0]), MAJORITY, 1)
+# integer values: a binary model's 0/1 mask, and a constant that is not 0/1
+INT_MASK_SAMPLE = FieldSample(LatticeCube(1, 2), np.array([0, 1, 1, 0, 1]), IidBernoulli(0.5), 0)
+INT_CONSTANT_SAMPLE = FieldSample(LatticeCube(1, 2), np.full(5, 2), MAJORITY, 0)
 
 
 def _config(**changes):
@@ -367,6 +370,10 @@ DEFECTS = [
     pytest.param(self_normalized_statistic, (BIG_SAMPLE, 0.0),
                  {"mode": "true_sigma", "sigma2": 1e-300}, id="statistic_overflows"),
     pytest.param(ntcp_estimate, (TINY_SAMPLE, 1e300, 0.0), {}, id="ntcp_estimate_overflows"),
+    pytest.param(confidence_interval, (INT_MASK_SAMPLE, nan), {},
+                 id="interval_integer_mask_level_nan"),
+    pytest.param(self_normalized_statistic, (INT_CONSTANT_SAMPLE, 0.5), {},
+                 id="statistic_integer_constant"),
     pytest.param(derive_seeds, (1.5, 0, [1]), {}, id="derive_seeds_master_fractional"),
     pytest.param(derive_seeds, (1, 0.5, [1]), {}, id="derive_seeds_group_fractional"),
     pytest.param(derive_seeds, (1, 0, [1.5]), {}, id="derive_seeds_index_fractional"),

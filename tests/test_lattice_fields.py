@@ -88,6 +88,28 @@ EDGE_MODELS = {
 }
 
 
+# sha256 of the float64 bytes of sample_field at seed 201 on cubes whose
+# enlarged noise grid overflows one block of 2^16 cells, so one seed is
+# sampled in slabs of first-axis rows: pinned from the sampler that hashed
+# the whole grid at once, and checked at blocks from one cell (slabs of
+# one row) to 2^26 (the whole cube in one slab)
+SLAB_CASES = {
+    "threshold_d3": (MovingWindowThreshold(window_radius=1, theta=0.5, k_min=14),
+                     LatticeCube(d=3, n=35)),
+    "levels_d3": (MovingWindowLevels(window_radius=1, theta=0.37, levels=7),
+                  LatticeCube(d=3, n=35)),
+    "threshold_d2": (MovingWindowThreshold(window_radius=3, theta=0.5, k_min=25),
+                     LatticeCube(d=2, n=150)),
+    "levels_d2": (MovingWindowLevels(window_radius=3, theta=0.37, levels=7),
+                  LatticeCube(d=2, n=150)),
+}
+SLAB_DIGESTS = {
+    "threshold_d3": "590aa1a51a365656aa6669b5f25bcebf22129cffa89d10cfe73b3e0d475e8cde",
+    "levels_d3": "8ee03835e2c16bba6f2390cb43e7d275afb869eee0e4c2cc0be95fe4d7d678a1",
+    "threshold_d2": "0352fea17b3ccca3fde10e8ecd0fcd5663a51d461460a7d41d516522c97e34ea",
+    "levels_d2": "400295437772c4b467a9db96851346cadf8d02368776918079669c27c8f1c757",
+}
+
 # sha256 of save_sample's file bytes, pinned from the per-cell writer
 # ("%.17g\n" % v for each cell) that the blocked writer replaced
 SAVED_DIGESTS = {
@@ -282,6 +304,37 @@ class TestSampling:
         assert batch.shape == (len(seeds),) + cube.shape
         for row, seed in zip(batch, seeds):
             assert np.array_equal(row, sample_field(model, cube, seed).values)
+
+    @pytest.mark.parametrize("block_cells", [1, 64, 1 << 16, 1 << 26])
+    @pytest.mark.parametrize("name", sorted(SLAB_DIGESTS))
+    def test_slab_digests(self, name, block_cells):
+        model, cube = SLAB_CASES[name]
+        with mock.patch.object(lattice_fields, "_BLOCK_CELLS", block_cells):
+            values = sample_field(model, cube, 201).values
+        assert hashlib.sha256(values.tobytes()).hexdigest() == SLAB_DIGESTS[name]
+
+    @pytest.mark.parametrize("block_cells", [1, 64, 1000])
+    @pytest.mark.parametrize("d,n", [(1, 40), (2, 9), (3, 4)])
+    def test_batch_in_slabs_matches_whole_cubes(self, d, n, block_cells):
+        model = MovingWindowLevels(window_radius=2, theta=0.45, levels=4)
+        cube = LatticeCube(d=d, n=n)
+        seeds = derive_seeds(11, n, np.arange(3))
+        whole = sample_fields_batch(model, cube, seeds)
+        with mock.patch.object(lattice_fields, "_BLOCK_CELLS", block_cells):
+            assert np.array_equal(sample_fields_batch(model, cube, seeds), whole)
+
+    def test_single_cube_temporaries_stay_slab_sized(self):
+        # a slab of 2^16 noise cells takes about 1.6 MB of hashes and counts
+        # in flight; the whole 73^3 grid would take 3.1 MB for its hashes alone
+        model, cube = SLAB_CASES["threshold_d3"]
+        out = np.empty((1,) + cube.shape)
+        tracemalloc.start()
+        try:
+            sample_fields_batch(model, cube, [201], out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * lattice_fields._BLOCK_CELLS
 
     def test_noise_rule_matches_float_rule(self):
         seeds = derive_seeds(3, 0, np.arange(8))

@@ -1,6 +1,7 @@
 """Property tests: a replicate batch equals the corresponding single samples
 (field values and C_hat alike, for any integer seeds), a 0/1 field held
-as bool gives the bits it gives as float64 (sampled and through C_hat),
+as bool gives the bits it gives as float64 (sampled and through C_hat,
+and a binary sample's float 0/1 values through variance_estimator),
 the sampler's window counts equal site-by-site sums of the noise,
 enlarging the cube with the same seed keeps the interior values, samples
 round-trip through their file format bit for bit, C_hat ignores a
@@ -14,13 +15,14 @@ import math
 import os
 import sys
 import tempfile
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from ntcpfields import lattice_fields
+from ntcpfields import dependent_clt, lattice_fields
 from ntcpfields.cv_ntcp import (
     invert_fraction,
     kill_fraction,
@@ -34,6 +36,7 @@ from ntcpfields.dependent_clt import (
 )
 from ntcpfields.errors import DomainError
 from ntcpfields.lattice_fields import (
+    FieldSample,
     IidBernoulli,
     LatticeCube,
     MovingWindowLevels,
@@ -144,6 +147,29 @@ def test_chat_on_bool_equals_float(d, side, b, batch, p, s):
     bits = np.random.default_rng(s % 2**64).random((batch,) + (side,) * d) < p
     exact = _variance_estimator_batch(bits, d, b)
     assert exact.tobytes() == _variance_estimator_batch(bits.astype(np.float64), d, b).tobytes()
+
+
+@PROPERTY
+@given(model=binary_models, d=dims, n=st.integers(min_value=0, max_value=4), b=bandwidths,
+       p=unit, s=seed, half=st.booleans())
+@example(model=IidBernoulli(0.5), d=1, n=0, b=1, p=0.5, s=0, half=False)
+@example(model=IidBernoulli(0.5), d=3, n=4, b=12, p=0.5, s=1, half=False)
+@example(model=MovingWindowThreshold(1, 0.9, 14), d=3, n=4, b=4, p=0.9, s=2, half=False)
+@example(model=MovingWindowThreshold(1, 0.5, 14), d=3, n=4, b=4, p=0.5, s=3, half=True)
+def test_binary_sample_chat_equals_float_batch(model, d, n, b, p, s, half):
+    """A binary model's float 0/1 values take the exact integer window sums
+    in variance_estimator, bit for bit the float64 batch; one value of 0.5
+    sends the sample down the float path."""
+    cube = LatticeCube(d=d, n=n)
+    values = (np.random.default_rng(s % 2**64).random(cube.shape) < p).astype(np.float64)
+    if half:
+        values.flat[s % values.size] = 0.5
+    sample = FieldSample(cube, values, model, 0)
+    with mock.patch.object(dependent_clt, "_exact_window_sums",
+                           wraps=dependent_clt._exact_window_sums) as exact:
+        chat = variance_estimator(sample, EstimatorConfig(bandwidth=b))
+    assert exact.called != half
+    assert chat.hex() == float(_variance_estimator_batch(values, d, b)).hex()
 
 
 @PROPERTY
