@@ -12,7 +12,11 @@ A float field's window sums S(Q_j) are differences of float64 prefix
 sums.  A binary field, held as bool, takes exact integer sums instead: the
 sampler's doubling rule over the field padded with b zeros, the same bits.
 So does a single sample of a binary model whose values are all 0 or 1,
-whatever their dtype; any other integer values are taken as float64.
+whatever their dtype; any other integer values are taken as float64.  Such
+a sample's window sums, counts and weights are computed in slabs of
+first-axis rows, each summed from its rows and a b-row halo, so the weights
+are its only cube-sized array; they are summed once, whole, in the order
+that fixes the bits.
 With a bandwidth schedule b_n -> infinity, b_n = o(n), C_hat is consistent
 for sigma^2 and can replace it in the CLT normalizer (random
 normalization).  One formula, (S(U) - |U| mean) / sqrt(v |U|), v = sigma^2
@@ -37,6 +41,7 @@ from .lattice_fields import (
     LatticeCube,
     _count_dtype,
     _seeds_per_block,
+    _slab_rows,
     _valid_window_sum,
     _value_dtype,
     derive_seeds,
@@ -148,25 +153,33 @@ def _truncated_window_sum(a: np.ndarray, b: int, axis: int) -> np.ndarray:
     return np.moveaxis(out, -1, axis)
 
 
-def _exact_window_sums(values: np.ndarray, d: int, b: int) -> np.ndarray:
-    """The clipped window sums of a bool field, exact integers: each spatial
-    axis is padded with b zeros on both sides and summed over windows of
-    2b + 1 by the sampler's doubling rule, in the smallest count dtype that
-    holds a window of the field.  b must not exceed the side."""
+def _exact_window_sums(values: np.ndarray, d: int, b: int, top: int = 0,
+                       rows: int = None) -> np.ndarray:
+    """The clipped window sums of a bool field at the first-axis rows
+    top..top + rows of its cube (every row by default), exact integers: each
+    spatial axis is padded with b zeros on both sides and summed over
+    windows of 2b + 1 by the sampler's doubling rule, in the smallest count
+    dtype that holds a window of the field.  The rows read only the field's
+    rows within b of them.  b must not exceed the side."""
     batch, side = values.shape[:-d], values.shape[-1]
-    sums = np.zeros(batch + (side + 2 * b,) * d, dtype=np.uint8)
-    sums[(...,) + (slice(b, b + side),) * d] = values
+    rows = side if rows is None else rows
+    lo, hi = max(top - b, 0), min(top + rows + b, side)
+    sums = np.zeros(batch + (rows + 2 * b,) + (side + 2 * b,) * (d - 1), dtype=np.uint8)
+    first = (slice(None),) * len(batch)
+    sums[first + (slice(lo - top + b, hi - top + b),) + (slice(b, b + side),) * (d - 1)] = (
+        values[first + (slice(lo, hi),)])
     dtype = _count_dtype(min(2 * b + 1, side) ** d)
     for axis in range(values.ndim - d, values.ndim):
         sums = _valid_window_sum(sums, 2 * b + 1, axis, dtype)
     return sums
 
 
-def _window_counts(side: int, b: int, d: int) -> np.ndarray:
-    """|Q_j| over the cube: outer product of per-axis clipped widths."""
+def _window_counts(side: int, b: int, d: int, rows=slice(None)) -> np.ndarray:
+    """|Q_j| over the cube, or over its first-axis ``rows``: the outer
+    product of per-axis clipped widths."""
     i = np.arange(side)
     width = np.minimum(i + b, side - 1) - np.maximum(i - b, 0) + 1
-    counts = width.astype(np.float64)
+    counts = width[rows].astype(np.float64)
     for _ in range(d - 1):
         counts = counts[..., None] * width
     return counts
@@ -174,11 +187,29 @@ def _window_counts(side: int, b: int, d: int) -> np.ndarray:
 
 def _variance_estimator_batch(values: np.ndarray, d: int, b: int, sums=None) -> np.ndarray:
     """C_hat for values of shape (batch..., side, ..., side); returns (batch...).
-    ``sums``, when given, are the values' sums S(U) as float64, of shape (batch...)."""
+    ``sums``, when given, are the values' sums S(U) as float64, of shape (batch...).
+
+    One bool sample takes its window sums, counts and weights in slabs of
+    first-axis rows (``_slab_rows`` with a b-row halo), so the weights are
+    its only cube-sized array; a batch, or float values, in whole arrays."""
     spatial = tuple(range(values.ndim - d, values.ndim))
     side = values.shape[-1]
     b = min(b, side)  # any b >= side - 1 clips every window to the whole axis
     size = float(side**d)
+    if sums is None:
+        sums = values.sum(axis=spatial)
+    global_mean = np.reshape(sums, np.shape(sums) + (1,) * d) / size
+    if values.dtype == bool and values.ndim == d:
+        weighted = np.empty(values.shape)  # C order, so the final .sum pairs as the float path's
+        rows = _slab_rows(side, b, d)
+        for top in range(0, side, rows):
+            dev = weighted[top:top + rows]
+            counts = _window_counts(side, b, d, slice(top, top + rows))
+            np.divide(_exact_window_sums(values, d, b, top, len(dev)), counts, out=dev)
+            dev -= global_mean
+            counts *= dev
+            dev *= counts  # (counts * dev) * dev, as below
+        return weighted.sum(axis=spatial) / size
     if values.dtype == bool:
         # every float cumsum entry and difference of a 0/1 field is an exact
         # integer below 2^53, so the exact integer sums carry the same bits
@@ -190,9 +221,6 @@ def _variance_estimator_batch(values: np.ndarray, d: int, b: int, sums=None) -> 
             block_sums = _truncated_window_sum(block_sums, b, axis)
         dev = block_sums  # a fresh array: the deviations overwrite it in place
     counts = _window_counts(side, b, d)
-    if sums is None:
-        sums = values.sum(axis=spatial)
-    global_mean = np.reshape(sums, np.shape(sums) + (1,) * d) / size
     np.divide(block_sums, counts, out=dev)
     dev -= global_mean
     # a single sample's weights overwrite its counts, which it no longer needs

@@ -42,6 +42,8 @@ import itertools
 import json
 import math
 import operator
+import os
+import stat
 from dataclasses import MISSING, dataclass, fields
 from typing import Sequence, Tuple, Union
 
@@ -344,6 +346,15 @@ def _seeds_per_block(model: FieldModel, cube: LatticeCube) -> int:
     return max(1, _BLOCK_CELLS // (cube.side + 2 * model.window_radius) ** cube.d)
 
 
+def _slab_rows(side: int, halo: int, d: int) -> int:
+    """First-axis rows per slab of a d-dimensional cube whose rows are
+    computed from a grid padded by ``halo`` on every side: as many as fit,
+    with their 2 * halo extra rows, into _BLOCK_CELLS, but at least one and
+    at least 2 * halo, so that no more than half the rows computed are
+    halo; every row when the whole grid fits."""
+    return min(side, max(1, 2 * halo, _BLOCK_CELLS // (side + 2 * halo) ** (d - 1) - 2 * halo))
+
+
 def sample_fields_batch(
     model: FieldModel, cube: LatticeCube, seeds: Sequence[int], out: np.ndarray = None
 ) -> np.ndarray:
@@ -380,8 +391,7 @@ def sample_fields_batch(
         )
     keys = _axis_keys([np.arange(-cube.n - m, cube.n + m + 1)] * cube.d)
     step = _seeds_per_block(model, cube)
-    # first-axis rows per slab: every row when a seed's grid fits the block
-    rows = min(cube.side, max(1, _BLOCK_CELLS // (cube.side + 2 * m) ** (cube.d - 1) - 2 * m))
+    rows = _slab_rows(cube.side, m, cube.d)
     dtype = _count_dtype((2 * m + 1) ** cube.d)
     for start in range(0, seeds.size, step):
         for top in range(0, cube.side, rows):
@@ -486,18 +496,23 @@ def model_sigma2(model: FieldModel, d: int = 1) -> Sigma2Result:
 # ---------------------------------------------------------------------------
 # Serialization: JSON header line + one %.17g value per line (round trips
 # doubles exactly).  Sample values repeat (a threshold field holds two), so
-# both directions key the body and work on a table of its distinct keys,
-# found without a sort: np.unique of an evenly strided sample of at most 1024
-# keys, then searchsorted and a check, the keys it missed appended (_index).
-# The saver keys cells by their float64 bits, formats each distinct value
-# once and gathers each _BLOCK_CELLS-line block from a table of one
-# fixed-width element per line, or joins it from an object array when the
-# lines differ in width.  The loader reads 8 * _BLOCK_CELLS characters at a
-# time; an ASCII block's lines are keyed by their bytes, padded with "\n"
-# (_parse_table), each distinct line is parsed once and blank lines are
-# dropped.  A non-ASCII or mostly distinct block is parsed line by line, and
-# a block with a bad line by the filtered per-line parse, which skips blank
-# lines and names the first bad one.
+# both directions key the body and work on a sorted table of its distinct
+# keys, found without a sort of the body: np.unique of an evenly strided
+# sample of at most 1024 keys, then each key's position in it (_positions:
+# counted without a branch per key in a small table, else searchsorted) and
+# a check, the keys it missed added (_index).  Both directions hold one
+# block of temporaries at a time.  The saver keys cells by their float64
+# bits; a first pass over its _BLOCK_CELLS-cell blocks adds the values the
+# probe missed, each distinct value is formatted once, and a second pass
+# gathers each block's lines from a table of one fixed-width element per
+# line, or joins them from an object array when the lines differ in width.
+# The loader reads 2 * _BLOCK_CELLS characters at a time; an ASCII block's
+# lines are keyed by their bytes, padded with "\n" (_parse_table), each
+# distinct line is parsed once, blank lines are dropped, and the values are
+# gathered straight into the cube's one float64 array.  A non-ASCII or
+# mostly distinct block is parsed line by line, and a block with a bad line
+# by the filtered per-line parse, which skips blank lines and names the
+# first bad one.
 # ---------------------------------------------------------------------------
 
 def model_to_dict(model: FieldModel) -> dict:
@@ -532,11 +547,36 @@ def _probe(sample: np.ndarray):
     return None if 2 * table.size > sample.size else table
 
 
+#: The most table entries that ``_positions`` counts rather than searches.
+#: ns/key over 2^16 keys drawn from the table on a 2-core Xeon, uint64 keys
+#: (uint16 in brackets), searchsorted against counting: 2 entries 9.9 (12.0)
+#: against 1.1 (0.4), 5 entries 17.4 (21.8) against 2.8 (1.3), 16 entries
+#: 35.0 (38.5) against 9.7 (4.2), 64 entries 52.7 (51.0) against 37.4
+#: (12.7), 128 entries 63.0 (60.8) against 79.1 (20.9).
+_COUNTED_ENTRIES = 64
+
+
+def _positions(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(table, keys)`` for a sorted table of the keys' dtype:
+    the number of entries below each key.  A table of at most
+    ``_COUNTED_ENTRIES`` is counted, one compare-and-add pass per entry into
+    uint8 positions, with no branch per key: a binary search mispredicts
+    at nearly every step on keys that repeat at random.  The positions are
+    returned as intp, as numpy gathers by intp indices 3-6x faster."""
+    if table.size > _COUNTED_ENTRIES:
+        return np.searchsorted(table, keys)
+    positions = np.zeros(keys.shape, np.uint8)
+    above = np.empty(keys.shape, bool)
+    for entry in table:
+        positions += np.greater(keys, entry, out=above)
+    return positions.astype(np.intp)
+
+
 def _index(keys: np.ndarray, table: np.ndarray):
     """(table, inverse) with table[inverse] == keys and each key in the table
-    once: ``searchsorted`` into the probed ``table``, verified, and the keys
-    the sample missed appended."""
-    inverse = np.searchsorted(table, keys)
+    once: the ``_positions`` of the keys in the probed, sorted ``table``,
+    verified, and the keys the sample missed appended in sorted order."""
+    inverse = _positions(table, keys)
     missed = table.take(inverse, mode="clip") != keys
     if missed.any():
         extra, where = np.unique(keys[missed], return_inverse=True)
@@ -556,34 +596,48 @@ def _line_width(newline: np.ndarray) -> int:
 _UINTS = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 
 
+def _bits(values: np.ndarray) -> np.ndarray:
+    """The float64 bit patterns of ``values`` as uint64 keys."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
 def save_sample(sample: FieldSample, path) -> None:
     """Write ``sample`` to ``path``, its values as float64 in row-major
     order, one ``"%.17g"`` line each.  Distinct values are keyed by bit
-    pattern, so -0.0 stays ``-0``, and formatted once.  When their lines
-    share one width the body is gathered from a table of one fixed-width
-    element per line, else joined from an object array of the lines."""
+    pattern, so -0.0 stays ``-0``, and formatted once.  When values repeat,
+    a first pass over the blocks adds the values the probe missed to its
+    sorted table, and a second indexes each block in the table and writes
+    its lines: gathered from one fixed-width element per line when all
+    lines share a width, else joined from an object array of the lines.
+    Only a mostly distinct sample is indexed whole, by ``np.unique``."""
     header = {
         "d": sample.cube.d,
         "n": sample.cube.n,
         "seed": sample.seed,
         "model": model_to_dict(sample.model),
     }
-    values = np.asarray(sample.values, dtype=np.float64).ravel()
-    bits = values.view(np.uint64)
-    table = _probe(bits[:: _sample_step(bits.size)])
-    repeated = table is not None
-    table, inverse = _index(bits, table) if repeated else np.unique(bits, return_inverse=True)
+    values = np.asarray(sample.values).reshape(-1)
+    starts = range(0, values.size, _BLOCK_CELLS)
+    table = _probe(_bits(values[:: _sample_step(values.size)]))
+    inverse = None
+    if table is None:
+        table, inverse = np.unique(_bits(values), return_inverse=True)
+    else:
+        missed = [_index(_bits(values[i:i + _BLOCK_CELLS]), table)[0][table.size:] for i in starts]
+        table = np.union1d(table, np.concatenate(missed))
     lines = ["%.17g\n" % v for v in table.view(np.float64).tolist()]
     width = 0
-    if repeated:  # the gather pays only where lines repeat
+    if inverse is None:  # the gather pays only where lines repeat
         raw = "".join(lines).encode()
         width = _line_width(np.frombuffer(raw, np.uint8) == ord("\n"))
     lines = np.frombuffer(raw, _UINTS.get(width, f"V{width}")) if width else np.array(lines, object)
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        for start in range(0, values.size, _BLOCK_CELLS):
-            body = lines[inverse[start:start + _BLOCK_CELLS]]
-            fh.write(body.tobytes() if width else "".join(body).encode())
+        for i in starts:
+            block = values[i:i + _BLOCK_CELLS]
+            body = lines[_positions(table, _bits(block)) if inverse is None
+                         else inverse[i:i + _BLOCK_CELLS]]
+            fh.write(body if width else "".join(body).encode())
 
 
 #: The first k bytes of a little-endian uint64 word, for k = 0..8.
@@ -618,9 +672,10 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 
 
 def _parse_table(text: str, cut: int):
-    """float() of each line of the ASCII text[:cut], whole lines, each
-    distinct line parsed once, blank and whitespace-only lines dropped;
-    None when the lines look mostly distinct, their padded rows would take
+    """(values, inverse) for the lines of the ASCII text[:cut], whole lines:
+    float() of each distinct line, parsed once, and each line's index into
+    them, blank and whitespace-only lines dropped; None when the lines look
+    mostly distinct, their padded rows would take
     more than 8 bytes per character of text, or a line is not a number.
 
     Lines are keyed by their bytes: the lines themselves when they share a
@@ -653,11 +708,13 @@ def _parse_table(text: str, cut: int):
     if table is None:
         return None
     table, inverse = _index(keys, table)
-    one = np.empty(table.size, np.intp)
-    one[inverse] = np.arange(inverse.size)  # a line of each key
-    lines = rows[one]
-    if rows.ndim > 1 and rows.shape[1] > 1 and not np.array_equal(lines[inverse], rows):
-        return None  # two distinct lines hashed to one key
+    lines = table  # a fixed-width line is its own key
+    if rows.ndim > 1:
+        one = np.empty(table.size, np.intp)
+        one[inverse] = np.arange(inverse.size)  # a line of each key
+        lines = rows[one]
+        if rows.shape[1] > 1 and not np.array_equal(lines[inverse], rows):
+            return None  # two distinct lines hashed to one key
     lines = lines.tobytes()
     size = len(lines) // table.size
     lines = [lines[i:i + size].partition(b"\n")[0].decode() for i in range(0, len(lines), size)]
@@ -668,7 +725,7 @@ def _parse_table(text: str, cut: int):
         return None
     if blank.any():
         inverse = inverse[~blank[inverse]]
-    return values[inverse]
+    return values, inverse
 
 
 def _parse_lines(lines) -> np.ndarray:
@@ -681,35 +738,67 @@ def _parse_lines(lines) -> np.ndarray:
         return np.fromiter(map(float, filter(str.strip, lines)), np.float64)
 
 
-def _read_values(fh) -> np.ndarray:
-    """The values of the lines left in text file ``fh``, read and parsed a
-    block of text at a time; a line cut by a block end joins the next.  An
-    ASCII block goes through ``_parse_table``; a non-ASCII block, or one it
+def _store(out: np.ndarray, count: int, size: int, values: np.ndarray, inverse=None):
+    """(out, count + k) once the block of k values ``values[inverse]``
+    (``values`` itself when inverse is None) is written into ``out`` at
+    ``count``.  ``out`` is doubled, up to ``size`` cells, when the block
+    overflows it; a block past the first ``size`` values is only counted."""
+    k = values.size if inverse is None else inverse.size
+    if count + k <= size:
+        if count + k > out.size:
+            grown = np.empty(max(count + k, min(size, 2 * out.size)))
+            grown[:count] = out[:count]
+            out = grown
+        if inverse is None:
+            out[count:count + k] = values
+        else:
+            np.take(values, inverse, out=out[count:count + k])
+    return out, count + k
+
+
+def _read_values(fh, out: np.ndarray, size: int):
+    """(values, count): the lines left in text file ``fh`` parsed into
+    ``out`` (grown by ``_store`` if needed), and how many there are, up to
+    ``size`` stored and the rest counted.  The text is read and parsed a
+    block at a time; a line cut by a block end joins the next.  An ASCII
+    block goes through ``_parse_table``; a non-ASCII block, or one it
     leaves, is parsed line by line."""
-    blocks = []
+    count = 0
     tail = ""
-    while text := fh.read(_BLOCK_CELLS * 8):
+    # a value line takes at least two characters, so a block holds at most
+    # about _BLOCK_CELLS of them
+    while text := fh.read(_BLOCK_CELLS * 2):
         text = tail + text
         cut = text.rfind("\n") + 1
         tail = text[cut:]
-        values = _parse_table(text, cut) if text.isascii() else None
-        if values is None:
+        parsed = _parse_table(text, cut) if text.isascii() else None
+        if parsed is None:
             # split in this loop, so that the list lives until the next block's
             # split: freeing it sooner read all-distinct samples ~2% slower
             lines = text.split("\n")
             lines.pop()  # the tail
-            values = _parse_lines(lines)
-        blocks.append(values)
-    blocks.append(_parse_lines([tail]))
-    return np.concatenate(blocks)
+            parsed = (_parse_lines(lines),)
+        out, count = _store(out, count, size, *parsed)
+    return _store(out, count, size, _parse_lines([tail]))
+
+
+def _capacity(fh, size: int) -> int:
+    """Cells to allocate for the ``size`` values of an open sample file: all
+    of them when it is a regular file with the bytes to hold them, since a
+    value line takes a character and a newline (the last one may end the
+    file instead), else none, and the values read grow the array."""
+    status = os.fstat(fh.fileno())
+    return size if stat.S_ISREG(status.st_mode) and status.st_size >= 2 * size - 1 else 0
 
 
 def load_sample(path) -> FieldSample:
     """The sample saved at ``path``; blank lines are skipped, and in a block
-    whose lines repeat each distinct line is parsed once.  A file that does not
-    decode, a header that is not a JSON object with the fields d, n, seed
-    and model, a value line that is not one number and a wrong value count
-    raise ConfigError; every error in the header names the file."""
+    whose lines repeat each distinct line is parsed once.  The values are
+    written a block at a time into one float64 array of the header's cube,
+    allocated once the file is seen to have the bytes for it.  A file that
+    does not decode, a header that is not a JSON object with the fields d,
+    n, seed and model, a value line that is not one number and a wrong value
+    count raise ConfigError; every error in the header names the file."""
     with open(path) as fh:
         try:
             header = json.loads(fh.readline())
@@ -721,11 +810,9 @@ def load_sample(path) -> FieldSample:
             model = model_from_dict(read_field(header, "model", dict, "header"))
             seed = read_field(header, "seed", int, "header")
         try:
-            values = _read_values(fh)
+            values, count = _read_values(fh, np.empty(_capacity(fh, cube.size)), cube.size)
         except ValueError as exc:  # a bad value line or an undecodable byte
             raise ConfigError(f"malformed sample file {path}: {exc}") from None
-    if values.size != cube.size:
-        raise ConfigError(
-            f"sample file {path} holds {values.size} values, cube needs {cube.size}"
-        )
+    if count != cube.size:
+        raise ConfigError(f"sample file {path} holds {count} values, cube needs {cube.size}")
     return FieldSample(cube=cube, values=values.reshape(cube.shape), model=model, seed=seed)

@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import ntcpfields
 from ntcpfields import cv_ntcp, dependent_clt
 from ntcpfields.cli import main
 
@@ -321,6 +326,37 @@ class TestSimulateEstimate:
         assert {"ci_0.5_lo", "ci_0.95_hi", "ntcp_estimate"} <= set(pairs)
 
 
+class TestFreshProcess:
+    """The CLI as users run it: ``python -m ntcpfields.cli`` in a new process."""
+
+    @staticmethod
+    def cli(*argv):
+        source = os.path.dirname(os.path.dirname(ntcpfields.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [source, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-m", "ntcpfields.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    def test_simulate_then_estimate(self, capsys, tmp_path):
+        path = str(tmp_path / "sample.dat")
+        simulate = ("simulate", "--field", "window_threshold", "--theta", "0.5",
+                    "--k-min", "14", "--d", "3", "--n", "5", "--seed", "201", "--out", path)
+        estimate = ("estimate", "--sample", path, "--level", "0.95",
+                    "--x", "650", "--mean", "0.5")
+        fresh = [self.cli(*simulate)]
+        saved = pathlib.Path(path).read_bytes()
+        fresh.append(self.cli(*estimate))
+        assert [(p.returncode, p.stderr) for p in fresh] == [(0, "")] * 2
+        in_process = [run(capsys, *simulate), run(capsys, *estimate)]
+        assert [p.stdout for p in fresh] == [out for _, out, _ in in_process]
+        assert pathlib.Path(path).read_bytes() == saved
+
+    def test_missing_sample_exit_two(self, tmp_path):
+        done = self.cli("estimate", "--sample", str(tmp_path / "nope.dat"))
+        assert done.returncode == 2
+        assert done.stdout == "" and "nope.dat" in done.stderr
+
+
 def experiment_config(**fields):
     config = {
         "model": {"type": "moving_window_threshold",
@@ -352,7 +388,8 @@ class TestExperimentCommand:
         assert code == 0
         pairs = parse_pairs(out)
         assert pairs["report"] == out_path
-        header = open(out_path).readline().strip()
+        with open(out_path) as fh:
+            header = fh.readline().strip()
         assert header.startswith("n,cube_size,mode,ks")
 
     def test_missing_config_exit_two(self, capsys, tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,6 +258,29 @@ class TestVarianceEstimator:
         chats = [variance_estimator(s, EstimatorConfig()).hex()
                  for s in (sample, load_sample(path), as_levels)]
         assert chats == [LARGE_CHAT] * 3
+
+    def test_large_binary_chat_temporaries_stay_slab_sized(self):
+        # the window sums, counts and weights of the 71^3 threshold sample
+        # go a slab of rows at a time into one float64 array of weights
+        sample = sample_field(MovingWindowThreshold(window_radius=1, theta=0.5, k_min=14),
+                              LatticeCube(d=3, n=35), 201)
+        tracemalloc.start()
+        try:
+            chat = variance_estimator(sample, EstimatorConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < sample.values.nbytes + 48 * lattice_fields._BLOCK_CELLS
+        assert chat.hex() == LARGE_CHAT
+
+    @pytest.mark.parametrize("block_cells", [1, 64, 1000])
+    @pytest.mark.parametrize("d, n, b", [(1, 40, 3), (2, 12, 1), (2, 12, 3), (3, 5, 2), (3, 5, 7)])
+    def test_binary_chat_slabs_give_the_same_bits(self, monkeypatch, block_cells, d, n, b):
+        cube, config = LatticeCube(d=d, n=n), EstimatorConfig(bandwidth=b)
+        sample = sample_field(chat_pin_model("majority", d), cube, 123)
+        whole = variance_estimator(sample, config)
+        monkeypatch.setattr(lattice_fields, "_BLOCK_CELLS", block_cells)
+        assert variance_estimator(sample, config).hex() == whole.hex()
 
     @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64])
     @pytest.mark.parametrize("model", [MAJORITY, IidBernoulli(p=0.3), LEVELS4],

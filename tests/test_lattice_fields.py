@@ -7,6 +7,7 @@ import math
 import os
 import pathlib
 import tempfile
+import threading
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -129,6 +130,11 @@ SPECIAL_VALUES = np.concatenate([
 ])
 
 
+# the 71^3 threshold sample of CLI simulate and estimate, 2.9 MB of float64
+LARGE_SAMPLE = functools.partial(sample_field, MovingWindowThreshold(1, 0.5, 14),
+                                 LatticeCube(d=3, n=35), 201)
+
+
 def per_cell_bytes(sample):
     """The file the per-cell writer makes: the reference for save_sample."""
     header = {"d": sample.cube.d, "n": sample.cube.n, "seed": sample.seed,
@@ -162,6 +168,24 @@ def assert_same_bits(loaded, values):
     nan = np.isnan(expected)
     assert np.array_equal(np.isnan(loaded.ravel()), nan)
     assert loaded.ravel()[~nan].tobytes() == expected[~nan].tobytes()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), dtype=st.sampled_from([np.uint8, np.uint16, np.uint32, np.uint64]),
+       size=st.one_of(st.integers(1, 40), st.sampled_from([lattice_fields._COUNTED_ENTRIES,
+                                                           lattice_fields._COUNTED_ENTRIES + 1])))
+def test_positions_equal_searchsorted(data, dtype, size):
+    top = int(np.iinfo(dtype).max)
+    entries = sorted(data.draw(st.lists(st.integers(0, top), min_size=size, max_size=size,
+                                        unique=True)))
+    # keys below, between, equal to and above the entries, the dtype's ends,
+    # and some anywhere
+    near = [v + step for v in entries for step in (-1, 0, 1) if 0 <= v + step <= top]
+    keys = near + [0, top] + data.draw(st.lists(st.integers(0, top), max_size=40))
+    table, keys = np.array(entries, dtype), np.array(data.draw(st.permutations(keys)), dtype)
+    positions = lattice_fields._positions(table, keys)
+    assert positions.dtype == np.intp
+    assert np.array_equal(positions, np.searchsorted(table, keys))
 
 
 def golden_model(name, d):
@@ -632,6 +656,62 @@ class TestSerialization:
         path.write_text(json.dumps(header) + "\n1\n0\n1\n")
         with pytest.raises(ConfigError, match="holds 3 values, cube needs "):
             load_sample(path)
+
+    @pytest.mark.parametrize("model, rare", [
+        (MovingWindowLevels(window_radius=1, theta=0.37, levels=5), 0.1),
+        (MovingWindowThreshold(window_radius=1, theta=0.5, k_min=5), 2.0),
+    ], ids=["mixed_widths", "fixed_width"])
+    @pytest.mark.parametrize("block_cells", [1, 2, 3, 64, 1 << 16])
+    def test_saved_bytes_do_not_depend_on_blocks(self, model, rare, block_cells, tmp_path):
+        # the last cell of a 51^2 cube is in every blocking's last block, and
+        # off the probe's stride of 3, so its value first shows up there
+        sample = sample_field(model, LatticeCube(d=2, n=25), 31)
+        sample.values.ravel()[-1] = rare
+        assert (sample.cube.size - 1) % lattice_fields._sample_step(sample.cube.size)
+        path = tmp_path / "sample.dat"
+        with mock.patch.object(lattice_fields, "_BLOCK_CELLS", block_cells):
+            save_sample(sample, path)
+        assert path.read_bytes() == per_cell_bytes(sample)
+
+    @staticmethod
+    def _traced_peak(call, *args):
+        tracemalloc.start()
+        try:
+            result = call(*args)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_saver_temporaries_stay_block_sized(self, tmp_path):
+        # the 71^3 threshold sample is indexed and written a block at a time
+        _, peak = self._traced_peak(save_sample, LARGE_SAMPLE(), tmp_path / "sample.dat")
+        assert peak < 48 * lattice_fields._BLOCK_CELLS
+
+    def test_loader_fills_one_array_of_the_cube(self, tmp_path):
+        # each block of lines is parsed straight into the cube's float64 array
+        sample = LARGE_SAMPLE()
+        path = tmp_path / "sample.dat"
+        save_sample(sample, path)
+        loaded, peak = self._traced_peak(load_sample, path)
+        assert peak < sample.values.nbytes + 48 * lattice_fields._BLOCK_CELLS
+        assert_same_bits(loaded.values, sample.values)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_loader_reads_a_pipe(self, tmp_path):
+        # a pipe has no size to allocate the cube by, so the array grows
+        sample = sample_field(MAJORITY, LatticeCube(d=2, n=30), 4)
+        saved = tmp_path / "sample.dat"
+        save_sample(sample, saved)
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=lambda: pipe.write_bytes(saved.read_bytes()))
+        writer.start()
+        try:
+            with mock.patch.object(lattice_fields, "_BLOCK_CELLS", 64):
+                loaded = load_sample(pipe)
+        finally:
+            writer.join()
+        assert_same_bits(loaded.values, sample.values)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
