@@ -185,31 +185,40 @@ def _window_counts(side: int, b: int, d: int, rows=slice(None)) -> np.ndarray:
     return counts
 
 
+def _binary_sample_estimate(values: np.ndarray, d: int, b: int, total) -> float:
+    """C_hat of one bool sample whose sum S(U) is ``total``, b at most the
+    side: its window sums, counts and weights are taken in slabs of
+    first-axis rows (``_slab_rows`` with a b-row halo), so the weights are
+    its only cube-sized array.  The elementwise steps and the final .sum over
+    the C-ordered weights are those of ``_variance_estimator_batch``, so the
+    bits are the same."""
+    side = values.shape[0]
+    size = float(side**d)
+    mean = total / size
+    weighted = np.empty(values.shape)
+    rows = _slab_rows(side, b, d)
+    for top in range(0, side, rows):
+        dev = weighted[top:top + rows]
+        counts = _window_counts(side, b, d, slice(top, top + rows))
+        np.divide(_exact_window_sums(values, d, b, top, len(dev)), counts, out=dev)
+        dev -= mean
+        counts *= dev
+        dev *= counts  # (counts * dev) * dev
+    return weighted.sum(axis=tuple(range(d))) / size
+
+
 def _variance_estimator_batch(values: np.ndarray, d: int, b: int, sums=None) -> np.ndarray:
     """C_hat for values of shape (batch..., side, ..., side); returns (batch...).
     ``sums``, when given, are the values' sums S(U) as float64, of shape (batch...).
 
-    One bool sample takes its window sums, counts and weights in slabs of
-    first-axis rows (``_slab_rows`` with a b-row halo), so the weights are
-    its only cube-sized array; a batch, or float values, in whole arrays."""
+    One bool sample goes to ``_binary_sample_estimate``, which works in
+    slabs; a batch, or float values, take whole arrays."""
     spatial = tuple(range(values.ndim - d, values.ndim))
     side = values.shape[-1]
     b = min(b, side)  # any b >= side - 1 clips every window to the whole axis
     size = float(side**d)
-    if sums is None:
-        sums = values.sum(axis=spatial)
-    global_mean = np.reshape(sums, np.shape(sums) + (1,) * d) / size
     if values.dtype == bool and values.ndim == d:
-        weighted = np.empty(values.shape)  # C order, so the final .sum pairs as the float path's
-        rows = _slab_rows(side, b, d)
-        for top in range(0, side, rows):
-            dev = weighted[top:top + rows]
-            counts = _window_counts(side, b, d, slice(top, top + rows))
-            np.divide(_exact_window_sums(values, d, b, top, len(dev)), counts, out=dev)
-            dev -= global_mean
-            counts *= dev
-            dev *= counts  # (counts * dev) * dev, as below
-        return weighted.sum(axis=spatial) / size
+        return _binary_sample_estimate(values, d, b, values.sum() if sums is None else sums)
     if values.dtype == bool:
         # every float cumsum entry and difference of a 0/1 field is an exact
         # integer below 2^53, so the exact integer sums carry the same bits
@@ -221,6 +230,9 @@ def _variance_estimator_batch(values: np.ndarray, d: int, b: int, sums=None) -> 
             block_sums = _truncated_window_sum(block_sums, b, axis)
         dev = block_sums  # a fresh array: the deviations overwrite it in place
     counts = _window_counts(side, b, d)
+    if sums is None:
+        sums = values.sum(axis=spatial)
+    global_mean = np.reshape(sums, np.shape(sums) + (1,) * d) / size
     np.divide(block_sums, counts, out=dev)
     dev -= global_mean
     # a single sample's weights overwrite its counts, which it no longer needs

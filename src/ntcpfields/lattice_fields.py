@@ -498,21 +498,20 @@ def model_sigma2(model: FieldModel, d: int = 1) -> Sigma2Result:
 # doubles exactly).  Sample values repeat (a threshold field holds two), so
 # both directions key the body and work on a sorted table of its distinct
 # keys, found without a sort of the body: np.unique of an evenly strided
-# sample of at most 1024 keys, then each key's position in it (_positions:
-# counted without a branch per key in a small table, else searchsorted) and
-# a check, the keys it missed added (_index).  Both directions hold one
-# block of temporaries at a time.  The saver keys cells by their float64
-# bits; a first pass over its _BLOCK_CELLS-cell blocks adds the values the
-# probe missed, each distinct value is formatted once, and a second pass
-# gathers each block's lines from a table of one fixed-width element per
-# line, or joins them from an object array when the lines differ in width.
-# The loader reads 2 * _BLOCK_CELLS characters at a time; an ASCII block's
-# lines are keyed by their bytes, padded with "\n" (_parse_table), each
-# distinct line is parsed once, blank lines are dropped, and the values are
-# gathered straight into the cube's one float64 array.  A non-ASCII or
-# mostly distinct block is parsed line by line, and a block with a bad line
-# by the filtered per-line parse, which skips blank lines and names the
-# first bad one.
+# sample of at most _PROBED keys, then each key's position in it
+# (_positions: counted without a branch per key in a small table, else
+# searchsorted), checked, and the table completed by the keys it missed
+# (_index).  Both directions hold one block of temporaries at a time.  The
+# saver keys a _BLOCK_CELLS-cell block by its float64 bits, formats each
+# distinct value once and gathers the block's lines from a table of one
+# fixed-width element per line, or joins them from an object array when the
+# lines differ in width.  The loader reads 2 * _BLOCK_CELLS characters at a
+# time; an ASCII block's lines are keyed by their bytes, padded with "\n"
+# (_parse_table), each distinct line is parsed once, blank lines are
+# dropped, and the values are gathered straight into the cube's one float64
+# array.  A non-ASCII or mostly distinct block is parsed line by line, and a
+# block with a bad line by the filtered per-line parse, which skips blank
+# lines and names the first bad one.
 # ---------------------------------------------------------------------------
 
 def model_to_dict(model: FieldModel) -> dict:
@@ -534,9 +533,13 @@ def model_from_dict(data: dict) -> FieldModel:
                  for f in fields(cls)))
 
 
+#: The most keys that ``_probe`` samples.
+_PROBED = 1024
+
+
 def _sample_step(count: int) -> int:
-    """The stride of an evenly strided sample of at most 1024 of ``count`` keys."""
-    return count // 1024 + 1
+    """The stride of an evenly strided sample of at most _PROBED of ``count`` keys."""
+    return count // _PROBED + 1
 
 
 def _probe(sample: np.ndarray):
@@ -573,15 +576,17 @@ def _positions(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 
 def _index(keys: np.ndarray, table: np.ndarray):
-    """(table, inverse) with table[inverse] == keys and each key in the table
-    once: the ``_positions`` of the keys in the probed, sorted ``table``,
-    verified, and the keys the sample missed appended in sorted order."""
+    """(table, inverse) with table[inverse] == keys, the table sorted and
+    each key in it once: the ``_positions`` of the keys in the sorted
+    ``table``, verified, and the keys it lacks added in order."""
     inverse = _positions(table, keys)
     missed = table.take(inverse, mode="clip") != keys
     if missed.any():
         extra, where = np.unique(keys[missed], return_inverse=True)
         inverse[missed] = table.size + where
         table = np.concatenate([table, extra])
+        order = table.argsort()
+        table, inverse = table[order], order.argsort()[inverse]
     return table, inverse
 
 
@@ -601,15 +606,26 @@ def _bits(values: np.ndarray) -> np.ndarray:
     return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
+def _lines(table: np.ndarray):
+    """(lines, width): the ``"%.17g"`` line of each float64 bit pattern in
+    ``table``, as one fixed-width element per line when all lines share a
+    width, else as an object array of the line strings (width 0)."""
+    lines = ["%.17g\n" % v for v in table.view(np.float64).tolist()]
+    raw = "".join(lines).encode()
+    width = _line_width(np.frombuffer(raw, np.uint8) == ord("\n"))
+    return (np.frombuffer(raw, _UINTS.get(width, f"V{width}")) if width
+            else np.array(lines, object)), width
+
+
 def save_sample(sample: FieldSample, path) -> None:
     """Write ``sample`` to ``path``, its values as float64 in row-major
     order, one ``"%.17g"`` line each.  Distinct values are keyed by bit
     pattern, so -0.0 stays ``-0``, and formatted once.  When values repeat,
-    a first pass over the blocks adds the values the probe missed to its
-    sorted table, and a second indexes each block in the table and writes
-    its lines: gathered from one fixed-width element per line when all
-    lines share a width, else joined from an object array of the lines.
-    Only a mostly distinct sample is indexed whole, by ``np.unique``."""
+    each block of cells is indexed in the probe's sorted table, which grows
+    by the values a block adds, and its lines are gathered from ``_lines``
+    of the table.  A mostly distinct sample, and the rest of one from the
+    block that takes the table past ``_PROBED`` values, is indexed whole by
+    ``np.unique`` and joined from an object array of the lines."""
     header = {
         "d": sample.cube.d,
         "n": sample.cube.n,
@@ -617,27 +633,26 @@ def save_sample(sample: FieldSample, path) -> None:
         "model": model_to_dict(sample.model),
     }
     values = np.asarray(sample.values).reshape(-1)
-    starts = range(0, values.size, _BLOCK_CELLS)
     table = _probe(_bits(values[:: _sample_step(values.size)]))
-    inverse = None
-    if table is None:
-        table, inverse = np.unique(_bits(values), return_inverse=True)
-    else:
-        missed = [_index(_bits(values[i:i + _BLOCK_CELLS]), table)[0][table.size:] for i in starts]
-        table = np.union1d(table, np.concatenate(missed))
-    lines = ["%.17g\n" % v for v in table.view(np.float64).tolist()]
-    width = 0
-    if inverse is None:  # the gather pays only where lines repeat
-        raw = "".join(lines).encode()
-        width = _line_width(np.frombuffer(raw, np.uint8) == ord("\n"))
-    lines = np.frombuffer(raw, _UINTS.get(width, f"V{width}")) if width else np.array(lines, object)
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        for i in starts:
-            block = values[i:i + _BLOCK_CELLS]
-            body = lines[_positions(table, _bits(block)) if inverse is None
-                         else inverse[i:i + _BLOCK_CELLS]]
-            fh.write(body if width else "".join(body).encode())
+        start = 0
+        if table is not None:
+            lines, width = _lines(table)
+            for start in range(0, values.size, _BLOCK_CELLS):
+                grown, inverse = _index(_bits(values[start:start + _BLOCK_CELLS]), table)
+                if grown.size > _PROBED:  # far more distinct values than the probe saw
+                    break
+                if grown.size > table.size:
+                    table, (lines, width) = grown, _lines(grown)
+                body = lines[inverse]
+                fh.write(body if width else "".join(body).encode())
+            else:
+                return  # every block written
+        table, inverse = np.unique(_bits(values[start:]), return_inverse=True)
+        lines = np.array(["%.17g\n" % v for v in table.view(np.float64).tolist()], object)
+        for i in range(0, inverse.size, _BLOCK_CELLS):
+            fh.write("".join(lines[inverse[i:i + _BLOCK_CELLS]]).encode())
 
 
 #: The first k bytes of a little-endian uint64 word, for k = 0..8.
@@ -675,8 +690,8 @@ def _parse_table(text: str, cut: int):
     """(values, inverse) for the lines of the ASCII text[:cut], whole lines:
     float() of each distinct line, parsed once, and each line's index into
     them, blank and whitespace-only lines dropped; None when the lines look
-    mostly distinct, their padded rows would take
-    more than 8 bytes per character of text, or a line is not a number.
+    mostly distinct, their padded rows would take more than 8 bytes per
+    character of text, or a line is not a number.
 
     Lines are keyed by their bytes: the lines themselves when they share a
     width of 1, 2, 4 or 8 bytes, else a hash of the "\n"-padded rows of
@@ -777,7 +792,7 @@ def _read_values(fh, out: np.ndarray, size: int):
             # split: freeing it sooner read all-distinct samples ~2% slower
             lines = text.split("\n")
             lines.pop()  # the tail
-            parsed = (_parse_lines(lines),)
+            parsed = _parse_lines(lines), None
         out, count = _store(out, count, size, *parsed)
     return _store(out, count, size, _parse_lines([tail]))
 

@@ -673,6 +673,21 @@ class TestSerialization:
             save_sample(sample, path)
         assert path.read_bytes() == per_cell_bytes(sample)
 
+    @pytest.mark.parametrize("block_cells", [64, 1000, 1 << 16])
+    def test_saved_bytes_when_the_probe_undercounts(self, block_cells, tmp_path):
+        # every 4th of 81^2 cells holds its own value: the strided probe sees
+        # few enough of them to index blocks in a table, and the saver leaves
+        # that table for np.unique once it holds more than _PROBED values
+        values = np.zeros(81 * 81)
+        values[::4] = np.random.default_rng(5).random(values[::4].size)
+        sample = FieldSample(LatticeCube(d=2, n=40), values.reshape(81, 81), IidBernoulli(0.5), 3)
+        step = lattice_fields._sample_step(values.size)
+        assert lattice_fields._probe(values[::step].view(np.uint64)) is not None
+        path = tmp_path / "sample.dat"
+        with mock.patch.object(lattice_fields, "_BLOCK_CELLS", block_cells):
+            save_sample(sample, path)
+        assert path.read_bytes() == per_cell_bytes(sample)
+
     @staticmethod
     def _traced_peak(call, *args):
         tracemalloc.start()
