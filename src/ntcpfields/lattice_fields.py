@@ -505,7 +505,7 @@ def model_sigma2(model: FieldModel, d: int = 1) -> Sigma2Result:
 # saver keys a _BLOCK_CELLS-cell block by its float64 bits, formats each
 # distinct value once and gathers the block's lines from a table of one
 # fixed-width element per line, or joins them from an object array when the
-# lines differ in width.  The loader reads 2 * _BLOCK_CELLS characters at a
+# lines differ in width.  The loader reads 3 * _BLOCK_CELLS characters at a
 # time; an ASCII block's lines are keyed by their bytes, padded with "\n"
 # (_parse_table), each distinct line is parsed once, blank lines are
 # dropped, and the values are gathered straight into the cube's one float64
@@ -551,11 +551,14 @@ def _probe(sample: np.ndarray):
 
 
 #: The most table entries that ``_positions`` counts rather than searches.
-#: ns/key over 2^16 keys drawn from the table on a 2-core Xeon, uint64 keys
-#: (uint16 in brackets), searchsorted against counting: 2 entries 9.9 (12.0)
-#: against 1.1 (0.4), 5 entries 17.4 (21.8) against 2.8 (1.3), 16 entries
-#: 35.0 (38.5) against 9.7 (4.2), 64 entries 52.7 (51.0) against 37.4
-#: (12.7), 128 entries 63.0 (60.8) against 79.1 (20.9).
+#: ns/key over 2^16 keys on a 2-core Xeon (numpy 2.4.6), searchsorted
+#: against counting.  Keys drawn evenly from the table, uint64 (uint16 in
+#: brackets): 2 entries 9.9 (12.0) against 1.1 (0.4), 5 entries 17.4 (21.8)
+#: against 2.8 (1.3), 16 entries 35.0 (38.5) against 9.7 (4.2), 64 entries
+#: 52.7 (51.0) against 37.4 (12.7), 128 entries 63.0 (60.8) against 79.1
+#: (20.9).  The float64 bits of 3-d levels samples: 4 entries 8.3 against
+#: 2.8, 25 entries 18.8 against 12.4, 48 entries 25.1 against 22.6, 80
+#: entries 29.0 against 36.1.
 _COUNTED_ENTRIES = 64
 
 
@@ -781,8 +784,10 @@ def _read_values(fh, out: np.ndarray, size: int):
     count = 0
     tail = ""
     # a value line takes at least two characters, so a block holds at most
-    # about _BLOCK_CELLS of them
-    while text := fh.read(_BLOCK_CELLS * 2):
+    # 1.5 * _BLOCK_CELLS lines, whose positions, masks and text take about 40
+    # bytes a line; 2 * _BLOCK_CELLS characters loaded a sample of 48
+    # distinct 20-character lines 12-17% slower, from the fixed work per block
+    while text := fh.read(_BLOCK_CELLS * 3):
         text = tail + text
         cut = text.rfind("\n") + 1
         tail = text[cut:]

@@ -719,13 +719,14 @@ class TestSerialization:
         save_sample(sample, saved)
         pipe = tmp_path / "pipe"
         os.mkfifo(pipe)
-        writer = threading.Thread(target=lambda: pipe.write_bytes(saved.read_bytes()))
+        writer = threading.Thread(target=lambda: pipe.write_bytes(saved.read_bytes()),
+                                  daemon=True)  # a writer left blocked cannot hold up the run
         writer.start()
         try:
             with mock.patch.object(lattice_fields, "_BLOCK_CELLS", 64):
                 loaded = load_sample(pipe)
         finally:
-            writer.join()
+            writer.join(timeout=60)
         assert_same_bits(loaded.values, sample.values)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
