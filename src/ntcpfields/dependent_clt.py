@@ -39,8 +39,8 @@ from .lattice_fields import (
     FieldModel,
     FieldSample,
     LatticeCube,
+    _SamplerWorkspace,
     _count_dtype,
-    _seeds_per_block,
     _slab_rows,
     _valid_window_sum,
     _value_dtype,
@@ -154,21 +154,25 @@ def _truncated_window_sum(a: np.ndarray, b: int, axis: int) -> np.ndarray:
 
 
 def _exact_window_sums(values: np.ndarray, d: int, b: int, top: int = 0,
-                       rows: int = None) -> np.ndarray:
+                       rows: int = None, padded: np.ndarray = None) -> np.ndarray:
     """The clipped window sums of a bool field at the first-axis rows
     top..top + rows of its cube (every row by default), exact integers: each
     spatial axis is padded with b zeros on both sides and summed over
     windows of 2b + 1 by the sampler's doubling rule, in the smallest count
     dtype that holds a window of the field.  The rows read only the field's
-    rows within b of them.  b must not exceed the side."""
+    rows within b of them.  b must not exceed the side.  ``padded``, a uint8
+    array of the padded rows' shape whose b-wide margins are zero, takes the
+    field's rows in place of a fresh zero array."""
     batch, side = values.shape[:-d], values.shape[-1]
     rows = side if rows is None else rows
     lo, hi = max(top - b, 0), min(top + rows + b, side)
-    sums = np.zeros(batch + (rows + 2 * b,) + (side + 2 * b,) * (d - 1), dtype=np.uint8)
+    if padded is None:
+        padded = np.zeros(batch + (rows + 2 * b,) + (side + 2 * b,) * (d - 1), dtype=np.uint8)
     first = (slice(None),) * len(batch)
-    sums[first + (slice(lo - top + b, hi - top + b),) + (slice(b, b + side),) * (d - 1)] = (
-        values[first + (slice(lo, hi),)])
+    padded[first + (slice(lo - top + b, hi - top + b),) + (slice(b, b + side),) * (d - 1)] = (
+        values.view(np.uint8)[first + (slice(lo, hi),)])
     dtype = _count_dtype(min(2 * b + 1, side) ** d)
+    sums = padded
     for axis in range(values.ndim - d, values.ndim):
         sums = _valid_window_sum(sums, 2 * b + 1, axis, dtype)
     return sums
@@ -207,12 +211,42 @@ def _binary_sample_estimate(values: np.ndarray, d: int, b: int, total) -> float:
     return weighted.sum(axis=tuple(range(d))) / size
 
 
-def _variance_estimator_batch(values: np.ndarray, d: int, b: int, sums=None) -> np.ndarray:
+class _ChatWorkspace:
+    """What ``_variance_estimator_batch`` needs for bool blocks of one cube
+    side and bandwidth: the window counts |Q_j| of each sample, computed
+    once, and the arrays that every block refills: the uint8 block within
+    b-wide zero margins, which stay zero, and the float64 deviations and
+    weights.  They are allocated for the first block, the largest of a
+    stream, and replaced only by a larger one."""
+
+    def __init__(self, d: int, side: int, b: int):
+        self.key = d, side, min(b, side)
+        self.counts = self.padded = self.dev = self.weights = np.empty(0)
+
+    def arrays(self, batch: int):
+        """(counts, padded, dev, weights) for ``batch`` samples; the counts
+        are repeated per sample, as numpy divides and multiplies arrays of
+        one shape faster than it broadcasts one of them."""
+        d, side, b = self.key
+        if len(self.dev) < batch:
+            shape = (batch,) + (side,) * d
+            self.counts = np.broadcast_to(_window_counts(side, b, d), shape).copy()
+            self.padded = np.zeros((batch,) + (side + 2 * b,) * d, dtype=np.uint8)
+            self.dev, self.weights = np.empty(shape), np.empty(shape)
+        return self.counts[:batch], self.padded[:batch], self.dev[:batch], self.weights[:batch]
+
+
+def _variance_estimator_batch(values: np.ndarray, d: int, b: int, sums=None,
+                              work: _ChatWorkspace = None) -> np.ndarray:
     """C_hat for values of shape (batch..., side, ..., side); returns (batch...).
     ``sums``, when given, are the values' sums S(U) as float64, of shape (batch...).
 
     One bool sample goes to ``_binary_sample_estimate``, which works in
-    slabs; a batch, or float values, take whole arrays."""
+    slabs; a batch, or float values, take whole arrays.  A bool batch takes
+    its counts and arrays from ``work``, a ``_ChatWorkspace`` of this d, side
+    and b, so that a stream of blocks allocates them once; without it the
+    call builds its own.  The final .sum runs on C-ordered weights of the
+    values' shape either way, which fixes the bits."""
     spatial = tuple(range(values.ndim - d, values.ndim))
     side = values.shape[-1]
     b = min(b, side)  # any b >= side - 1 clips every window to the whole axis
@@ -220,23 +254,29 @@ def _variance_estimator_batch(values: np.ndarray, d: int, b: int, sums=None) -> 
     if values.dtype == bool and values.ndim == d:
         return _binary_sample_estimate(values, d, b, values.sum() if sums is None else sums)
     if values.dtype == bool:
+        if work is None:
+            work = _ChatWorkspace(d, side, b)
+        elif work.key != (d, side, b):
+            raise ShapeError(f"the C_hat workspace holds (d, side, b) = {work.key}, "
+                             f"not {(d, side, b)}")
         # every float cumsum entry and difference of a 0/1 field is an exact
         # integer below 2^53, so the exact integer sums carry the same bits
-        block_sums = _exact_window_sums(values, d, b)
-        dev = np.empty(values.shape)  # C order, so the final .sum pairs as the float path's
+        counts, padded, dev, weighted = work.arrays(len(values))
+        block_sums = _exact_window_sums(values, d, b, padded=padded)
     else:
         block_sums = values
         for axis in spatial:
             block_sums = _truncated_window_sum(block_sums, b, axis)
         dev = block_sums  # a fresh array: the deviations overwrite it in place
-    counts = _window_counts(side, b, d)
+        counts = _window_counts(side, b, d)
+        # a single sample's weights overwrite its counts, which it no longer needs
+        weighted = counts if counts.shape == dev.shape else None
     if sums is None:
         sums = values.sum(axis=spatial)
     global_mean = np.reshape(sums, np.shape(sums) + (1,) * d) / size
     np.divide(block_sums, counts, out=dev)
     dev -= global_mean
-    # a single sample's weights overwrite its counts, which it no longer needs
-    weighted = np.multiply(counts, dev, out=counts if counts.shape == dev.shape else None)
+    weighted = np.multiply(counts, dev, out=weighted)
     weighted *= dev
     return weighted.sum(axis=spatial) / size
 
@@ -369,13 +409,15 @@ def _replicate_batches(model: FieldModel, cube: LatticeCube, replicates: int,
     module's names, which perfbench/spans.py wraps.
     """
     seeds = derive_seeds(master_seed, cube.n, np.arange(replicates))
-    step = _seeds_per_block(model, cube)
-    block = np.empty((min(step, replicates),) + cube.shape, dtype=_value_dtype(model))
-    for start in range(0, replicates, step):
-        chunk = seeds[start:start + step]
-        values = sample_fields_batch(model, cube, chunk, block[:len(chunk)])
-        # exact integers for a 0/1 field, so the same bits as a float64 sum
-        yield start, values, values.reshape(len(values), -1).sum(axis=1, dtype=np.float64)
+    work = _SamplerWorkspace(model, cube)
+    block = np.empty((min(work.step, replicates),) + cube.shape, dtype=_value_dtype(model))
+    # a 0/1 field's sums are exact integers, so integer sums carry the float64 bits
+    dtype = _count_dtype(cube.size) if block.dtype == bool else np.float64
+    for start in range(0, replicates, work.step):
+        chunk = seeds[start:start + work.step]
+        values = sample_fields_batch(model, cube, chunk, block[:len(chunk)], work)
+        yield start, values, values.reshape(len(values), -1).sum(axis=1, dtype=dtype).astype(
+            np.float64, copy=False)
 
 
 def variance_gap(

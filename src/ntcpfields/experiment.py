@@ -22,8 +22,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .cv_ntcp import normal_cdf
-from .dependent_clt import (EstimatorConfig, _half_width, _replicate_batches, _standardized,
-                            _variance_estimator_batch)
+from .dependent_clt import (EstimatorConfig, _ChatWorkspace, _half_width, _replicate_batches,
+                            _standardized, _variance_estimator_batch)
 from .errors import (ConfigError, DegenerateError, DomainError, ShapeError, integer, naming,
                      read_field, real)
 # derive_seeds and sample_fields_batch stay imported: perfbench/spans.py wraps them here
@@ -246,12 +246,13 @@ def _stream(config: ExperimentConfig):
     for n in config.n_schedule:
         cube = LatticeCube(d=config.d, n=n)
         b = config.estimator.bandwidth_for(n)
+        work = _ChatWorkspace(config.d, cube.side, b)  # used by binary fields' bool blocks
         for start, values, row_sums in _replicate_batches(
             config.model, cube, config.replicates, config.master_seed
         ):
             stop = start + len(row_sums)
             sums[start:stop] = row_sums
-            chats[start:stop] = _variance_estimator_batch(values, config.d, b, row_sums)
+            chats[start:stop] = _variance_estimator_batch(values, config.d, b, row_sums, work)
         zero = int(np.sum(chats <= 0.0))
         if zero:
             raise DegenerateError(f"C_hat = 0 in {zero} replicates at n={n}; campaign aborted")

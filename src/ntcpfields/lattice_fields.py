@@ -73,6 +73,7 @@ SIGMA2_EPSILON = 1e-12
 _U64 = np.uint64
 _MIX_C1 = _U64(0xBF58476D1CE4E5B9)
 _MIX_C2 = _U64(0x94D049BB133111EB)
+_MIX_S1, _MIX_S2, _MIX_S3 = _U64(30), _U64(27), _U64(31)
 _TAG_NOISE = _U64(0x243F6A8885A308D3)
 _TAG_REPLICATE = _U64(0x13198A2E03707344)
 _AXIS_KEYS = (
@@ -83,13 +84,16 @@ _AXIS_KEYS = (
 )
 
 
-def _mix64(h: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, elementwise and in place on a uint64 array."""
-    h ^= h >> _U64(30)
+def _mix64(h: np.ndarray, scratch: np.ndarray = None) -> np.ndarray:
+    """splitmix64 finalizer, elementwise and in place on a uint64 array; the
+    shifted values go into ``scratch``, a uint64 array of h's shape,
+    allocated when not given."""
+    scratch = np.empty_like(h) if scratch is None else scratch
+    h ^= np.right_shift(h, _MIX_S1, out=scratch)
     h *= _MIX_C1
-    h ^= h >> _U64(27)
+    h ^= np.right_shift(h, _MIX_S2, out=scratch)
     h *= _MIX_C2
-    h ^= h >> _U64(31)
+    h ^= np.right_shift(h, _MIX_S3, out=scratch)
     return h
 
 
@@ -111,25 +115,46 @@ def _keyed_hash(seeds: np.ndarray, keys: Sequence[np.ndarray], tag: np.uint64) -
     batch of seeds on the grid whose ``_axis_keys`` are ``keys``, of shape
     seeds.shape + grid.  Each value depends only on (tag, seed, coordinates),
     so nested cubes agree and a batch can be computed in any blocking."""
-    h = _mix64(seeds ^ tag).reshape(seeds.shape + (1,) * len(keys))
-    for key in keys:
-        h = _mix64(h ^ key)
+    return _site_hash(_mix64(seeds ^ tag), keys)
+
+
+def _site_hash(h: np.ndarray, keys: Sequence[np.ndarray], buffers=None) -> np.ndarray:
+    """The sites' stages of ``_keyed_hash``, from the seed stage h (the 1-d
+    ``_mix64(seeds ^ tag)``) over the grid whose ``_axis_keys`` are
+    ``keys``.  The stages alternate between ``buffers``, two flat uint64
+    arrays of at least h.size * grid cells (allocated when not given): each
+    stage is written into one, and the other, which holds the stage before,
+    is its ``_mix64`` scratch.  The result is a view of one of them."""
+    d, cells = len(keys), h.size
+    h = h.reshape(h.shape + (1,) * d)
+    if buffers is None:
+        size = cells * math.prod(key.size for key in keys)
+        buffers = np.empty(size, np.uint64), np.empty(size, np.uint64)
+    for k, key in enumerate(keys):
+        cells *= key.size
+        shape = h.shape[:1 + k] + (key.size,) + h.shape[2 + k:]
+        stage, scratch = buffers[k % 2][:cells].reshape(shape), buffers[1 - k % 2][:cells]
+        h = _mix64(np.bitwise_xor(h, key, out=stage), scratch.reshape(shape))
     return h
 
 
-def _noise_from_hash(h: np.ndarray, theta: float) -> np.ndarray:
+def _noise_from_hash(h: np.ndarray, theta: float, out: np.ndarray = None) -> np.ndarray:
     """Boolean Bernoulli(theta) noise from site hashes h: u < theta for the
-    uniform u = (h >> 11) * 2^-53.
+    uniform u = (h >> 11) * 2^-53, written into the bool array ``out`` of
+    h's shape when given.
 
     The comparison runs on integers: theta * 2^53 is exact for theta in
     [0, 1] and h >> 11 is an integer below 2^53, so u < theta exactly when
     h >> 11 < T = ceil(theta * 2^53), that is when h < T * 2^11.  Only
     T = 2^53 (theta = 1) overflows uint64 there, and then every site is 1.
     """
+    if out is None:
+        out = np.empty(h.shape, dtype=bool)
     bound = math.ceil(theta * 2**53) << 11
     if bound >= 2**64:
-        return np.ones(h.shape, dtype=bool)
-    return h < _U64(bound)
+        out.fill(True)
+        return out
+    return np.less(h, _U64(bound), out=out)
 
 
 def derive_seeds(master_seed: int, group: int, indices) -> np.ndarray:
@@ -278,8 +303,8 @@ def threshold_model_from_dose(
 def _count_dtype(w_size: int) -> type:
     """The smallest of uint8, uint16 and int32 that holds w_size + 1: every
     window count, and the threshold ``_rule_on_counts`` compares them with."""
-    for dtype in (np.uint8, np.uint16):
-        if w_size < np.iinfo(dtype).max:
+    for dtype, top in ((np.uint8, 0xFF), (np.uint16, 0xFFFF)):
+        if w_size < top:
             return dtype
     return np.int32  # w_size is at most MAX_CELLS
 
@@ -331,7 +356,7 @@ def _rule_on_counts(
         steps = model.levels - 1
         np.divide(counts, w_size, out=out)
         out *= steps
-        np.round(out, out=out)
+        np.rint(out, out=out)  # what np.round does at 0 decimals
         out /= steps
         return out
     # a threshold window, iid being the radius-0 one; counts never exceed w_size,
@@ -355,8 +380,37 @@ def _slab_rows(side: int, halo: int, d: int) -> int:
     return min(side, max(1, 2 * halo, _BLOCK_CELLS // (side + 2 * halo) ** (d - 1) - 2 * halo))
 
 
+class _SamplerWorkspace:
+    """What ``sample_fields_batch`` needs for one model and cube: the
+    per-cube constants (grid keys, seeds per block, slab rows and count
+    dtype), computed once, and the buffers that every block refills, two
+    uint64 arrays for the site hashes and ``_mix64``'s shift scratch and
+    one bool array for the noise.  They are allocated for the first block,
+    the largest of a stream, and replaced only by a larger one."""
+
+    def __init__(self, model: FieldModel, cube: LatticeCube):
+        m = model.window_radius
+        self.model, self.cube = model, cube
+        self.keys = _axis_keys([np.arange(-cube.n - m, cube.n + m + 1)] * cube.d)
+        self.step = _seeds_per_block(model, cube)
+        self.rows = _slab_rows(cube.side, m, cube.d)
+        self.slab_cells = (self.rows + 2 * m) * (cube.side + 2 * m) ** (cube.d - 1)
+        self.dtype = _count_dtype((2 * m + 1) ** cube.d)
+        self.hashes = self.noise = np.empty(0)
+
+    def buffers(self, seeds: int):
+        """((hashes, scratch), noise): flat buffers of at least a slab of
+        ``seeds`` seeds."""
+        cells = seeds * self.slab_cells
+        if self.noise.size < cells:
+            self.hashes = np.empty(cells, np.uint64), np.empty(cells, np.uint64)
+            self.noise = np.empty(cells, bool)
+        return self.hashes, self.noise
+
+
 def sample_fields_batch(
-    model: FieldModel, cube: LatticeCube, seeds: Sequence[int], out: np.ndarray = None
+    model: FieldModel, cube: LatticeCube, seeds: Sequence[int], out: np.ndarray = None,
+    work: _SamplerWorkspace = None,
 ) -> np.ndarray:
     """Values for many seeds at once, shape (len(seeds),) + cube.shape.
 
@@ -364,10 +418,13 @@ def sample_fields_batch(
     ``sample_field(model, cube, seeds[r]).values``.  The batch is computed
     in blocks of ``_seeds_per_block`` seeds, and a seed whose enlarged grid
     overflows ``_BLOCK_CELLS`` in slabs of first-axis rows that, with their
-    2m-row halo, fit it (at least one row).  Given ``out``, a float64 array
-    of that shape or one in the field's own dtype (``_value_dtype``), the
-    rows are written into it and it is returned; any other raises
-    ShapeError.
+    2m-row halo, fit it (at least one row); each block's seeds take their
+    stage of the hash once, and its slabs the stages of their sites.  Given
+    ``out``, a float64 array of that shape or one in the field's own dtype
+    (``_value_dtype``), the rows are written into it and it is returned;
+    any other raises ShapeError.  ``work``, a ``_SamplerWorkspace`` of this
+    model and cube, lends its constants and buffers, so that a stream of
+    blocks allocates them once; without it the call builds its own.
     """
     if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
         seeds = seeds.astype(np.uint64, copy=False)  # wraps modulo 2^64
@@ -389,17 +446,21 @@ def sample_fields_batch(
         raise ShapeError(
             f"out must be a float64 or {np.dtype(_value_dtype(model))} array of shape {shape}"
         )
-    keys = _axis_keys([np.arange(-cube.n - m, cube.n + m + 1)] * cube.d)
-    step = _seeds_per_block(model, cube)
-    rows = _slab_rows(cube.side, m, cube.d)
-    dtype = _count_dtype((2 * m + 1) ** cube.d)
+    if work is None:
+        work = _SamplerWorkspace(model, cube)
+    elif (work.model, work.cube) != (model, cube):
+        raise ShapeError("the sampler workspace belongs to another model or cube")
+    step, rows = work.step, work.rows
     for start in range(0, seeds.size, step):
+        block = _mix64(seeds[start:start + step] ^ _TAG_NOISE)  # the seeds' stage
+        hashes, noise = work.buffers(block.size)
         for top in range(0, cube.side, rows):
-            slab = [keys[0][:, top:top + rows + 2 * m], *keys[1:]]
-            hashes = _keyed_hash(seeds[start:start + step], slab, _TAG_NOISE)
-            counts = _noise_from_hash(hashes, model.theta).view(np.uint8)
+            slab = [work.keys[0][:, top:top + rows + 2 * m], *work.keys[1:]]
+            h = _site_hash(block, slab, hashes)
+            counts = _noise_from_hash(h, model.theta, noise[:h.size].reshape(h.shape))
+            counts = counts.view(np.uint8)
             for k in range(cube.d):
-                counts = _valid_window_sum(counts, 2 * m + 1, 1 + k, dtype)
+                counts = _valid_window_sum(counts, 2 * m + 1, 1 + k, work.dtype)
             _rule_on_counts(model, counts, cube.d, out=out[start:start + step, top:top + rows])
     return out
 

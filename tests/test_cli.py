@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import ntcpfields
-from ntcpfields import cv_ntcp, dependent_clt
+from ntcpfields import cv_ntcp, dependent_clt, lattice_fields
 from ntcpfields.cli import main
 
 
@@ -355,6 +355,31 @@ class TestFreshProcess:
         done = self.cli("estimate", "--sample", str(tmp_path / "nope.dat"))
         assert done.returncode == 2
         assert done.stdout == "" and "nope.dat" in done.stderr
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads children's minor faults on Linux")
+    def test_campaign_blocks_fault_in_no_new_arrays(self, tmp_path):
+        """Each extra sampler block of a campaign adds fewer minor page faults
+        than half of one block-sized array: a block of _BLOCK_CELLS noise
+        cells takes 8 bytes a cell for its uint64 hashes or float64 C_hat
+        deviations, 128 pages of 4 KiB, so a stream that freed and faulted
+        in even one such array per block would fail; buffers refilled in
+        place fault only while the first block touches them."""
+        import resource
+
+        def faults(blocks):
+            config = tmp_path / f"blocks{blocks}.json"
+            # 40 replicates a block at n = 800: 2^16 // (1601 + 2) seeds
+            config.write_text(json.dumps(experiment_config(n_schedule=[800],
+                                                           replicates=40 * blocks)))
+            before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+            done = self.cli("experiment", "--config", str(config),
+                            "--out", str(tmp_path / "report.csv"))
+            assert (done.returncode, done.stderr) == (0, "")
+            return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+        block_pages = 8 * lattice_fields._BLOCK_CELLS // resource.getpagesize()
+        few, many = faults(5), faults(50)
+        assert (many - few) / 45 < block_pages / 2
 
 
 def experiment_config(**fields):

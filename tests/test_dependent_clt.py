@@ -490,9 +490,9 @@ class TestBlockIndependence:
             derived.append(args)
             return lattice_fields.derive_seeds(*args)
 
-        def sample(model, cube, seeds, out):
+        def sample(model, cube, seeds, out, work):
             blocks.append(np.array(seeds))
-            return lattice_fields.sample_fields_batch(model, cube, seeds, out)
+            return lattice_fields.sample_fields_batch(model, cube, seeds, out, work)
 
         monkeypatch.setattr(dependent_clt, "derive_seeds", derive)
         monkeypatch.setattr(dependent_clt, "sample_fields_batch", sample)
@@ -501,3 +501,69 @@ class TestBlockIndependence:
         assert len(derived) == 1 and len(blocks) == 4
         expected = lattice_fields.derive_seeds(9, cube.n, np.arange(replicates))
         assert np.array_equal(np.concatenate(blocks), expected)
+
+    @pytest.mark.parametrize("d, n", [(1, 126), (1, 127), (2, 128)])
+    def test_integer_row_sums_never_wrap(self, d, n):
+        # all-ones cubes at the edges of the row-sum dtypes: 253 cells sum in
+        # uint8, 255 in uint16 and 66049 in int32
+        cube = LatticeCube(d=d, n=n)
+        for _, values, sums in _replicate_batches(IidBernoulli(1.0), cube, 3, 5):
+            assert sums.dtype == np.float64 and sums.tolist() == [cube.size] * len(sums)
+            floats = values.reshape(len(values), -1).sum(axis=1, dtype=np.float64)
+            assert sums.tobytes() == floats.tobytes()
+
+
+class TestStreamAllocations:
+    """After its first block, a replicate stream refills the buffers it made
+    for that block: no block takes a block-sized array, such as the uint64
+    site hashes (8 bytes per noise cell), from the allocator again."""
+
+    CUBE = LatticeCube(d=1, n=200)
+    REPLICATES = 1000  # 7 blocks of up to 162 replicates
+
+    def block_bytes(self):
+        step = lattice_fields._seeds_per_block(MAJORITY, self.CUBE)
+        return 8 * step * (self.CUBE.side + 2 * MAJORITY.window_radius)
+
+    @staticmethod
+    def peaks_between(calls):
+        """The traced peak above the memory held at each call's start."""
+        peaks = []
+        tracemalloc.start()
+        try:
+            for call in calls:
+                tracemalloc.reset_peak()
+                held = tracemalloc.get_traced_memory()[0]
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1] - held)
+        finally:
+            tracemalloc.stop()
+        return peaks
+
+    def test_variance_gap_stream(self):
+        blocks = _replicate_batches(MAJORITY, self.CUBE, self.REPLICATES, 3)
+        peaks = self.peaks_between([lambda: next(blocks)] * 7)
+        assert next(blocks, None) is None
+        assert max(peaks[1:]) < self.block_bytes()
+
+    def test_campaign_stream_with_chat(self, monkeypatch):
+        from ntcpfields import experiment
+
+        marks, peaks = [], []
+        original = experiment._variance_estimator_batch
+
+        def chat(*args):  # a block ends with its C_hat
+            result = original(*args)
+            held, peak = tracemalloc.get_traced_memory()
+            if marks:
+                peaks.append(peak - marks[-1])
+            marks.append(held)
+            tracemalloc.reset_peak()
+            return result
+
+        monkeypatch.setattr(experiment, "_variance_estimator_batch", chat)
+        config = ExperimentConfig(model=MAJORITY, d=1, n_schedule=(self.CUBE.n,),
+                                  replicates=self.REPLICATES, master_seed=3)
+        self.peaks_between([lambda: list(experiment._stream(config))])
+        assert len(marks) == 7
+        assert max(peaks) < self.block_bytes()
