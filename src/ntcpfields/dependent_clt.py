@@ -40,6 +40,7 @@ from .lattice_fields import (
     FieldSample,
     LatticeCube,
     _SamplerWorkspace,
+    _Scratch,
     _count_dtype,
     _slab_rows,
     _valid_window_sum,
@@ -213,33 +214,36 @@ def _binary_sample_estimate(values: np.ndarray, d: int, b: int, total) -> float:
 
 class _ChatWorkspace:
     """What ``_variance_estimator_batch`` needs for bool blocks of one cube
-    side and bandwidth: the window counts |Q_j| of each sample, computed
-    once, and the arrays that every block refills: the uint8 block within
-    b-wide zero margins, which stay zero, and the float64 deviations and
-    weights.  They are allocated for the first block, the largest of a
-    stream, and replaced only by a larger one."""
+    side and bandwidth: the window counts |Q_j| of the cube, computed once,
+    and the arrays that every block refills: the uint8 block within b-wide
+    zero margins, which stay zero, and the float64 deviations and weights,
+    taken from ``scratch`` (a ``_Scratch`` of its own unless given).  They
+    are allocated for the first block, the largest of a stream, and
+    replaced only by a larger one."""
 
-    def __init__(self, d: int, side: int, b: int):
+    def __init__(self, d: int, side: int, b: int, scratch: _Scratch = None):
         self.key = d, side, min(b, side)
-        self.counts = self.padded = self.dev = self.weights = np.empty(0)
+        self.scratch = _Scratch() if scratch is None else scratch
+        self.padded = np.empty(0)
 
     def arrays(self, batch: int):
-        """(counts, padded, dev, weights) for ``batch`` samples; the counts
-        are repeated per sample, as numpy divides and multiplies arrays of
-        one shape faster than it broadcasts one of them."""
+        """(counts, padded, dev, weights) for ``batch`` samples."""
         d, side, b = self.key
-        if len(self.dev) < batch:
-            shape = (batch,) + (side,) * d
-            self.counts = np.broadcast_to(_window_counts(side, b, d), shape).copy()
+        if len(self.padded) < batch:
+            self.counts = _window_counts(side, b, d)
             self.padded = np.zeros((batch,) + (side + 2 * b,) * d, dtype=np.uint8)
-            self.dev, self.weights = np.empty(shape), np.empty(shape)
-        return self.counts[:batch], self.padded[:batch], self.dev[:batch], self.weights[:batch]
+        shape = (batch,) + self.counts.shape
+        cells = math.prod(shape)
+        dev, weights = (a[:cells].view(np.float64).reshape(shape)
+                        for a in self.scratch.take(cells))
+        return self.counts, self.padded[:batch], dev, weights
 
 
 def _variance_estimator_batch(values: np.ndarray, d: int, b: int, sums=None,
                               work: _ChatWorkspace = None) -> np.ndarray:
-    """C_hat for values of shape (batch..., side, ..., side); returns (batch...).
-    ``sums``, when given, are the values' sums S(U) as float64, of shape (batch...).
+    """C_hat for values of shape (batch..., side, ..., side), one batch axis
+    at most for bool values; returns (batch...).  ``sums``, when given, are
+    the values' sums S(U) as float64, of shape (batch...).
 
     One bool sample goes to ``_binary_sample_estimate``, which works in
     slabs; a batch, or float values, take whole arrays.  A bool batch takes
@@ -394,22 +398,28 @@ def ntcp_estimate(
 # ---------------------------------------------------------------------------
 
 def _replicate_batches(model: FieldModel, cube: LatticeCube, replicates: int,
-                       master_seed: int):
+                       master_seed: int, scratch: _Scratch = None):
     """Replicates 0..replicates-1 of one cube, one sampler block at a time;
     replicate r is sampled with seed derive_seeds(master_seed, n, r).
 
     Yields (start, values, row_sums): the block's first replicate index, its
-    values of shape (block,) + cube.shape and each replicate's sum S(U).  A
-    block holds ``_seeds_per_block`` replicates, so a consumer that reduces
-    each block as it arrives works on it while it is still in cache.  The
-    values are one buffer per cube in the field's own dtype (bool for the
-    threshold and iid fields), refilled by every block, so a consumer is
-    done with a block before it asks for the next.  The cube's seeds are
-    derived in one call, 8 bytes per replicate.  Both calls go through this
-    module's names, which perfbench/spans.py wraps.
+    values of shape (block,) + cube.shape and each replicate's sum S(U) as
+    float64, summed in integers (``_count_dtype`` of the cube) for a bool
+    block, whose sums are exact.  A block holds ``_seeds_per_block``
+    replicates, so a consumer that reduces each block as it arrives works
+    on it while it is still in cache.  The values are one buffer per cube
+    in the field's own dtype (bool for the threshold and iid fields), and
+    the sampler's hashes and noise are the buffers of one
+    ``_SamplerWorkspace`` per cube, its hashes in ``scratch`` (a
+    ``_Scratch`` of its own unless given), all refilled by every block, so
+    a consumer is done with a block before it asks for the next; it may
+    use the scratch in between.  The cube's seeds are derived in one call,
+    8 bytes per replicate.  Both calls go through this module's names,
+    which perfbench/spans.py wraps; the workspace is the sampler call's
+    last argument.
     """
     seeds = derive_seeds(master_seed, cube.n, np.arange(replicates))
-    work = _SamplerWorkspace(model, cube)
+    work = _SamplerWorkspace(model, cube, scratch)
     block = np.empty((min(work.step, replicates),) + cube.shape, dtype=_value_dtype(model))
     # a 0/1 field's sums are exact integers, so integer sums carry the float64 bits
     dtype = _count_dtype(cube.size) if block.dtype == bool else np.float64

@@ -6,9 +6,14 @@ n streams its replicates from ``dependent_clt._replicate_batches``, in which
 replicate r uses the seed ``derive_seeds(master_seed, n, r)``, so reports
 are reproducible byte for byte and replicates can be computed in parallel or
 in any blocking without changing the result.  S(U) and C_hat are computed on
-each sampler block as it arrives, so a campaign holds one block plus one
-n's S(U) and C_hat arrays at a time; each front-end derives from them only
-what it returns.
+each sampler block as it arrives, C_hat of a binary field's bool block from
+one ``dependent_clt._ChatWorkspace`` per n (window counts, padded input,
+deviations and weights) that every block refills, as it refills the
+sampler's.  The sampler's hashes and C_hat's deviations and weights are
+the same two arrays, one ``_Scratch`` for the campaign, so a block's stages
+work in memory that stays in cache.  A campaign holds one block's buffers
+plus one n's S(U) and C_hat arrays at a time, and each front-end derives
+from them only what it returns.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .lattice_fields import (
     MAX_CELLS,
     FieldModel,
     LatticeCube,
+    _Scratch,
     _check_d,
     derive_seeds,
     model_from_dict,
@@ -243,12 +249,13 @@ def _campaign(config: ExperimentConfig) -> Tuple[float, float, Iterator]:
 def _stream(config: ExperimentConfig):
     sums = np.empty(config.replicates)
     chats = np.empty(config.replicates)
+    scratch = _Scratch()  # every block's site hashes, then its C_hat deviations and weights
     for n in config.n_schedule:
         cube = LatticeCube(d=config.d, n=n)
         b = config.estimator.bandwidth_for(n)
-        work = _ChatWorkspace(config.d, cube.side, b)  # used by binary fields' bool blocks
+        work = _ChatWorkspace(config.d, cube.side, b, scratch)  # for a binary field's blocks
         for start, values, row_sums in _replicate_batches(
-            config.model, cube, config.replicates, config.master_seed
+            config.model, cube, config.replicates, config.master_seed, scratch
         ):
             stop = start + len(row_sums)
             sums[start:stop] = row_sums

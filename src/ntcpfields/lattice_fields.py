@@ -30,10 +30,17 @@ cache, and each block's rule writes straight into the output, float64 or
 the field's own dtype (bool for the threshold and iid fields).  One large
 cube whose grid alone overflows a block is computed in slabs of first-axis
 rows instead, each hashed with its 2m-row halo: a site's noise depends only
-on the seed and its coordinates, so the slabs give the same bits.  Replicate
-streams derive a cube's seeds once and refill one block buffer per cube in
-the field's own dtype, so a campaign holds one block plus 8 bytes of seed,
-S(U) and C_hat per replicate.
+on the seed and its coordinates, so the slabs give the same bits; a block's
+seeds take their stage of the hash once, its slabs only their sites'.
+Every call works from a ``_SamplerWorkspace``: the cube's grid keys, block
+and slab sizes and count dtype, and buffers for the uint64 hashes, the
+shift scratch of ``_mix64`` and the bool noise.  A call builds its own;
+replicate streams build one per cube, derive the cube's seeds once and
+refill its buffers and one block of values in the field's own dtype with
+every block, so after the first block they allocate nothing block-sized.
+The hashes and their scratch come from a ``_Scratch``, which a campaign
+shares with C_hat's deviations and weights, so a campaign holds one
+block's buffers plus 8 bytes of seed, S(U) and C_hat per replicate.
 """
 
 from __future__ import annotations
@@ -380,15 +387,34 @@ def _slab_rows(side: int, halo: int, d: int) -> int:
     return min(side, max(1, 2 * halo, _BLOCK_CELLS // (side + 2 * halo) ** (d - 1) - 2 * halo))
 
 
+class _Scratch:
+    """Two flat uint64 arrays, replaced only by larger ones.  The workspaces
+    that run one after another on a block, the sampler's (site hashes and
+    their shift scratch) and then C_hat's (deviations and weights), can
+    take their largest arrays from one ``_Scratch``, so that every stage of
+    a block works in the same memory, still in cache, and none holds its
+    own."""
+
+    def __init__(self):
+        self.pair = (np.empty(0, np.uint64),) * 2
+
+    def take(self, cells: int):
+        """The two arrays, of at least ``cells`` cells each."""
+        if self.pair[0].size < cells:
+            self.pair = np.empty(cells, np.uint64), np.empty(cells, np.uint64)
+        return self.pair
+
+
 class _SamplerWorkspace:
     """What ``sample_fields_batch`` needs for one model and cube: the
     per-cube constants (grid keys, seeds per block, slab rows and count
-    dtype), computed once, and the buffers that every block refills, two
-    uint64 arrays for the site hashes and ``_mix64``'s shift scratch and
-    one bool array for the noise.  They are allocated for the first block,
-    the largest of a stream, and replaced only by a larger one."""
+    dtype), computed once, and the arrays that every block refills, the
+    site hashes and ``_mix64``'s shift scratch from ``scratch`` (a
+    ``_Scratch`` of its own unless given) and the bool noise.  They are
+    allocated for the first block, the largest of a stream, and replaced
+    only by a larger one."""
 
-    def __init__(self, model: FieldModel, cube: LatticeCube):
+    def __init__(self, model: FieldModel, cube: LatticeCube, scratch: _Scratch = None):
         m = model.window_radius
         self.model, self.cube = model, cube
         self.keys = _axis_keys([np.arange(-cube.n - m, cube.n + m + 1)] * cube.d)
@@ -396,16 +422,16 @@ class _SamplerWorkspace:
         self.rows = _slab_rows(cube.side, m, cube.d)
         self.slab_cells = (self.rows + 2 * m) * (cube.side + 2 * m) ** (cube.d - 1)
         self.dtype = _count_dtype((2 * m + 1) ** cube.d)
-        self.hashes = self.noise = np.empty(0)
+        self.scratch = _Scratch() if scratch is None else scratch
+        self.noise = np.empty(0, bool)
 
     def buffers(self, seeds: int):
-        """((hashes, scratch), noise): flat buffers of at least a slab of
+        """((hashes, scratch), noise): flat arrays of at least a slab of
         ``seeds`` seeds."""
         cells = seeds * self.slab_cells
         if self.noise.size < cells:
-            self.hashes = np.empty(cells, np.uint64), np.empty(cells, np.uint64)
             self.noise = np.empty(cells, bool)
-        return self.hashes, self.noise
+        return self.scratch.take(cells), self.noise
 
 
 def sample_fields_batch(

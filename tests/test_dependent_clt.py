@@ -9,6 +9,7 @@ from scipy import special
 from ntcpfields import lattice_fields
 from ntcpfields.dependent_clt import (
     EstimatorConfig,
+    _ChatWorkspace,
     _replicate_batches,
     _truncated_window_sum,
     _variance_estimator_batch,
@@ -170,6 +171,18 @@ class TestBandwidth:
 
 
 class TestVarianceEstimator:
+    def test_workspace_shares_the_sampler_scratch(self):
+        # two blocks, the second smaller; C_hat's deviations and weights
+        # overwrite the sampler's hashes, and the next block's hashes them
+        cube, b = LatticeCube(d=2, n=6), 2
+        scratch = lattice_fields._Scratch()
+        work = _ChatWorkspace(2, cube.side, b, scratch)
+        for _, values, sums in _replicate_batches(MAJORITY, cube, 300, 1, scratch):
+            rows = _variance_estimator_batch(values, 2, b, sums, work)
+            assert rows.tobytes() == _variance_estimator_batch(values, 2, b).tobytes()
+        with pytest.raises(ShapeError):
+            _variance_estimator_batch(values, 2, b + 1, sums, work)
+
     def test_constant_field_gives_zero(self):
         sample = make_sample(np.full((9, 9), 0.7))
         assert variance_estimator(sample, EstimatorConfig(bandwidth=2)) == \

@@ -415,6 +415,15 @@ class TestSampling:
             assert sample_fields_batch(model, cube, [4, 5], out) is out
             assert np.array_equal(out, expected)
 
+    def test_workspace_grows_and_belongs_to_one_cube(self):
+        model, cube = MovingWindowLevels(1, 0.4, 5), LatticeCube(d=2, n=6)
+        work = lattice_fields._SamplerWorkspace(model, cube)
+        for seeds in ([4], [4, 5, 6], [7]):  # a larger block grows the buffers
+            assert np.array_equal(sample_fields_batch(model, cube, seeds, None, work),
+                                  sample_fields_batch(model, cube, seeds))
+        with pytest.raises(ShapeError):
+            sample_fields_batch(model, LatticeCube(d=2, n=5), [4], None, work)
+
     def test_derive_seeds_matches_scalar(self):
         batch = derive_seeds(42, 7, np.arange(5))
         for r in range(5):
