@@ -224,12 +224,12 @@ class _ChatWorkspace:
     def __init__(self, d: int, side: int, b: int, scratch: _Scratch = None):
         self.key = d, side, min(b, side)
         self.scratch = _Scratch() if scratch is None else scratch
-        self.padded = np.empty(0)
+        self.counts = None
 
     def arrays(self, batch: int):
         """(counts, padded, dev, weights) for ``batch`` samples."""
         d, side, b = self.key
-        if len(self.padded) < batch:
+        if self.counts is None or len(self.padded) < batch:
             self.counts = _window_counts(side, b, d)
             self.padded = np.zeros((batch,) + (side + 2 * b,) * d, dtype=np.uint8)
         shape = (batch,) + self.counts.shape

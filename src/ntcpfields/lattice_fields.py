@@ -80,7 +80,6 @@ SIGMA2_EPSILON = 1e-12
 _U64 = np.uint64
 _MIX_C1 = _U64(0xBF58476D1CE4E5B9)
 _MIX_C2 = _U64(0x94D049BB133111EB)
-_MIX_S1, _MIX_S2, _MIX_S3 = _U64(30), _U64(27), _U64(31)
 _TAG_NOISE = _U64(0x243F6A8885A308D3)
 _TAG_REPLICATE = _U64(0x13198A2E03707344)
 _AXIS_KEYS = (
@@ -96,11 +95,11 @@ def _mix64(h: np.ndarray, scratch: np.ndarray = None) -> np.ndarray:
     shifted values go into ``scratch``, a uint64 array of h's shape,
     allocated when not given."""
     scratch = np.empty_like(h) if scratch is None else scratch
-    h ^= np.right_shift(h, _MIX_S1, out=scratch)
+    h ^= np.right_shift(h, _U64(30), out=scratch)
     h *= _MIX_C1
-    h ^= np.right_shift(h, _MIX_S2, out=scratch)
+    h ^= np.right_shift(h, _U64(27), out=scratch)
     h *= _MIX_C2
-    h ^= np.right_shift(h, _MIX_S3, out=scratch)
+    h ^= np.right_shift(h, _U64(31), out=scratch)
     return h
 
 
@@ -135,8 +134,7 @@ def _site_hash(h: np.ndarray, keys: Sequence[np.ndarray], buffers=None) -> np.nd
     d, cells = len(keys), h.size
     h = h.reshape(h.shape + (1,) * d)
     if buffers is None:
-        size = cells * math.prod(key.size for key in keys)
-        buffers = np.empty(size, np.uint64), np.empty(size, np.uint64)
+        buffers = _Scratch().take(cells * math.prod(key.size for key in keys))
     for k, key in enumerate(keys):
         cells *= key.size
         shape = h.shape[:1 + k] + (key.size,) + h.shape[2 + k:]
