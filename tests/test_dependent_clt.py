@@ -577,6 +577,10 @@ class TestStreamAllocations:
         monkeypatch.setattr(experiment, "_variance_estimator_batch", chat)
         config = ExperimentConfig(model=MAJORITY, d=1, n_schedule=(self.CUBE.n,),
                                   replicates=self.REPLICATES, master_seed=3)
-        self.peaks_between([lambda: list(experiment._stream(config))])
+        tracemalloc.start()
+        try:
+            list(experiment._stream(config))
+        finally:
+            tracemalloc.stop()
         assert len(marks) == 7
         assert max(peaks) < self.block_bytes()
