@@ -12,6 +12,7 @@ parser).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional, Sequence, Tuple
@@ -143,8 +144,9 @@ def _cmd_estimate(args) -> List[Tuple[str, object]]:
     else:
         config = dependent_clt.EstimatorConfig(eta=args.eta)
     size = sample.cube.size
-    c_hat = dependent_clt.variance_estimator(sample, config)  # rejects nan and inf first
-    total = dependent_clt.partial_sum(sample)
+    checked = dependent_clt._checked(sample)  # rejects nan and inf first
+    c_hat = dependent_clt.variance_estimator(sample, config, checked)
+    total = dependent_clt._finite_result(checked[1], "sum")
     out: List[Tuple[str, object]] = [
         ("sum", total),
         ("mean", total / size),
@@ -173,7 +175,10 @@ def _cmd_experiment(args) -> List[Tuple[str, object]]:
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built at the first call of a process and kept:
+    it holds no state between parses."""
     parser = argparse.ArgumentParser(
         prog="ntcpfields",
         description="Critical-volume NTCP calculus and dependent-field estimation",

@@ -8,15 +8,17 @@ block means from the global mean:
 
 with Q_j = U intersect K_j(b), K_j(b) the sup-norm ball of radius b at j.
 Boundary sites use the truncated Q_j exactly as written: no wraparound.
-A float field's window sums S(Q_j) are differences of float64 prefix
-sums.  A binary field, held as bool, takes exact integer sums instead: the
-sampler's doubling rule over the field padded with b zeros, the same bits.
-So does a single sample of a binary model whose values are all 0 or 1,
-whatever their dtype; any other integer values are taken as float64.  Such
-a sample's window sums, counts and weights are computed in slabs of
-first-axis rows, each summed from its rows and a b-row halo, so the weights
-are its only cube-sized array; they are summed once, whole, in the order
-that fixes the bits.
+One engine computes C_hat for a single sample and for a campaign's blocks
+alike, in slabs of first-axis rows.  Its only fork is the window sums
+S(Q_j).  A float field's are differences of float64 prefix sums, the first
+axis's carried from slab to slab in the order of one cumsum.  A binary
+field, held as bool, takes exact integer sums instead: the sampler's
+doubling rule over the field padded with b zeros, each slab summed from its
+rows and a b-row halo, the same bits.  So does a single sample of a binary
+model whose values are all 0 or 1, whatever their dtype; any other integer
+values are taken as float64.  The counts |Q_j| of a slab are one product of
+per-cube constants, and the weights of a sample or block are its only array
+of their size, summed once, whole, in the order that fixes the bits.
 With a bandwidth schedule b_n -> infinity, b_n = o(n), C_hat is consistent
 for sigma^2 and can replace it in the CLT normalizer (random
 normalization).  One formula, (S(U) - |U| mean) / sqrt(v |U|), v = sigma^2
@@ -154,22 +156,55 @@ def _truncated_window_sum(a: np.ndarray, b: int, axis: int) -> np.ndarray:
     return np.moveaxis(out, -1, axis)
 
 
-def _exact_window_sums(values: np.ndarray, d: int, b: int, top: int = 0,
-                       rows: int = None, padded: np.ndarray = None) -> np.ndarray:
+def _carried_window_sums(values: np.ndarray, d: int, b: int, top: int, rows: int,
+                         step: int, cs: np.ndarray, out: np.ndarray) -> None:
+    """Writes into ``out`` the clipped first-axis window sums of float values
+    at the first-axis rows top..top + rows, the slab after the one at
+    top - step: the differences of the first axis's cumsum, as
+    ``_truncated_window_sum`` takes them.  ``cs`` holds that cumsum's rows
+    max(top - b - 1, 0)..min(top + rows + b, side): the ones the slab before
+    computed move to its front and the rest continue from the last of them,
+    so every lane is summed in sequence, as one np.cumsum sums it."""
+    first = (slice(None),) * (values.ndim - d)
+    side = values.shape[-1]
+
+    def part(a, start, stop):
+        return a[first + (slice(start, stop),)]
+
+    lo, hi = max(top - b - 1, 0), min(top + rows + b, side)
+    done = min(top + b, side) if top else 0  # rows the slab before computed
+    if top:
+        before = max(top - step - b - 1, 0)
+        part(cs, 0, done - lo)[...] = part(cs, lo - before, done - before)
+    fresh = part(cs, done - lo, hi - lo)
+    fresh[...] = part(values, done, hi)
+    if top and done < hi:
+        fresh[first + (0,)] += cs[first + (done - lo - 1,)]
+    np.cumsum(fresh, axis=len(first), out=fresh)
+    # sum[i] = cs[min(i+b, side-1)] - cs[i-b-1], the second term where i-b-1 >= 0
+    near = min(max(side - b, top), top + rows)
+    part(out, 0, near - top)[...] = part(cs, top + b - lo, near + b - lo)
+    part(out, near - top, rows)[...] = part(cs, side - 1 - lo, side - lo)
+    far = min(max(b + 1, top), top + rows)
+    part(out, far - top, rows)[...] -= part(cs, far - b - 1 - lo, top + rows - b - 1 - lo)
+
+
+def _exact_window_sums(values: np.ndarray, d: int, b: int, top: int, rows: int,
+                       padded: np.ndarray) -> np.ndarray:
     """The clipped window sums of a bool field at the first-axis rows
-    top..top + rows of its cube (every row by default), exact integers: each
-    spatial axis is padded with b zeros on both sides and summed over
-    windows of 2b + 1 by the sampler's doubling rule, in the smallest count
-    dtype that holds a window of the field.  The rows read only the field's
-    rows within b of them.  b must not exceed the side.  ``padded``, a uint8
-    array of the padded rows' shape whose b-wide margins are zero, takes the
-    field's rows in place of a fresh zero array."""
-    batch, side = values.shape[:-d], values.shape[-1]
-    rows = side if rows is None else rows
+    top..top + rows of its cube, exact integers: each spatial axis is padded
+    with b zeros on both sides and summed over windows of 2b + 1 by the
+    sampler's doubling rule, in the smallest count dtype that holds a window
+    of the field.  The rows read only the field's rows within b of them,
+    which are copied as uint8 into ``padded``, an array of the padded rows'
+    shape whose margins along the other axes are zero; its rows beyond the
+    cube are zeroed here.  b must not exceed the side."""
+    side = values.shape[-1]
     lo, hi = max(top - b, 0), min(top + rows + b, side)
-    if padded is None:
-        padded = np.zeros(batch + (rows + 2 * b,) + (side + 2 * b,) * (d - 1), dtype=np.uint8)
-    first = (slice(None),) * len(batch)
+    first = (slice(None),) * (values.ndim - d)
+    if rows < side:  # another slab of the cube may have filled them
+        padded[first + (slice(0, lo - top + b),)] = 0
+        padded[first + (slice(hi - top + b, None),)] = 0
     padded[first + (slice(lo - top + b, hi - top + b),) + (slice(b, b + side),) * (d - 1)] = (
         values.view(np.uint8)[first + (slice(lo, hi),)])
     dtype = _count_dtype(min(2 * b + 1, side) ** d)
@@ -179,110 +214,114 @@ def _exact_window_sums(values: np.ndarray, d: int, b: int, top: int = 0,
     return sums
 
 
-def _window_counts(side: int, b: int, d: int, rows=slice(None)) -> np.ndarray:
-    """|Q_j| over the cube, or over its first-axis ``rows``: the outer
-    product of per-axis clipped widths."""
-    i = np.arange(side)
-    width = np.minimum(i + b, side - 1) - np.maximum(i - b, 0) + 1
-    counts = width[rows].astype(np.float64)
-    for _ in range(d - 1):
-        counts = counts[..., None] * width
-    return counts
-
-
-def _binary_sample_estimate(values: np.ndarray, d: int, b: int, total) -> float:
-    """C_hat of one bool sample whose sum S(U) is ``total``, b at most the
-    side: its window sums, counts and weights are taken in slabs of
-    first-axis rows (``_slab_rows`` with a b-row halo), so the weights are
-    its only cube-sized array.  The elementwise steps and the final .sum over
-    the C-ordered weights are those of ``_variance_estimator_batch``, so the
-    bits are the same."""
-    side = values.shape[0]
-    size = float(side**d)
-    mean = total / size
-    weighted = np.empty(values.shape)
-    rows = _slab_rows(side, b, d)
-    for top in range(0, side, rows):
-        dev = weighted[top:top + rows]
-        counts = _window_counts(side, b, d, slice(top, top + rows))
-        np.divide(_exact_window_sums(values, d, b, top, len(dev)), counts, out=dev)
-        dev -= mean
-        counts *= dev
-        dev *= counts  # (counts * dev) * dev
-    return weighted.sum(axis=tuple(range(d))) / size
-
-
 class _ChatWorkspace:
-    """What ``_variance_estimator_batch`` needs for bool blocks of one cube
-    side and bandwidth: the window counts |Q_j| of the cube, computed once,
-    and the arrays that every block refills: the uint8 block within b-wide
-    zero margins, which stay zero, and the float64 deviations and weights,
-    taken from ``scratch`` (a ``_Scratch`` of its own unless given).  They
-    are allocated for the first block, the largest of a stream, and
-    replaced only by a larger one."""
+    """C_hat's per-cube constants for one d, side and b (at most the side),
+    computed once: the slab rows (``_slab_rows`` with a b-row halo), each
+    axis's clipped window widths, and the product of the widths of the axes
+    after the first, from which each slab's counts |Q_j| are one multiply
+    into a slab-sized buffer.  It also holds the buffers that every call
+    refills: the rows the window sums start from (bool rows within b-wide
+    zero margins as uint8, or float cumsum rows) and, for a batch, float64
+    weights and products from ``scratch`` (a ``_Scratch`` of its own unless
+    given).  Buffers are allocated for the first block, the largest of a
+    stream, and replaced only by a larger one or another kind."""
 
     def __init__(self, d: int, side: int, b: int, scratch: _Scratch = None):
-        self.key = d, side, min(b, side)
+        b = min(b, side)
+        self.key = d, side, b
+        self.rows = _slab_rows(side, b, d)
+        i = np.arange(side)
+        self.width = (np.minimum(i + b, side - 1) - np.maximum(i - b, 0) + 1).astype(np.float64)
+        self.inner = np.ones(())
+        for _ in range(d - 1):
+            self.inner = self.inner[..., None] * self.width
+        self.counts = np.empty((self.rows,) + self.inner.shape)
+        self.counts_top = None  # the slab whose counts the buffer holds
+        # the window sums' start rows: bool rows within zero margins, float cumsum rows
+        self.fronts = {True: ((self.rows + 2 * b,) + (side + 2 * b,) * (d - 1), np.uint8),
+                       False: ((min(self.rows + 2 * b + 1, side),) + (side,) * (d - 1), np.float64)}
+        self.slab = (self.rows,) + (side,) * (d - 1)
         self.scratch = _Scratch() if scratch is None else scratch
-        self.counts = None
+        self.front = np.empty(0, np.uint8)
 
-    def arrays(self, batch: int):
-        """(counts, padded, dev, weights) for ``batch`` samples."""
-        d, side, b = self.key
-        if self.counts is None or len(self.padded) < batch:
-            self.counts = _window_counts(side, b, d)
-            self.padded = np.zeros((batch,) + (side + 2 * b,) * d, dtype=np.uint8)
-        shape = (batch,) + self.counts.shape
-        cells = math.prod(shape)
-        dev, weights = (a[:cells].view(np.float64).reshape(shape)
-                        for a in self.scratch.take(cells))
-        return self.counts, self.padded[:batch], dev, weights
+    def slab_counts(self, top: int, rows: int) -> np.ndarray:
+        """|Q_j| at the first-axis rows top..top + rows, in the counts buffer.
+        The products of the widths are exact integers, in any order."""
+        if self.counts_top != top:
+            column = self.width[top:top + rows].reshape((rows,) + (1,) * self.inner.ndim)
+            np.multiply(column, self.inner, out=self.counts[:rows])
+            self.counts_top = top
+        return self.counts[:rows]
+
+    def arrays(self, values: np.ndarray):
+        """(front, weights, products) for ``values``, one sample or one batch
+        axis of them: the window sums' start rows; the weights, a fresh array
+        for one sample, whose slab products are the counts buffer (None), and
+        for a batch the scratch, one array of the values' shape and one of a
+        slab's."""
+        batch = values.shape[:values.ndim - self.key[0]]
+        shape, dtype = self.fronts[values.dtype == bool]
+        front = self.front
+        if front.dtype != dtype or front.shape[len(batch):] != shape or front.shape[:1] < batch:
+            self.front = front = np.zeros(batch + shape, dtype)
+        if not batch:
+            return front, np.empty(values.shape), None
+        products, weights = self.scratch.take(values.size)
+        return (front[:batch[0]], weights[:values.size].view(np.float64).reshape(values.shape),
+                products[:batch[0] * self.counts.size].view(np.float64).reshape(batch + self.slab))
 
 
 def _variance_estimator_batch(values: np.ndarray, d: int, b: int, sums=None,
                               work: _ChatWorkspace = None) -> np.ndarray:
-    """C_hat for values of shape (batch..., side, ..., side), one batch axis
-    at most for bool values; returns (batch...).  ``sums``, when given, are
-    the values' sums S(U) as float64, of shape (batch...).
+    """C_hat for values of shape (batch, side, ..., side), or of one sample
+    (side, ..., side); returns (batch,) or a scalar.  ``sums``, when given,
+    are the values' sums S(U) as float64, of shape (batch,) or a scalar.
 
-    One bool sample goes to ``_binary_sample_estimate``, which works in
-    slabs; a batch, or float values, take whole arrays.  A bool batch takes
-    its counts and arrays from ``work``, a ``_ChatWorkspace`` of this d, side
-    and b, so that a stream of blocks allocates them once; without it the
-    call builds its own.  The final .sum runs on C-ordered weights of the
-    values' shape either way, which fixes the bits."""
-    spatial = tuple(range(values.ndim - d, values.ndim))
+    One loop over slabs of first-axis rows: its only fork is the window
+    sums, exact integer doubling for bool values, the carried cumsum for
+    float values.  The counts, deviations from the mean S(U)/|U| and
+    weights follow in place, a slab at a time, into one float64 array of
+    weights of the values' shape, and the final .sum over those C-ordered
+    weights fixes the bits.  The constants and buffers come from ``work``,
+    a ``_ChatWorkspace`` of this d, side and b, so that a stream of blocks
+    allocates them once; without it the call builds its own."""
     side = values.shape[-1]
     b = min(b, side)  # any b >= side - 1 clips every window to the whole axis
+    if work is None:
+        work = _ChatWorkspace(d, side, b)
+    elif work.key != (d, side, b):
+        raise ShapeError(f"the C_hat workspace holds (d, side, b) = {work.key}, "
+                         f"not {(d, side, b)}")
+    spatial = tuple(range(values.ndim - d, values.ndim))
     size = float(side**d)
-    if values.dtype == bool and values.ndim == d:
-        return _binary_sample_estimate(values, d, b, values.sum() if sums is None else sums)
-    if values.dtype == bool:
-        if work is None:
-            work = _ChatWorkspace(d, side, b)
-        elif work.key != (d, side, b):
-            raise ShapeError(f"the C_hat workspace holds (d, side, b) = {work.key}, "
-                             f"not {(d, side, b)}")
-        # every float cumsum entry and difference of a 0/1 field is an exact
-        # integer below 2^53, so the exact integer sums carry the same bits
-        counts, padded, dev, weighted = work.arrays(len(values))
-        block_sums = _exact_window_sums(values, d, b, padded=padded)
-    else:
-        block_sums = values
-        for axis in spatial:
-            block_sums = _truncated_window_sum(block_sums, b, axis)
-        dev = block_sums  # a fresh array: the deviations overwrite it in place
-        counts = _window_counts(side, b, d)
-        # a single sample's weights overwrite its counts, which it no longer needs
-        weighted = counts if counts.shape == dev.shape else None
     if sums is None:
         sums = values.sum(axis=spatial)
     global_mean = np.reshape(sums, np.shape(sums) + (1,) * d) / size
-    np.divide(block_sums, counts, out=dev)
-    dev -= global_mean
-    weighted = np.multiply(counts, dev, out=weighted)
-    weighted *= dev
-    return weighted.sum(axis=spatial) / size
+    front, weights, products = work.arrays(values)
+    first = (slice(None),) * (values.ndim - d)
+    for top in range(0, side, work.rows):
+        rows = min(work.rows, side - top)
+        slab = first + (slice(0, rows),)
+        dev = weights[first + (slice(top, top + rows),)]
+        if values.dtype == bool:
+            # every float cumsum entry and difference of a 0/1 field is an exact
+            # integer below 2^53, so the exact integer sums carry the same bits
+            block_sums = _exact_window_sums(values, d, b, top, rows,
+                                            front[first + (slice(0, rows + 2 * b),)])
+        else:
+            _carried_window_sums(values, d, b, top, rows, work.rows, front, dev)
+            block_sums = dev
+            for axis in spatial[1:]:
+                block_sums = _truncated_window_sum(block_sums, b, axis)
+        counts = work.slab_counts(top, rows)
+        np.divide(block_sums, counts, out=dev)
+        dev -= global_mean
+        if products is None:  # one sample: the products overwrite its counts
+            product, work.counts_top = np.multiply(counts, dev, out=counts), None
+        else:
+            product = np.multiply(counts, dev, out=products[slab])
+        dev *= product  # (counts * dev) * dev
+    return weights.sum(axis=spatial) / size
 
 
 def _finite_values(sample: FieldSample) -> np.ndarray:
@@ -299,18 +338,31 @@ def _finite_result(value, what: str):
     return value
 
 
-def variance_estimator(sample: FieldSample, config: EstimatorConfig) -> float:
+def _checked(sample: FieldSample):
+    """(values, S(U)): the sample's values as C_hat takes them, checked once
+    to hold no nan or inf, and their sum, not yet checked for overflow.  A
+    binary model's values that are all 0 or 1, finite without a further
+    pass, come as bool, for exact integer window sums; other integer values
+    come as float64."""
+    values = sample.values
+    if _value_dtype(sample.model) is bool and np.array_equal(bits := values != 0, values):
+        values = bits
+    elif _finite_values(sample).dtype.kind in "iu":
+        values = values.astype(np.float64)
+    with np.errstate(over="ignore"):
+        return values, float(values.sum())
+
+
+def variance_estimator(sample: FieldSample, config: EstimatorConfig, checked=None) -> float:
     """C_hat(U) with bandwidth taken from the config for this cube.  A sample
     holding nan or inf, or one whose C_hat overflows float64 (values near
-    1e154 and above), raises DomainError."""
+    1e154 and above), raises DomainError.  ``checked``, what ``_checked``
+    returned for this sample, spares a caller that needs S(U) too a second
+    pass."""
     b = config.bandwidth_for(sample.cube.n)
-    values = _finite_values(sample)
-    if _value_dtype(sample.model) is bool and np.array_equal(bits := values != 0, values):
-        values = bits  # 0/1 values of a binary model: exact integer window sums
-    elif values.dtype.kind in "iu":
-        values = values.astype(np.float64)
+    values, total = _checked(sample) if checked is None else checked
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan
-        c_hat = float(_variance_estimator_batch(values, sample.cube.d, b))
+        c_hat = float(_variance_estimator_batch(values, sample.cube.d, b, total))
     return _finite_result(c_hat, "C_hat")
 
 

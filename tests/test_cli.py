@@ -351,6 +351,29 @@ class TestFreshProcess:
         assert [p.stdout for p in fresh] == [out for _, out, _ in in_process]
         assert pathlib.Path(path).read_bytes() == saved
 
+    def test_bad_flag_then_good_call_in_one_process(self, capsys, tmp_path):
+        # one parser serves every call of a process: a parse that fails, and
+        # one that appends --level values, leave nothing to the next call
+        path = str(tmp_path / "sample.dat")
+        simulate = ("simulate", "--field", "iid", "--p", "0.3", "--d", "2", "--n", "4",
+                    "--seed", "3", "--out", path)
+        ntcp = ("ntcp", "--n", "100", "--p", "0.3", "--L", "40")
+        assert run(capsys, *simulate)[0] == 0
+        assert run(capsys, "ntcp", "--n", "100", "--bogus")[0] == 2
+        assert run(capsys, "estimate", "--sample", path, "--level", "0.9")[0] == 0
+        in_process = [run(capsys, *ntcp), run(capsys, "estimate", "--sample", path)]
+        fresh = [self.cli(*ntcp), self.cli("estimate", "--sample", path)]
+        assert [(p.returncode, p.stdout, p.stderr) for p in fresh] == in_process
+        assert "ci_" not in in_process[1][1]
+
+    @pytest.mark.parametrize("command", [None, "ntcp", "threshold", "dose", "simulate",
+                                         "estimate", "experiment"])
+    def test_help_twice_in_one_process(self, capsys, command):
+        argv = [command, "--help"] if command else ["--help"]
+        helps = [run(capsys, *argv) for _ in range(2)]
+        assert helps[0] == helps[1]
+        assert helps[0][0] == 0 and helps[0][1].startswith("usage: ntcpfields")
+
     def test_missing_sample_exit_two(self, tmp_path):
         done = self.cli("estimate", "--sample", str(tmp_path / "nope.dat"))
         assert done.returncode == 2
@@ -370,6 +393,30 @@ class TestFreshProcess:
             config = tmp_path / f"blocks{blocks}.json"
             # 40 replicates a block at n = 800: 2^16 // (1601 + 2) seeds
             config.write_text(json.dumps(experiment_config(n_schedule=[800],
+                                                           replicates=40 * blocks)))
+            before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+            done = self.cli("experiment", "--config", str(config),
+                            "--out", str(tmp_path / "report.csv"))
+            assert (done.returncode, done.stderr) == (0, "")
+            return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+        block_pages = 8 * lattice_fields._BLOCK_CELLS // resource.getpagesize()
+        few, many = faults(5), faults(50)
+        assert (many - few) / 45 < block_pages / 2
+
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads children's minor faults on Linux")
+    def test_levels_campaign_blocks_fault_in_no_new_arrays(self, tmp_path):
+        """As for the threshold field: a float block's carried cumsum, counts
+        and weights are refilled in place, so an extra block of a levels
+        campaign faults in less than half of a block-sized array."""
+        import resource
+
+        levels = {"type": "moving_window_levels", "window_radius": 1, "theta": 0.4, "levels": 4}
+
+        def faults(blocks):
+            config = tmp_path / f"blocks{blocks}.json"
+            config.write_text(json.dumps(experiment_config(model=levels, n_schedule=[800],
                                                            replicates=40 * blocks)))
             before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
             done = self.cli("experiment", "--config", str(config),

@@ -73,6 +73,9 @@ CHAT_PINS = {
 # threshold sample at seed 201, the one large cube of CLI simulate and
 # estimate; pinned from the float cumsum path its 0/1 values no longer take
 LARGE_CHAT = "0x1.96fbb2b1c2f55p+1"
+# the same for the LEVELS4 sample of that cube and seed, taken from the
+# whole-array float path that the slab loop replaced
+LARGE_LEVELS_CHAT = "0x1.2b1ebc2ef2a7ep-3"
 
 
 def chat_pin_model(name, d):
@@ -285,6 +288,31 @@ class TestVarianceEstimator:
             tracemalloc.stop()
         assert peak < sample.values.nbytes + 48 * lattice_fields._BLOCK_CELLS
         assert chat.hex() == LARGE_CHAT
+
+    def test_large_levels_chat_temporaries_stay_slab_sized(self):
+        # float values take the first axis's cumsum a slab at a time, carried
+        # from the slab before, into the same single array of weights
+        sample = sample_field(LEVELS4, LatticeCube(d=3, n=35), 201)
+        tracemalloc.start()
+        try:
+            chat = variance_estimator(sample, EstimatorConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < sample.values.nbytes + 48 * lattice_fields._BLOCK_CELLS
+        assert chat.hex() == LARGE_LEVELS_CHAT
+
+    @pytest.mark.parametrize("block_cells", [1, 64, 1000])
+    @pytest.mark.parametrize("d, n, b", [(1, 40, 3), (2, 12, 1), (2, 12, 3), (3, 5, 2), (3, 5, 7)])
+    def test_float_chat_slabs_give_the_same_bits(self, monkeypatch, block_cells, d, n, b):
+        cube, config = LatticeCube(d=d, n=n), EstimatorConfig(bandwidth=b)
+        sample = sample_field(chat_pin_model("levels7", d), cube, 123)
+        seeds = lattice_fields.derive_seeds(7, n, np.arange(3))
+        values = sample_fields_batch(sample.model, cube, seeds)
+        whole = variance_estimator(sample, config), _variance_estimator_batch(values, d, b)
+        monkeypatch.setattr(lattice_fields, "_BLOCK_CELLS", block_cells)
+        assert variance_estimator(sample, config).hex() == whole[0].hex()
+        assert _variance_estimator_batch(values, d, b).tobytes() == whole[1].tobytes()
 
     @pytest.mark.parametrize("block_cells", [1, 64, 1000])
     @pytest.mark.parametrize("d, n, b", [(1, 40, 3), (2, 12, 1), (2, 12, 3), (3, 5, 2), (3, 5, 7)])
