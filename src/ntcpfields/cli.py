@@ -175,10 +175,8 @@ def _cmd_experiment(args) -> List[Tuple[str, object]]:
 # Parser
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)  # one per process: parses leave no state in it
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built at the first call of a process and kept:
-    it holds no state between parses."""
     parser = argparse.ArgumentParser(
         prog="ntcpfields",
         description="Critical-volume NTCP calculus and dependent-field estimation",

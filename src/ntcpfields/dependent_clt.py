@@ -8,17 +8,15 @@ block means from the global mean:
 
 with Q_j = U intersect K_j(b), K_j(b) the sup-norm ball of radius b at j.
 Boundary sites use the truncated Q_j exactly as written: no wraparound.
-One engine computes C_hat for a single sample and for a campaign's blocks
-alike, in slabs of first-axis rows.  Its only fork is the window sums
-S(Q_j).  A float field's are differences of float64 prefix sums, the first
-axis's carried from slab to slab in the order of one cumsum.  A binary
-field, held as bool, takes exact integer sums instead: the sampler's
-doubling rule over the field padded with b zeros, each slab summed from its
-rows and a b-row halo, the same bits.  So does a single sample of a binary
-model whose values are all 0 or 1, whatever their dtype; any other integer
-values are taken as float64.  The counts |Q_j| of a slab are one product of
-per-cube constants, and the weights of a sample or block are its only array
-of their size, summed once, whole, in the order that fixes the bits.
+One engine, a loop over slabs of first-axis rows, takes one sample or a
+block of them.  Its only fork is the window sums S(Q_j): a float field's
+are differences of float64 prefix sums, carried from slab to slab in the
+order of one cumsum; a binary field, held as bool, takes exact integer sums
+instead, the sampler's doubling rule over the field padded with b zeros,
+the same bits.  So does a single sample of a binary model whose values are
+all 0 or 1, whatever their dtype; any other integer values are taken as
+float64.  The weights are the only array of the values' size, summed once,
+whole, in the order that fixes the bits.
 With a bandwidth schedule b_n -> infinity, b_n = o(n), C_hat is consistent
 for sigma^2 and can replace it in the CLT normalizer (random
 normalization).  One formula, (S(U) - |U| mean) / sqrt(v |U|), v = sigma^2
@@ -28,6 +26,7 @@ the NTCP estimate, the campaign and CLI ``estimate`` (one C_hat per sample).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -113,10 +112,9 @@ def partial_sum(sample: FieldSample, region=None) -> float:
     sample holding nan or inf, or a sum beyond the float64 range, raises
     DomainError.
     """
-    values = _finite_values(sample)
+    values, total = _checked(sample)
     if region is None:
-        with np.errstate(over="ignore"):
-            return _finite_result(float(values.sum()), "sum")
+        return _finite_result(total, "sum")
     if isinstance(region, np.ndarray) and region.dtype == bool:
         if region.shape != sample.cube.shape:
             raise ShapeError(
@@ -145,48 +143,35 @@ def partial_sum(sample: FieldSample, region=None) -> float:
 
 def _truncated_window_sum(a: np.ndarray, b: int, axis: int) -> np.ndarray:
     """Sums over windows [i-b, i+b] clipped to the array, along one axis."""
-    a = np.moveaxis(a, axis, -1)
-    cs = np.cumsum(a, axis=-1)
-    size = a.shape[-1]
-    out = np.empty_like(cs)
-    # sum[i] = cs[min(i+b, size-1)] - cs[i-b-1], the second term where i-b-1 >= 0
-    out[..., : max(size - b, 0)] = cs[..., b:]
-    out[..., max(size - b, 0):] = cs[..., -1:]
-    out[..., b + 1:] -= cs[..., : max(size - b - 1, 0)]
-    return np.moveaxis(out, -1, axis)
+    out = np.empty(a.shape)
+    _carried_window_sums(a, axis, b, 0, a.shape[axis], np.empty(a.shape), out)
+    return out
 
 
-def _carried_window_sums(values: np.ndarray, d: int, b: int, top: int, rows: int,
-                         step: int, cs: np.ndarray, out: np.ndarray) -> None:
-    """Writes into ``out`` the clipped first-axis window sums of float values
-    at the first-axis rows top..top + rows, the slab after the one at
-    top - step: the differences of the first axis's cumsum, as
-    ``_truncated_window_sum`` takes them.  ``cs`` holds that cumsum's rows
-    max(top - b - 1, 0)..min(top + rows + b, side): the ones the slab before
-    computed move to its front and the rest continue from the last of them,
-    so every lane is summed in sequence, as one np.cumsum sums it."""
-    first = (slice(None),) * (values.ndim - d)
-    side = values.shape[-1]
-
-    def part(a, start, stop):
-        return a[first + (slice(start, stop),)]
-
+def _carried_window_sums(values: np.ndarray, axis: int, b: int, top: int, rows: int,
+                         cs: np.ndarray, out: np.ndarray) -> None:
+    """Writes into ``out`` the float window sums [i-b, i+b] along ``axis``,
+    clipped to it, at indices top..top + rows: differences of the axis's
+    cumsum at lo..hi, which ``cs`` holds.  Those the slab before computed
+    are at its front, and the rest continue from them, so each lane is
+    summed in sequence, as by one np.cumsum; the next slab's go there."""
+    values, cs, out = values.swapaxes(0, axis), cs.swapaxes(0, axis), out.swapaxes(0, axis)
+    side = len(values)
     lo, hi = max(top - b - 1, 0), min(top + rows + b, side)
-    done = min(top + b, side) if top else 0  # rows the slab before computed
-    if top:
-        before = max(top - step - b - 1, 0)
-        part(cs, 0, done - lo)[...] = part(cs, lo - before, done - before)
-    fresh = part(cs, done - lo, hi - lo)
-    fresh[...] = part(values, done, hi)
+    done = min(top + b, side) if top else 0
+    cs[done - lo:hi - lo] = values[done:hi]
     if top and done < hi:
-        fresh[first + (0,)] += cs[first + (done - lo - 1,)]
-    np.cumsum(fresh, axis=len(first), out=fresh)
+        cs[done - lo] += cs[done - lo - 1]
+    np.cumsum(cs[done - lo:hi - lo], axis=0, out=cs[done - lo:hi - lo])
     # sum[i] = cs[min(i+b, side-1)] - cs[i-b-1], the second term where i-b-1 >= 0
     near = min(max(side - b, top), top + rows)
-    part(out, 0, near - top)[...] = part(cs, top + b - lo, near + b - lo)
-    part(out, near - top, rows)[...] = part(cs, side - 1 - lo, side - lo)
+    out[:near - top] = cs[top + b - lo:near + b - lo]
+    out[near - top:] = cs[side - 1 - lo:side - lo]
     far = min(max(b + 1, top), top + rows)
-    part(out, far - top, rows)[...] -= part(cs, far - b - 1 - lo, top + rows - b - 1 - lo)
+    out[far - top:] -= cs[far - b - 1 - lo:top + rows - b - 1 - lo]
+    if top + rows < side:
+        after = max(top + rows - b - 1, 0)
+        cs[:hi - after] = cs[after - lo:hi - lo]
 
 
 def _exact_window_sums(values: np.ndarray, d: int, b: int, top: int, rows: int,
@@ -195,96 +180,68 @@ def _exact_window_sums(values: np.ndarray, d: int, b: int, top: int, rows: int,
     top..top + rows of its cube, exact integers: each spatial axis is padded
     with b zeros on both sides and summed over windows of 2b + 1 by the
     sampler's doubling rule, in the smallest count dtype that holds a window
-    of the field.  The rows read only the field's rows within b of them,
-    which are copied as uint8 into ``padded``, an array of the padded rows'
-    shape whose margins along the other axes are zero; its rows beyond the
-    cube are zeroed here.  b must not exceed the side."""
+    of the field.  ``padded``, the padded cube as uint8 with zero margins,
+    takes the field's rows within b of them; b must not exceed the side."""
     side = values.shape[-1]
     lo, hi = max(top - b, 0), min(top + rows + b, side)
     first = (slice(None),) * (values.ndim - d)
-    if rows < side:  # another slab of the cube may have filled them
-        padded[first + (slice(0, lo - top + b),)] = 0
-        padded[first + (slice(hi - top + b, None),)] = 0
-    padded[first + (slice(lo - top + b, hi - top + b),) + (slice(b, b + side),) * (d - 1)] = (
+    padded[first + (slice(lo + b, hi + b),) + (slice(b, b + side),) * (d - 1)] = (
         values.view(np.uint8)[first + (slice(lo, hi),)])
     dtype = _count_dtype(min(2 * b + 1, side) ** d)
-    sums = padded
+    sums = padded[first + (slice(top, top + rows + 2 * b),)]
     for axis in range(values.ndim - d, values.ndim):
         sums = _valid_window_sum(sums, 2 * b + 1, axis, dtype)
     return sums
 
 
 class _ChatWorkspace:
-    """C_hat's per-cube constants for one d, side and b (at most the side),
-    computed once: the slab rows (``_slab_rows`` with a b-row halo), each
-    axis's clipped window widths, and the product of the widths of the axes
-    after the first, from which each slab's counts |Q_j| are one multiply
-    into a slab-sized buffer.  It also holds the buffers that every call
-    refills: the rows the window sums start from (bool rows within b-wide
-    zero margins as uint8, or float cumsum rows) and, for a batch, float64
-    weights and products from ``scratch`` (a ``_Scratch`` of its own unless
-    given).  Buffers are allocated for the first block, the largest of a
-    stream, and replaced only by a larger one or another kind."""
+    """C_hat's per-cube constants for one d, side and b (at most the side):
+    the slab rows and the clipped window widths, the first axis's as a column
+    and the outer product of the others', so a slab's counts |Q_j| are one
+    multiply, exact in any order.  What every call refills, the window sums'
+    start (the padded bool cube, zero margins, or float cumsum rows) and a
+    batch's weights and products (from ``scratch``, or a ``_Scratch`` of its
+    own), is allocated for the first block, replaced only by a larger one."""
 
     def __init__(self, d: int, side: int, b: int, scratch: _Scratch = None):
         b = min(b, side)
         self.key = d, side, b
         self.rows = _slab_rows(side, b, d)
         i = np.arange(side)
-        self.width = (np.minimum(i + b, side - 1) - np.maximum(i - b, 0) + 1).astype(np.float64)
-        self.inner = np.ones(())
-        for _ in range(d - 1):
-            self.inner = self.inner[..., None] * self.width
+        width = (np.minimum(i + b, side - 1) - np.maximum(i - b, 0) + 1).astype(np.float64)
+        self.column = width.reshape((side,) + (1,) * (d - 1))
+        self.inner = functools.reduce(np.multiply.outer, [width] * (d - 1), np.ones(()))
         self.counts = np.empty((self.rows,) + self.inner.shape)
-        self.counts_top = None  # the slab whose counts the buffer holds
-        # the window sums' start rows: bool rows within zero margins, float cumsum rows
-        self.fronts = {True: ((self.rows + 2 * b,) + (side + 2 * b,) * (d - 1), np.uint8),
-                       False: ((min(self.rows + 2 * b + 1, side),) + (side,) * (d - 1), np.float64)}
-        self.slab = (self.rows,) + (side,) * (d - 1)
-        self.scratch = _Scratch() if scratch is None else scratch
+        self.counts_top = None  # the first row of the slab whose counts it holds
+        self.fronts = {True: ((side + 2 * b,) * d, np.uint8),
+                       False: ((min(self.rows + 2 * b + 1, side),) + self.inner.shape, np.float64)}
         self.front = np.empty(0, np.uint8)
-
-    def slab_counts(self, top: int, rows: int) -> np.ndarray:
-        """|Q_j| at the first-axis rows top..top + rows, in the counts buffer.
-        The products of the widths are exact integers, in any order."""
-        if self.counts_top != top:
-            column = self.width[top:top + rows].reshape((rows,) + (1,) * self.inner.ndim)
-            np.multiply(column, self.inner, out=self.counts[:rows])
-            self.counts_top = top
-        return self.counts[:rows]
+        self.scratch = _Scratch() if scratch is None else scratch
 
     def arrays(self, values: np.ndarray):
-        """(front, weights, products) for ``values``, one sample or one batch
-        axis of them: the window sums' start rows; the weights, a fresh array
-        for one sample, whose slab products are the counts buffer (None), and
-        for a batch the scratch, one array of the values' shape and one of a
-        slab's."""
+        """(front, weights, products) for one sample, whose weights and slab
+        of products are its own, or for one batch axis of samples."""
         batch = values.shape[:values.ndim - self.key[0]]
         shape, dtype = self.fronts[values.dtype == bool]
-        front = self.front
-        if front.dtype != dtype or front.shape[len(batch):] != shape or front.shape[:1] < batch:
-            self.front = front = np.zeros(batch + shape, dtype)
+        if self.front.dtype != dtype or self.front.shape[len(batch):] != shape or (
+                self.front.shape[:1] < batch):
+            self.front = np.zeros(batch + shape, dtype)
         if not batch:
-            return front, np.empty(values.shape), None
+            return self.front, np.empty(values.shape), np.empty(self.counts.shape)
         products, weights = self.scratch.take(values.size)
-        return (front[:batch[0]], weights[:values.size].view(np.float64).reshape(values.shape),
-                products[:batch[0] * self.counts.size].view(np.float64).reshape(batch + self.slab))
+        return (self.front[:batch[0]], weights[:values.size].view(np.float64).reshape(values.shape),
+                products[:batch[0] * self.counts.size].view(np.float64).reshape(
+                    batch + self.counts.shape))
 
 
 def _variance_estimator_batch(values: np.ndarray, d: int, b: int, sums=None,
                               work: _ChatWorkspace = None) -> np.ndarray:
-    """C_hat for values of shape (batch, side, ..., side), or of one sample
+    """C_hat for values of shape (batch, side, ..., side) or of one sample,
     (side, ..., side); returns (batch,) or a scalar.  ``sums``, when given,
-    are the values' sums S(U) as float64, of shape (batch,) or a scalar.
-
-    One loop over slabs of first-axis rows: its only fork is the window
-    sums, exact integer doubling for bool values, the carried cumsum for
-    float values.  The counts, deviations from the mean S(U)/|U| and
-    weights follow in place, a slab at a time, into one float64 array of
-    weights of the values' shape, and the final .sum over those C-ordered
-    weights fixes the bits.  The constants and buffers come from ``work``,
-    a ``_ChatWorkspace`` of this d, side and b, so that a stream of blocks
-    allocates them once; without it the call builds its own."""
+    are the values' sums S(U) as float64.  The weights are written a slab at
+    a time, and the final .sum over the C-ordered weights fixes the bits.
+    ``work``, a ``_ChatWorkspace`` of this d, side and b, lets a stream of
+    blocks allocate once; without it the call builds its own."""
     side = values.shape[-1]
     b = min(b, side)  # any b >= side - 1 clips every window to the whole axis
     if work is None:
@@ -294,41 +251,30 @@ def _variance_estimator_batch(values: np.ndarray, d: int, b: int, sums=None,
                          f"not {(d, side, b)}")
     spatial = tuple(range(values.ndim - d, values.ndim))
     size = float(side**d)
-    if sums is None:
-        sums = values.sum(axis=spatial)
+    sums = values.sum(axis=spatial) if sums is None else sums
     global_mean = np.reshape(sums, np.shape(sums) + (1,) * d) / size
     front, weights, products = work.arrays(values)
     first = (slice(None),) * (values.ndim - d)
     for top in range(0, side, work.rows):
         rows = min(work.rows, side - top)
-        slab = first + (slice(0, rows),)
         dev = weights[first + (slice(top, top + rows),)]
         if values.dtype == bool:
             # every float cumsum entry and difference of a 0/1 field is an exact
             # integer below 2^53, so the exact integer sums carry the same bits
-            block_sums = _exact_window_sums(values, d, b, top, rows,
-                                            front[first + (slice(0, rows + 2 * b),)])
+            block_sums = _exact_window_sums(values, d, b, top, rows, front)
         else:
-            _carried_window_sums(values, d, b, top, rows, work.rows, front, dev)
+            _carried_window_sums(values, values.ndim - d, b, top, rows, front, dev)
             block_sums = dev
             for axis in spatial[1:]:
                 block_sums = _truncated_window_sum(block_sums, b, axis)
-        counts = work.slab_counts(top, rows)
+        if work.counts_top != top:
+            np.multiply(work.column[top:top + rows], work.inner, out=work.counts[:rows])
+            work.counts_top = top
+        counts = work.counts[:rows]
         np.divide(block_sums, counts, out=dev)
         dev -= global_mean
-        if products is None:  # one sample: the products overwrite its counts
-            product, work.counts_top = np.multiply(counts, dev, out=counts), None
-        else:
-            product = np.multiply(counts, dev, out=products[slab])
-        dev *= product  # (counts * dev) * dev
+        dev *= np.multiply(counts, dev, out=products[first + (slice(0, rows),)])  # (c * dev) * dev
     return weights.sum(axis=spatial) / size
-
-
-def _finite_values(sample: FieldSample) -> np.ndarray:
-    """The sample's values, once checked to hold no nan or inf."""
-    if not np.isfinite(sample.values).all():
-        raise DomainError("sample holds non-finite values (nan or inf): no sum or C_hat")
-    return sample.values
 
 
 def _finite_result(value, what: str):
@@ -339,15 +285,15 @@ def _finite_result(value, what: str):
 
 
 def _checked(sample: FieldSample):
-    """(values, S(U)): the sample's values as C_hat takes them, checked once
-    to hold no nan or inf, and their sum, not yet checked for overflow.  A
-    binary model's values that are all 0 or 1, finite without a further
-    pass, come as bool, for exact integer window sums; other integer values
-    come as float64."""
+    """(values, S(U)), checked once for nan and inf, S(U) not for overflow:
+    a binary model's values that are all 0 or 1, finite without a further
+    pass, as bool for C_hat's exact integer sums, other integers as float64."""
     values = sample.values
     if _value_dtype(sample.model) is bool and np.array_equal(bits := values != 0, values):
         values = bits
-    elif _finite_values(sample).dtype.kind in "iu":
+    elif not np.isfinite(values).all():
+        raise DomainError("sample holds non-finite values (nan or inf): no sum or C_hat")
+    elif values.dtype.kind in "iu":
         values = values.astype(np.float64)
     with np.errstate(over="ignore"):
         return values, float(values.sum())
@@ -356,9 +302,7 @@ def _checked(sample: FieldSample):
 def variance_estimator(sample: FieldSample, config: EstimatorConfig, checked=None) -> float:
     """C_hat(U) with bandwidth taken from the config for this cube.  A sample
     holding nan or inf, or one whose C_hat overflows float64 (values near
-    1e154 and above), raises DomainError.  ``checked``, what ``_checked``
-    returned for this sample, spares a caller that needs S(U) too a second
-    pass."""
+    1e154 and above), raises DomainError.  ``checked`` is _checked(sample)."""
     b = config.bandwidth_for(sample.cube.n)
     values, total = _checked(sample) if checked is None else checked
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan

@@ -6,11 +6,11 @@ n streams its replicates from ``dependent_clt._replicate_batches``, in which
 replicate r uses the seed ``derive_seeds(master_seed, n, r)``, so reports
 are reproducible byte for byte and replicates can be computed in parallel or
 in any blocking without changing the result.  S(U) and C_hat are computed on
-each sampler block as it arrives, C_hat of a binary field's bool block from
-one ``dependent_clt._ChatWorkspace`` per n (window counts, padded input,
-deviations and weights) that every block refills, as it refills the
-sampler's.  The sampler's hashes and C_hat's deviations and weights are
-the same two arrays, one ``_Scratch`` for the campaign, so a block's stages
+each sampler block as it arrives, C_hat from one
+``dependent_clt._ChatWorkspace`` per n (window widths, slab counts, padded
+input or cumsum rows, weights and products) that every block refills, as it
+refills the sampler's.  The sampler's hashes and C_hat's weights and
+products are the same two arrays, one ``_Scratch`` for the campaign, so a block's stages
 work in memory that stays in cache.  A campaign holds one block's buffers
 plus one n's S(U) and C_hat arrays at a time, and each front-end derives
 from them only what it returns.
@@ -249,11 +249,11 @@ def _campaign(config: ExperimentConfig) -> Tuple[float, float, Iterator]:
 def _stream(config: ExperimentConfig):
     sums = np.empty(config.replicates)
     chats = np.empty(config.replicates)
-    scratch = _Scratch()  # every block's site hashes, then its C_hat deviations and weights
+    scratch = _Scratch()  # every block's site hashes, then its C_hat weights and products
     for n in config.n_schedule:
         cube = LatticeCube(d=config.d, n=n)
         b = config.estimator.bandwidth_for(n)
-        work = _ChatWorkspace(config.d, cube.side, b, scratch)  # for a binary field's blocks
+        work = _ChatWorkspace(config.d, cube.side, b, scratch)
         for start, values, row_sums in _replicate_batches(
             config.model, cube, config.replicates, config.master_seed, scratch
         ):

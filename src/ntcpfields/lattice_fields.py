@@ -39,7 +39,7 @@ replicate streams build one per cube, derive the cube's seeds once and
 refill its buffers and one block of values in the field's own dtype with
 every block, so after the first block they allocate nothing block-sized.
 The hashes and their scratch come from a ``_Scratch``, which a campaign
-shares with C_hat's deviations and weights, so a campaign holds one
+shares with C_hat's weights and products, so a campaign holds one
 block's buffers plus 8 bytes of seed, S(U) and C_hat per replicate.
 """
 
@@ -388,7 +388,7 @@ def _slab_rows(side: int, halo: int, d: int) -> int:
 class _Scratch:
     """Two flat uint64 arrays, replaced only by larger ones.  The workspaces
     that run one after another on a block, the sampler's (site hashes and
-    their shift scratch) and then C_hat's (deviations and weights), can
+    their shift scratch) and then C_hat's (weights and products), can
     take their largest arrays from one ``_Scratch``, so that every stage of
     a block works in the same memory, still in cache, and none holds its
     own."""
