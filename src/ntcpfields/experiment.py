@@ -10,10 +10,10 @@ each sampler block as it arrives, C_hat from one
 ``dependent_clt._ChatWorkspace`` per n (window widths, slab counts, padded
 input or cumsum rows, weights and products) that every block refills, as it
 refills the sampler's.  The sampler's hashes and C_hat's weights and
-products are the same two arrays, one ``_Scratch`` for the campaign, so a block's stages
-work in memory that stays in cache.  A campaign holds one block's buffers
-plus one n's S(U) and C_hat arrays at a time, and each front-end derives
-from them only what it returns.
+products are the same two arrays, one ``_Scratch`` for the campaign, so a
+block's stages work in memory that stays in cache.  A campaign holds one
+block's buffers plus one n's S(U) and C_hat arrays at a time, and each
+front-end derives from them only what it returns.
 """
 
 from __future__ import annotations

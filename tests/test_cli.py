@@ -404,7 +404,6 @@ class TestFreshProcess:
         few, many = faults(5), faults(50)
         assert (many - few) / 45 < block_pages / 2
 
-
     @pytest.mark.skipif(sys.platform != "linux", reason="reads children's minor faults on Linux")
     def test_levels_campaign_blocks_fault_in_no_new_arrays(self, tmp_path):
         """As for the threshold field: a float block's carried cumsum, counts
