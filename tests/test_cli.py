@@ -187,6 +187,30 @@ class TestSimulateEstimate:
         _, second, _ = run(capsys, "estimate", "--sample", path)
         assert first == second
 
+    def test_levels_field_round_trip(self, capsys, tmp_path):
+        # a levels field, the one non-binary sample the CLI writes: the file
+        # holds save_sample's bytes, and estimate prints the in-process values
+        model = lattice_fields.MovingWindowLevels(window_radius=1, theta=0.4, levels=4)
+        sample = lattice_fields.sample_field(model, lattice_fields.LatticeCube(d=2, n=6), 11)
+        path, expected = tmp_path / "sample.dat", tmp_path / "expected.dat"
+        lattice_fields.save_sample(sample, expected)
+        code, _, _ = run(capsys, "simulate", "--field", "window_levels", "--theta", "0.4",
+                         "--levels", "4", "--d", "2", "--n", "6", "--seed", "11",
+                         "--out", str(path))
+        assert code == 0
+        assert path.read_bytes() == expected.read_bytes()
+        mean = lattice_fields.model_mean(model, 2)
+        code, out, _ = run(capsys, "estimate", "--sample", str(path), "--level", "0.9",
+                           "--x", "60", "--mean", repr(mean))
+        assert code == 0
+        pairs, config = parse_pairs(out), dependent_clt.EstimatorConfig()
+        assert pairs["sum"] == "%.9g" % dependent_clt.partial_sum(sample)
+        assert pairs["chat"] == "%.9g" % dependent_clt.variance_estimator(sample, config)
+        lo, hi = dependent_clt.confidence_interval(sample, 0.9, config)
+        assert (pairs["ci_0.9_lo"], pairs["ci_0.9_hi"]) == ("%.9g" % lo, "%.9g" % hi)
+        assert pairs["ntcp_estimate"] == "%.9g" % dependent_clt.ntcp_estimate(
+            sample, 60, mean, config)
+
     def test_capacity_error_exit_one(self, capsys, tmp_path):
         out_path = tmp_path / "x"
         code, _, err = run(capsys, "simulate", "--field", "iid", "--p", "0.5",

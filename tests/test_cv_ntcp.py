@@ -513,6 +513,15 @@ class TestDamageVolume:
         with pytest.raises(DomainError):
             OrganSpec(n=2, volume=1.0, reserve=1, fsu_volumes=(0.7, 0.7))
 
+    def test_volumes_must_number_n(self):
+        with pytest.raises(ShapeError, match="length n"):
+            OrganSpec(n=3, volume=1.0, reserve=1, fsu_volumes=(0.5, 0.5))
+
+    def test_fractional_reserve(self):
+        assert OrganSpec(n=10, volume=1.0, reserve=0.3).reserve == 0.3
+        with pytest.raises(DomainError, match="fractional reserve kappa"):
+            OrganSpec(n=10, volume=1.0, reserve=1.5)
+
     @pytest.mark.parametrize("n", [2.5, 2.0, 0, -3, True])
     def test_fsu_count_must_be_a_positive_integer(self, n):
         # [v] * 2.5 would end in a bare TypeError

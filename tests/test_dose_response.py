@@ -13,6 +13,7 @@ from ntcpfields.dose_response import (
     surviving_fraction,
 )
 from ntcpfields.errors import DomainError, ParameterError
+from ntcpfields.lattice_fields import MovingWindowThreshold, threshold_model_from_dose
 
 LN2 = math.log(2.0)
 
@@ -108,6 +109,12 @@ class TestKillProbability:
         # log1p/expm1 path keeps tiny probabilities finite and positive
         p = fsu_kill_probability(SingleHit(alpha=1.0), CellPopulation(n0=10**6), 1e-3)
         assert 0.0 <= p < 1e-300 or p == 0.0
+
+    def test_threshold_model_from_dose(self):
+        # the window field whose noise level is the FSU kill probability
+        model, cells = Hybrid(alpha=0.5, beta=0.2, m=3), CellPopulation(n0=4)
+        field = threshold_model_from_dose(model, cells, 1.5, 2, 7)
+        assert field == MovingWindowThreshold(2, fsu_kill_probability(model, cells, 1.5), 7)
 
 
 class TestDoseInversion:

@@ -806,6 +806,25 @@ class TestSerialization:
             self._write(path, body.encode(), n=expected.size // 2)
             assert_same_bits(load_sample(path).values, expected)
 
+    def test_loader_falls_back_when_line_keys_collide(self, tmp_path):
+        # levels(4) lines take up to 20 bytes, three 8-byte words, so they are
+        # keyed by a hash of their words; with one key for every line the
+        # rows fail the check, and the block goes to the per-line parse
+        sample = sample_field(MovingWindowLevels(window_radius=1, theta=0.4, levels=4),
+                              LatticeCube(d=2, n=20), 7)
+        path = tmp_path / "sample.dat"
+        save_sample(sample, path)
+        assert max(map(len, path.read_bytes().split(b"\n")[1:])) == 19
+        calls = []
+        for keys in (lattice_fields._row_keys, lambda rows: np.zeros(len(rows), np.uint64)):
+            with mock.patch.object(lattice_fields, "_row_keys", keys), \
+                    mock.patch.object(lattice_fields, "_parse_lines",
+                                      wraps=lattice_fields._parse_lines) as per_line:
+                loaded = load_sample(path).values
+            calls.append(per_line.call_count)
+            assert_same_bits(loaded, sample.values)
+        assert calls == [1, 2]  # the final tail; then the block as well
+
     @pytest.mark.parametrize("blank", ["", " ", "\t", "\x0c", "\x1c", "  \x0b "])
     @pytest.mark.parametrize("block_cells", [64, lattice_fields._BLOCK_CELLS])
     def test_blank_lines_stay_on_the_byte_table(self, blank, block_cells, tmp_path):
