@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import fields
 from typing import List, Optional, Sequence, Tuple
 
 from . import cv_ntcp, dependent_clt, dose_response, experiment, lattice_fields
@@ -46,6 +47,20 @@ def _emit(pairs: List[Tuple[str, object]], fmt: str) -> None:
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
+
+#: The classes of ``dose --model`` and ``simulate --field``, in the order of
+#: their choices; each field of a class is the flag of its name.
+_DOSE_MODELS = {"single_hit": dose_response.SingleHit, "multi_target": dose_response.MultiTarget,
+                "hybrid": dose_response.Hybrid, "lq": dose_response.LinearQuadratic}
+_FIELD_MODELS = {"iid": lattice_fields.IidBernoulli,
+                 "window_threshold": lattice_fields.MovingWindowThreshold,
+                 "window_levels": lattice_fields.MovingWindowLevels}
+
+
+def _model(cls, args):
+    """``cls`` built from its flags; a flag not given is None, which it rejects."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+
 
 def _cmd_ntcp(args) -> List[Tuple[str, object]]:
     out: List[Tuple[str, object]] = []
@@ -84,20 +99,8 @@ def _cmd_threshold(args) -> List[Tuple[str, object]]:
     return out
 
 
-def _dose_model(args) -> dose_response.DoseResponseModel:
-    """The ``--model`` family; a parameter not given is None, which it rejects."""
-    kind = args.model
-    if kind == "single_hit":
-        return dose_response.SingleHit(alpha=args.alpha)
-    if kind == "multi_target":
-        return dose_response.MultiTarget(alpha=args.alpha, m=args.m)
-    if kind == "hybrid":
-        return dose_response.Hybrid(alpha=args.alpha, beta=args.beta, m=args.m)
-    return dose_response.LinearQuadratic(alpha=args.alpha, beta=args.beta)
-
-
 def _cmd_dose(args) -> List[Tuple[str, object]]:
-    model = _dose_model(args)
+    model = _model(_DOSE_MODELS[args.model], args)
     cells = dose_response.CellPopulation(n0=args.n0)
     if args.target_p is not None:
         dose = dose_response.dose_for_kill_probability(
@@ -112,21 +115,8 @@ def _cmd_dose(args) -> List[Tuple[str, object]]:
     return [("dose", dose)]
 
 
-def _field_model(args) -> lattice_fields.FieldModel:
-    """The model of ``--field``; a missing parameter is rejected as None."""
-    if args.field == "iid":
-        return lattice_fields.IidBernoulli(p=args.p)
-    if args.field == "window_threshold":
-        return lattice_fields.MovingWindowThreshold(
-            window_radius=args.window_radius, theta=args.theta, k_min=args.k_min
-        )
-    return lattice_fields.MovingWindowLevels(
-        window_radius=args.window_radius, theta=args.theta, levels=args.levels
-    )
-
-
 def _cmd_simulate(args) -> List[Tuple[str, object]]:
-    model = _field_model(args)
+    model = _model(_FIELD_MODELS[args.field], args)
     cube = lattice_fields.LatticeCube(d=args.d, n=args.n)
     sample = lattice_fields.sample_field(model, cube, args.seed)
     lattice_fields.save_sample(sample, args.out)
@@ -205,8 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_threshold)
 
     p = sub.add_parser("dose", help="dose for a target kill probability or fraction")
-    p.add_argument("--model", choices=("single_hit", "multi_target", "hybrid", "lq"),
-                   required=True)
+    p.add_argument("--model", choices=_DOSE_MODELS, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--m", type=int, default=None)
@@ -220,8 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_dose)
 
     p = sub.add_parser("simulate", help="sample a lattice field and write it to a file")
-    p.add_argument("--field", choices=("iid", "window_threshold", "window_levels"),
-                   required=True)
+    p.add_argument("--field", choices=_FIELD_MODELS, required=True)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--window-radius", type=int, default=1)
