@@ -8,15 +8,15 @@ block means from the global mean:
 
 with Q_j = U intersect K_j(b), K_j(b) the sup-norm ball of radius b at j.
 Boundary sites use the truncated Q_j exactly as written: no wraparound.
-One engine, a loop over slabs of first-axis rows, takes one sample or a
-block of them.  Its only fork is the window sums S(Q_j): a float field's
-are differences of float64 prefix sums, carried from slab to slab in the
-order of one cumsum; a binary field, held as bool, takes exact integer sums
-instead, the sampler's doubling rule over the field padded with b zeros,
-the same bits.  So does a single sample of a binary model whose values are
-all 0 or 1, whatever their dtype; any other integer values are taken as
-float64.  The weights are the only array of the values' size, summed once,
-whole, in the order that fixes the bits.
+One engine, a loop over slabs of first-axis rows, runs for one block, a
+single sample being a block of one.  Its only fork is the window sums
+S(Q_j): a float field's are differences of float64 prefix sums, carried
+from slab to slab in the order of one cumsum; a binary field, held as bool,
+takes exact integer sums instead, the sampler's doubling rule over the
+field padded with b zeros, the same bits.  So does a single sample of a
+binary model whose values are all 0 or 1, whatever their dtype; any other
+integer values are taken as float64.  The weights are the only array of
+the values' size, summed once, whole, in the order that fixes the bits.
 With a bandwidth schedule b_n -> infinity, b_n = o(n), C_hat is consistent
 for sigma^2 and can replace it in the CLT normalizer (random
 normalization).  One formula, (S(U) - |U| mean) / sqrt(v |U|), v = sigma^2
@@ -176,20 +176,19 @@ def _carried_window_sums(values: np.ndarray, axis: int, b: int, top: int, rows: 
 
 def _exact_window_sums(values: np.ndarray, d: int, b: int, top: int, rows: int,
                        padded: np.ndarray) -> np.ndarray:
-    """The clipped window sums of a bool field at the first-axis rows
-    top..top + rows of its cube, exact integers: each spatial axis is padded
-    with b zeros on both sides and summed over windows of 2b + 1 by the
-    sampler's doubling rule, in the smallest count dtype that holds a window
-    of the field.  ``padded``, the padded cube as uint8 with zero margins,
-    takes the field's rows within b of them; b must not exceed the side."""
+    """The clipped window sums of a block of bool fields at the first-axis
+    rows top..top + rows, exact integers: each spatial axis is padded with b
+    zeros on both sides and summed over windows of 2b + 1 by the sampler's
+    doubling rule, in the smallest count dtype that holds a window of the
+    field.  ``padded``, the padded cubes as uint8 with zero margins, takes
+    the fields' rows within b of them; b must not exceed the side."""
     side = values.shape[-1]
     lo, hi = max(top - b, 0), min(top + rows + b, side)
-    first = (slice(None),) * (values.ndim - d)
-    padded[first + (slice(lo + b, hi + b),) + (slice(b, b + side),) * (d - 1)] = (
-        values.view(np.uint8)[first + (slice(lo, hi),)])
+    padded[(slice(None), slice(lo + b, hi + b)) + (slice(b, b + side),) * (d - 1)] = (
+        values.view(np.uint8)[:, lo:hi])
     dtype = _count_dtype(min(2 * b + 1, side) ** d)
-    sums = padded[first + (slice(top, top + rows + 2 * b),)]
-    for axis in range(values.ndim - d, values.ndim):
+    sums = padded[:, top:top + rows + 2 * b]
+    for axis in range(1, d + 1):
         sums = _valid_window_sum(sums, 2 * b + 1, axis, dtype)
     return sums
 
@@ -198,9 +197,9 @@ class _ChatWorkspace:
     """C_hat's per-cube constants for one d, side and b (at most the side):
     the slab rows and the clipped window widths, the first axis's as a column
     and the outer product of the others', so a slab's counts |Q_j| are one
-    multiply, exact in any order.  What every call refills, the window sums'
-    start (the padded bool cube, zero margins, or float cumsum rows) and a
-    batch's weights and products (from ``scratch``, or a ``_Scratch`` of its
+    multiply, exact in any order.  What every block refills, the window sums'
+    start (the padded bool cubes, zero margins, or float cumsum rows) and the
+    weights and a slab of products (from ``scratch``, or a ``_Scratch`` of its
     own), is allocated for the first block, replaced only by a larger one."""
 
     def __init__(self, d: int, side: int, b: int, scratch: _Scratch = None):
@@ -219,29 +218,26 @@ class _ChatWorkspace:
         self.scratch = _Scratch() if scratch is None else scratch
 
     def arrays(self, values: np.ndarray):
-        """(front, weights, products) for one sample, whose weights and slab
-        of products are its own, or for one batch axis of samples."""
-        batch = values.shape[:values.ndim - self.key[0]]
+        """(front, weights, products) for a block of samples, its first axis."""
+        batch, slab = len(values), len(values) * self.counts.size
         shape, dtype = self.fronts[values.dtype == bool]
-        if self.front.dtype != dtype or self.front.shape[len(batch):] != shape or (
-                self.front.shape[:1] < batch):
-            self.front = np.zeros(batch + shape, dtype)
-        if not batch:
-            return self.front, np.empty(values.shape), np.empty(self.counts.shape)
-        products, weights = self.scratch.take(values.size)
-        return (self.front[:batch[0]], weights[:values.size].view(np.float64).reshape(values.shape),
-                products[:batch[0] * self.counts.size].view(np.float64).reshape(
-                    batch + self.counts.shape))
+        if self.front.dtype != dtype or self.front.shape[1:] != shape or len(self.front) < batch:
+            self.front = np.zeros((batch,) + shape, dtype)
+        products, weights = self.scratch.take(slab, values.size)
+        return (self.front[:batch], weights[:values.size].view(np.float64).reshape(values.shape),
+                products[:slab].view(np.float64).reshape((batch,) + self.counts.shape))
 
 
 def _variance_estimator_batch(values: np.ndarray, d: int, b: int, sums=None,
                               work: _ChatWorkspace = None) -> np.ndarray:
-    """C_hat for values of shape (batch, side, ..., side) or of one sample,
-    (side, ..., side); returns (batch,) or a scalar.  ``sums``, when given,
-    are the values' sums S(U) as float64.  The weights are written a slab at
-    a time, and the final .sum over the C-ordered weights fixes the bits.
-    ``work``, a ``_ChatWorkspace`` of this d, side and b, lets a stream of
-    blocks allocate once; without it the call builds its own."""
+    """C_hat for values of shape (batch, side, ..., side): (batch,), or for
+    one sample, (side, ..., side), a batch of one, a scalar.  ``sums``, when
+    given, are the values' sums S(U) as float64.  The weights are written a
+    slab at a time, and the final .sum over the C-ordered weights fixes the
+    bits.  ``work``, a ``_ChatWorkspace`` of this d, side and b, lets a
+    stream of blocks allocate once; without it the call builds its own."""
+    if values.ndim == d:
+        return _variance_estimator_batch(values[None], d, b, sums, work)[0]
     side = values.shape[-1]
     b = min(b, side)  # any b >= side - 1 clips every window to the whole axis
     if work is None:
@@ -249,21 +245,20 @@ def _variance_estimator_batch(values: np.ndarray, d: int, b: int, sums=None,
     elif work.key != (d, side, b):
         raise ShapeError(f"the C_hat workspace holds (d, side, b) = {work.key}, "
                          f"not {(d, side, b)}")
-    spatial = tuple(range(values.ndim - d, values.ndim))
+    spatial = tuple(range(1, d + 1))
     size = float(side**d)
     sums = values.sum(axis=spatial) if sums is None else sums
-    global_mean = np.reshape(sums, np.shape(sums) + (1,) * d) / size
+    global_mean = np.reshape(sums, (-1,) + (1,) * d) / size
     front, weights, products = work.arrays(values)
-    first = (slice(None),) * (values.ndim - d)
     for top in range(0, side, work.rows):
         rows = min(work.rows, side - top)
-        dev = weights[first + (slice(top, top + rows),)]
+        dev = weights[:, top:top + rows]
         if values.dtype == bool:
             # every float cumsum entry and difference of a 0/1 field is an exact
             # integer below 2^53, so the exact integer sums carry the same bits
             block_sums = _exact_window_sums(values, d, b, top, rows, front)
         else:
-            _carried_window_sums(values, values.ndim - d, b, top, rows, front, dev)
+            _carried_window_sums(values, 1, b, top, rows, front, dev)
             block_sums = dev
             for axis in spatial[1:]:
                 block_sums = _truncated_window_sum(block_sums, b, axis)
@@ -273,7 +268,7 @@ def _variance_estimator_batch(values: np.ndarray, d: int, b: int, sums=None,
         counts = work.counts[:rows]
         np.divide(block_sums, counts, out=dev)
         dev -= global_mean
-        dev *= np.multiply(counts, dev, out=products[first + (slice(0, rows),)])  # (c * dev) * dev
+        dev *= np.multiply(counts, dev, out=products[:, :rows])  # (c * dev) * dev
     return weights.sum(axis=spatial) / size
 
 

@@ -134,7 +134,7 @@ def _site_hash(h: np.ndarray, keys: Sequence[np.ndarray], buffers=None) -> np.nd
     d, cells = len(keys), h.size
     h = h.reshape(h.shape + (1,) * d)
     if buffers is None:
-        buffers = _Scratch().take(cells * math.prod(key.size for key in keys))
+        buffers = np.empty((2, cells * math.prod(key.size for key in keys)), np.uint64)
     for k, key in enumerate(keys):
         cells *= key.size
         shape = h.shape[:1 + k] + (key.size,) + h.shape[2 + k:]
@@ -396,10 +396,11 @@ class _Scratch:
     def __init__(self):
         self.pair = (np.empty(0, np.uint64),) * 2
 
-    def take(self, cells: int):
-        """The two arrays, of at least ``cells`` cells each."""
-        if self.pair[0].size < cells:
-            self.pair = np.empty(cells, np.uint64), np.empty(cells, np.uint64)
+    def take(self, first: int, second: int):
+        """The two arrays, of at least ``first`` and ``second`` cells."""
+        if self.pair[0].size < first or self.pair[1].size < second:
+            self.pair = tuple(a if a.size >= n else np.empty(n, np.uint64)
+                              for a, n in zip(self.pair, (first, second)))
         return self.pair
 
 
@@ -429,7 +430,7 @@ class _SamplerWorkspace:
         cells = seeds * self.slab_cells
         if self.noise.size < cells:
             self.noise = np.empty(cells, bool)
-        return self.scratch.take(cells), self.noise
+        return self.scratch.take(cells, cells), self.noise
 
 
 def sample_fields_batch(
