@@ -134,7 +134,8 @@ def _site_hash(h: np.ndarray, keys: Sequence[np.ndarray], buffers=None) -> np.nd
     d, cells = len(keys), h.size
     h = h.reshape(h.shape + (1,) * d)
     if buffers is None:
-        buffers = np.empty((2, cells * math.prod(key.size for key in keys)), np.uint64)
+        size = cells * math.prod(key.size for key in keys)
+        buffers = _Scratch().take(size, size)
     for k, key in enumerate(keys):
         cells *= key.size
         shape = h.shape[:1 + k] + (key.size,) + h.shape[2 + k:]
