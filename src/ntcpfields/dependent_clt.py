@@ -197,10 +197,11 @@ class _ChatWorkspace:
     """C_hat's per-cube constants for one d, side and b (at most the side):
     the slab rows and the clipped window widths, the first axis's as a column
     and the outer product of the others', so a slab's counts |Q_j| are one
-    multiply, exact in any order.  What every block refills, the window sums'
-    start (the padded bool cubes, zero margins, or float cumsum rows) and the
-    weights and a slab of products (from ``scratch``, or a ``_Scratch`` of its
-    own), is allocated for the first block, replaced only by a larger one."""
+    multiply, exact in any order.  What every block refills, a single sample
+    being a block of one, is allocated for the first block and replaced only
+    by a larger one: the window sums' start (the padded bool cubes, zero
+    margins, or float cumsum rows), and the weights and a slab of products
+    (from ``scratch``, or a ``_Scratch`` of its own)."""
 
     def __init__(self, d: int, side: int, b: int, scratch: _Scratch = None):
         b = min(b, side)

@@ -398,7 +398,8 @@ class _Scratch:
         self.pair = (np.empty(0, np.uint64),) * 2
 
     def take(self, first: int, second: int):
-        """The two arrays, of at least ``first`` and ``second`` cells."""
+        """The two arrays, of at least ``first`` and ``second`` cells (for C_hat,
+        a block's products and weights, a single sample being a block of one)."""
         if self.pair[0].size < first or self.pair[1].size < second:
             self.pair = tuple(a if a.size >= n else np.empty(n, np.uint64)
                               for a, n in zip(self.pair, (first, second)))
