@@ -283,9 +283,12 @@ def _finite_result(value, what: str):
 def _checked(sample: FieldSample):
     """(values, S(U)), checked once for nan and inf, S(U) not for overflow:
     a binary model's values that are all 0 or 1, finite without a further
-    pass, as bool for C_hat's exact integer sums, other integers as float64."""
+    pass, as bool for C_hat's exact integer sums, other integers as float64.
+    The values are all 0 or 1 when every nonzero one equals 1, which two
+    counts decide (nan is nonzero and not 1; -0.0 is 0)."""
     values = sample.values
-    if _value_dtype(sample.model) is bool and np.array_equal(bits := values != 0, values):
+    if (_value_dtype(sample.model) is bool
+            and np.count_nonzero(bits := values != 0) == np.count_nonzero(values == 1)):
         values = bits
     elif not np.isfinite(values).all():
         raise DomainError("sample holds non-finite values (nan or inf): no sum or C_hat")

@@ -18,7 +18,13 @@ coordinates): the value at a lattice site is a pure hash of the seed and
 the coordinates, so samples are reproducible, embarrassingly parallel,
 and consistent under cube enlargement without storing noise arrays.  A
 site's noise is 1 when u < theta for the uniform u = (h >> 11) * 2^-53 of
-its 64-bit hash h, compared exactly in integers on the raw hash.  Window
+its 64-bit hash h, compared exactly in integers on the raw hash.  The hash
+is splitmix64's finalizer chained over the seed and one coordinate axis at
+a time; its first step, h ^ (h >> 30), is linear over xor, so the per-axis
+keys are stored premixed and each site stage premixes only the stage
+before it, 1/side of the grid: a stage makes seven passes over its grid
+(the broadcast xor with the keys, then multiply, shift, xor, multiply,
+shift, xor) and the noise compare an eighth.  Window
 counts are exact integer sums in the smallest of uint8, uint16 and int32
 that holds the window size plus one, summed by doubling along each axis;
 the iid field is sampled as the radius-0 window.  Seeds are taken modulo
@@ -90,12 +96,19 @@ _AXIS_KEYS = (
 )
 
 
-def _mix64(h: np.ndarray, scratch: np.ndarray = None) -> np.ndarray:
-    """splitmix64 finalizer, elementwise and in place on a uint64 array; the
-    shifted values go into ``scratch``, a uint64 array of h's shape,
-    allocated when not given."""
-    scratch = np.empty_like(h) if scratch is None else scratch
+def _premix(h: np.ndarray, scratch: np.ndarray = None) -> np.ndarray:
+    """splitmix64's first step, h ^ (h >> 30), elementwise and in place on a
+    uint64 array; the shifted values go into ``scratch``, a uint64 array of
+    h's shape, allocated when not given.  A right shift distributes over
+    xor, so the step does too: _premix(a ^ b) == _premix(a) ^ _premix(b)."""
     h ^= np.right_shift(h, _U64(30), out=scratch)
+    return h
+
+
+def _mix_premixed(h: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The rest of the splitmix64 finalizer after ``_premix``, in place on h:
+    multiply, shift, xor, multiply, shift, xor, the shifts into
+    ``scratch``."""
     h *= _MIX_C1
     h ^= np.right_shift(h, _U64(27), out=scratch)
     h *= _MIX_C2
@@ -103,16 +116,24 @@ def _mix64(h: np.ndarray, scratch: np.ndarray = None) -> np.ndarray:
     return h
 
 
+def _mix64(h: np.ndarray, scratch: np.ndarray = None) -> np.ndarray:
+    """splitmix64 finalizer, elementwise and in place on a uint64 array,
+    ``_premix`` then ``_mix_premixed``; the shifted values go into
+    ``scratch``, a uint64 array of h's shape, allocated when not given."""
+    scratch = np.empty_like(h) if scratch is None else scratch
+    return _mix_premixed(_premix(h, scratch), scratch)
+
+
 def _axis_keys(coord_axes: Sequence[np.ndarray]) -> list:
     """The per-axis hash inputs c * _AXIS_KEYS[k] for the coordinates c of
-    axis k, taken modulo 2^64, shaped to broadcast along axis 1 + k of a
-    (seeds,) + grid array."""
+    axis k, taken modulo 2^64 and stored premixed (``_premix``), shaped to
+    broadcast along axis 1 + k of a (seeds,) + grid array."""
     d = len(coord_axes)
     keys = []
     for k, axis in enumerate(coord_axes):
         c = np.asarray(axis).astype(np.uint64)
-        shape = (1,) * (1 + k) + (len(c),) + (1,) * (d - k - 1)
-        keys.append(c.reshape(shape) * _AXIS_KEYS[k])
+        c = c.reshape((1,) * (1 + k) + (len(c),) + (1,) * (d - k - 1))
+        keys.append(_premix(c * _AXIS_KEYS[k], c))  # c, a copy, takes the shifts
     return keys
 
 
@@ -126,22 +147,32 @@ def _keyed_hash(seeds: np.ndarray, keys: Sequence[np.ndarray], tag: np.uint64) -
 
 def _site_hash(h: np.ndarray, keys: Sequence[np.ndarray], buffers=None) -> np.ndarray:
     """The sites' stages of ``_keyed_hash``, from the seed stage h (the 1-d
-    ``_mix64(seeds ^ tag)``) over the grid whose ``_axis_keys`` are
-    ``keys``.  The stages alternate between ``buffers``, two flat uint64
-    arrays of at least h.size * grid cells (allocated when not given): each
-    stage is written into one, and the other, which holds the stage before,
-    is its ``_mix64`` scratch.  The result is a view of one of them."""
-    d, cells = len(keys), h.size
-    h = h.reshape(h.shape + (1,) * d)
+    ``_mix64(seeds ^ tag)``, left unchanged) over the grid whose premixed
+    ``_axis_keys`` are ``keys``.  Stage k is _mix64(before ^ c_k * A_k) of
+    the stage before, which ``_premix``'s linearity computes as
+    _mix_premixed(_premix(before) ^ key): the premix runs on the stage
+    before, 1/side of the grid, and the grid takes seven passes, the
+    broadcast xor and the six steps of ``_mix_premixed``.  The stages
+    alternate between ``buffers``, two flat uint64 arrays of at least
+    h.size * grid cells (allocated when not given): each stage is written
+    into one, and the other, which holds the stage before (the seed stage
+    is copied there), is its shift scratch.  The result is a view of one
+    of them."""
+    cells, shape = h.size, h.shape + (1,) * len(keys)
     if buffers is None:
         size = cells * math.prod(key.size for key in keys)
         buffers = _Scratch().take(size, size)
+    flat = buffers[1][:cells]
+    flat[:] = h
     for k, key in enumerate(keys):
+        stage, before = buffers[k % 2], buffers[1 - k % 2]
+        prev = _premix(flat, stage[:cells]).reshape(shape)  # flat is before[:cells]
         cells *= key.size
-        shape = h.shape[:1 + k] + (key.size,) + h.shape[2 + k:]
-        stage, scratch = buffers[k % 2][:cells].reshape(shape), buffers[1 - k % 2][:cells]
-        h = _mix64(np.bitwise_xor(h, key, out=stage), scratch.reshape(shape))
-    return h
+        shape = shape[:1 + k] + (key.size,) + shape[2 + k:]
+        flat = stage[:cells]
+        np.bitwise_xor(prev, key, out=flat.reshape(shape))
+        _mix_premixed(flat, before[:cells])
+    return flat.reshape(shape)
 
 
 def _noise_from_hash(h: np.ndarray, theta: float, out: np.ndarray = None) -> np.ndarray:

@@ -10,6 +10,7 @@ from ntcpfields import lattice_fields
 from ntcpfields.dependent_clt import (
     EstimatorConfig,
     _ChatWorkspace,
+    _checked,
     _replicate_batches,
     _truncated_window_sum,
     _variance_estimator_batch,
@@ -612,3 +613,41 @@ class TestStreamAllocations:
             tracemalloc.stop()
         assert len(marks) == 7
         assert max(peaks) < self.block_bytes()
+
+
+class TestBinaryValueCheck:
+    """A binary model's values go to C_hat as bool exactly when every one is
+    0 or 1 (-0.0 is 0); any other finite value takes the float path, and a
+    nan is refused with the same error text."""
+
+    CUBE = LatticeCube(d=3, n=3)
+
+    def sample(self, odd, model=MAJORITY):
+        values = sample_field(MAJORITY, self.CUBE, 17).values.copy()
+        values[1, 2, 3] = odd
+        return FieldSample(self.CUBE, values, model, 17)
+
+    @pytest.mark.parametrize("odd,binary", [(0.0, True), (-0.0, True), (1.0, True),
+                                            (0.5, False), (2.0, False)])
+    def test_zero_one_values_become_bool(self, odd, binary):
+        sample, config = self.sample(odd), EstimatorConfig(bandwidth=2)
+        values, total = _checked(sample)
+        assert (values.dtype == bool) is binary
+        assert total == float(sample.values.sum())
+        as_float = self.sample(odd, LEVELS4)  # a float model: never the bool path
+        assert _checked(as_float)[0].dtype == np.float64
+        assert variance_estimator(sample, config).hex() == \
+            variance_estimator(as_float, config).hex()
+
+    def test_negative_zero_gives_the_bits_of_zero(self):
+        config = EstimatorConfig(bandwidth=1)
+        assert variance_estimator(self.sample(-0.0), config).hex() == \
+            variance_estimator(self.sample(0.0), config).hex()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_binary_sample_rejected(self, bad):
+        message = "^sample holds non-finite values \\(nan or inf\\): no sum or C_hat$"
+        with pytest.raises(DomainError, match=message):
+            variance_estimator(self.sample(bad), EstimatorConfig(bandwidth=1))
+        with pytest.raises(DomainError, match=message):
+            partial_sum(self.sample(bad))
