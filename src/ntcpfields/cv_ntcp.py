@@ -12,6 +12,7 @@ The serial model is threshold L = 1; tumor control is L = n.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -55,7 +56,8 @@ def normal_quantile(gamma: float) -> float:
 
 @dataclass(frozen=True)
 class OrganSpec:
-    """FSU count, volumes and functional reserve (count L or fraction kappa)."""
+    """FSU count, volumes and functional reserve (count L or fraction kappa).
+    ``fsu_volumes`` None means n equal volumes of volume / n."""
 
     n: int
     volume: float
@@ -65,11 +67,9 @@ class OrganSpec:
     def __post_init__(self):
         integer(self.n, "n", ge=1, le=MAX_EXACT_N)
         real(self.volume, "volume", gt=0)
-        if self.fsu_volumes is None:
-            object.__setattr__(self, "fsu_volumes", tuple([self.volume / self.n] * self.n))
-        elif len(self.fsu_volumes) != self.n:
-            raise ShapeError("fsu_volumes must have length n")
-        else:
+        if self.fsu_volumes is not None:
+            if len(self.fsu_volumes) != self.n:
+                raise ShapeError("fsu_volumes must have length n")
             for v in self.fsu_volumes:
                 real(v, "each FSU volume", gt=0)
             if abs(sum(self.fsu_volumes) - self.volume) > 1e-9 * self.volume:
@@ -392,8 +392,11 @@ def damage_volume(organ: OrganSpec, states: Sequence[int]) -> float:
     """
     if len(states) != organ.n:
         raise ShapeError(f"expected {organ.n} states, got {len(states)}")
+    volumes = organ.fsu_volumes
+    if volumes is None:
+        volumes = itertools.repeat(organ.volume / organ.n)
     total = 0.0
-    for v, s in zip(organ.fsu_volumes, states):
+    for v, s in zip(volumes, states):
         if s == 1:
             total += v
         elif s != 0:  # nan, too, is neither

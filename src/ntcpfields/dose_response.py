@@ -129,7 +129,8 @@ def dose_for_kill_probability(
     Returns a dose whose kill probability is within ``tolerance`` of
     ``target_p``.  Raises UnattainableTargetError if no bracket is found
     below the dose cap (relevant only for targets pushed against 1 in
-    floating point).
+    floating point), or if no dose of the bisection's 200 steps comes
+    within the tolerance (one below the spacing of doubles near the target).
     """
     real(target_p, "target_p", gt=0, lt=1)
     real(tolerance, "tolerance", gt=0)
@@ -150,4 +151,7 @@ def dose_for_kill_probability(
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    raise UnattainableTargetError(
+        f"kill probability {target_p} not reached within tolerance {tolerance:g} "
+        f"in 200 bisection steps"
+    )

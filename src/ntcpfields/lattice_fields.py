@@ -39,11 +39,13 @@ rows instead, each hashed with its 2m-row halo: a site's noise depends only
 on the seed and its coordinates, so the slabs give the same bits; a block's
 seeds take their stage of the hash once, its slabs only their sites'.
 Every call works from a ``_SamplerWorkspace``: the cube's grid keys, block
-and slab sizes and count dtype, and buffers for the uint64 hashes, the
-shift scratch of ``_mix64`` and the bool noise.  A call builds its own;
-replicate streams build one per cube, derive the cube's seeds once and
-refill its buffers and one block of values in the field's own dtype with
-every block, so after the first block they allocate nothing block-sized.
+and slab sizes and count dtype, and buffers for the bool noise and for
+``_site_hash``'s two uint64 arrays, which take the hash stages in turn,
+each the other's shift scratch in ``_premix`` and ``_mix_premixed``.  A
+call builds its own; replicate streams build one per cube, derive the
+cube's seeds once and refill its buffers and one block of values in the
+field's own dtype with every block, so after the first block they allocate
+nothing block-sized.
 The hashes and their scratch come from a ``_Scratch``, which a campaign
 shares with C_hat's weights and products, so a campaign holds one
 block's buffers plus 8 bytes of seed, S(U) and C_hat per replicate.
@@ -116,11 +118,11 @@ def _mix_premixed(h: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return h
 
 
-def _mix64(h: np.ndarray, scratch: np.ndarray = None) -> np.ndarray:
+def _mix64(h: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer, elementwise and in place on a uint64 array,
-    ``_premix`` then ``_mix_premixed``; the shifted values go into
-    ``scratch``, a uint64 array of h's shape, allocated when not given."""
-    scratch = np.empty_like(h) if scratch is None else scratch
+    ``_premix`` then ``_mix_premixed``, the shifts into one scratch array
+    of h's shape."""
+    scratch = np.empty_like(h)
     return _mix_premixed(_premix(h, scratch), scratch)
 
 
@@ -441,7 +443,8 @@ class _SamplerWorkspace:
     """What ``sample_fields_batch`` needs for one model and cube: the
     per-cube constants (grid keys, seeds per block, slab rows and count
     dtype), computed once, and the arrays that every block refills, the
-    site hashes and ``_mix64``'s shift scratch from ``scratch`` (a
+    two uint64 arrays of ``_site_hash`` (the site hashes and the shift
+    scratch of its ``_premix`` and ``_mix_premixed``) from ``scratch`` (a
     ``_Scratch`` of its own unless given) and the bool noise.  They are
     allocated for the first block, the largest of a stream, and replaced
     only by a larger one."""
@@ -615,22 +618,24 @@ def model_sigma2(model: FieldModel, d: int = 1) -> Sigma2Result:
 # ---------------------------------------------------------------------------
 # Serialization: JSON header line + one %.17g value per line (round trips
 # doubles exactly).  Sample values repeat (a threshold field holds two), so
-# both directions key the body and work on a sorted table of its distinct
-# keys, found without a sort of the body: np.unique of an evenly strided
-# sample of at most _PROBED keys, then each key's position in it
-# (_positions: counted without a branch per key in a small table, else
-# searchsorted), checked, and the table completed by the keys it missed
-# (_index).  Both directions hold one block of temporaries at a time.  The
-# saver keys a _BLOCK_CELLS-cell block by its float64 bits, formats each
-# distinct value once and gathers the block's lines from a table of one
-# fixed-width element per line, or joins them from an object array when the
-# lines differ in width.  The loader reads 3 * _BLOCK_CELLS characters at a
-# time; an ASCII block's lines are keyed by their bytes, padded with "\n"
-# (_parse_table), each distinct line is parsed once, blank lines are
-# dropped, and the values are gathered straight into the cube's one float64
-# array.  A non-ASCII or mostly distinct block is parsed line by line, and a
-# block with a bad line by the filtered per-line parse, which skips blank
-# lines and names the first bad one.
+# both directions key the body once, a block at a time, and work on a sorted
+# table of the block's distinct keys, found without a sort of the block: the
+# probe, np.unique of an evenly strided sample of at most _PROBED keys, then
+# each key's position in it (_positions: counted without a branch per key in
+# a small table, else searchsorted), checked, and the table completed by the
+# keys it missed (_index).  Both directions hold one block of temporaries at
+# a time.  The saver probes the whole sample once; it keys a
+# _BLOCK_CELLS-cell block by its float64 bits, indexes it in the probe's
+# table, or by np.unique when the probe found the sample mostly distinct,
+# formats each distinct value of the block once and gathers the block's
+# lines from a table of one fixed-width element per line, or joins them from
+# an object array when the lines differ in width.  The loader reads
+# 3 * _BLOCK_CELLS characters at a time; an ASCII block's lines are keyed by
+# their bytes, padded with "\n" (_parse_table), and probed, each distinct
+# line is parsed once, blank lines are dropped, and the values are gathered
+# straight into the cube's one float64 array.  A non-ASCII or mostly distinct
+# block is parsed line by line, and a block with a bad line by the filtered
+# per-line parse, which skips blank lines and names the first bad one.
 # ---------------------------------------------------------------------------
 
 def model_to_dict(model: FieldModel) -> dict:
@@ -742,12 +747,11 @@ def _lines(table: np.ndarray):
 def save_sample(sample: FieldSample, path) -> None:
     """Write ``sample`` to ``path``, its values as float64 in row-major
     order, one ``"%.17g"`` line each.  Distinct values are keyed by bit
-    pattern, so -0.0 stays ``-0``, and formatted once.  When values repeat,
-    each block of cells is indexed in the probe's sorted table, which grows
-    by the values a block adds, and its lines are gathered from ``_lines``
-    of the table.  A mostly distinct sample, and the rest of one from the
-    block that takes the table past ``_PROBED`` values, is indexed whole by
-    ``np.unique`` and joined from an object array of the lines."""
+    pattern, so -0.0 stays ``-0``, and formatted once a block.  Each block
+    of cells is indexed in the probe's sorted table, completed by the values
+    the block adds (``_index``), or by ``np.unique`` when the probe found
+    the sample mostly distinct, and its lines are gathered from ``_lines``
+    of the block's table."""
     header = {
         "d": sample.cube.d,
         "n": sample.cube.n,
@@ -755,26 +759,16 @@ def save_sample(sample: FieldSample, path) -> None:
         "model": model_to_dict(sample.model),
     }
     values = np.asarray(sample.values).reshape(-1)
-    table = _probe(_bits(values[:: _sample_step(values.size)]))
+    probe = _probe(_bits(values[:: _sample_step(values.size)]))
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        start = 0
-        if table is not None:
+        for start in range(0, values.size, _BLOCK_CELLS):
+            keys = _bits(values[start:start + _BLOCK_CELLS])
+            table, inverse = (np.unique(keys, return_inverse=True) if probe is None
+                              else _index(keys, probe))
             lines, width = _lines(table)
-            for start in range(0, values.size, _BLOCK_CELLS):
-                grown, inverse = _index(_bits(values[start:start + _BLOCK_CELLS]), table)
-                if grown.size > _PROBED:  # far more distinct values than the probe saw
-                    break
-                if grown.size > table.size:
-                    table, (lines, width) = grown, _lines(grown)
-                body = lines[inverse]
-                fh.write(body if width else "".join(body).encode())
-            else:
-                return  # every block written
-        table, inverse = np.unique(_bits(values[start:]), return_inverse=True)
-        lines = np.array(["%.17g\n" % v for v in table.view(np.float64).tolist()], object)
-        for i in range(0, inverse.size, _BLOCK_CELLS):
-            fh.write("".join(lines[inverse[i:i + _BLOCK_CELLS]]).encode())
+            body = lines[inverse]
+            fh.write(body if width else "".join(body).encode())
 
 
 #: The first k bytes of a little-endian uint64 word, for k = 0..8.
@@ -828,7 +822,6 @@ def _parse_table(text: str, cut: int):
     width = _line_width(newline)
     if width in _UINTS:
         rows = keys = np.frombuffer(raw, _UINTS[width], count=cut // width)
-        table = _probe(keys[:: _sample_step(keys.size)])
     else:
         ends = np.flatnonzero(newline)
         starts = np.concatenate([[0], ends[:-1] + 1])
@@ -836,12 +829,9 @@ def _parse_table(text: str, cut: int):
         words = max(1, -(-int(lengths.max()) // 8))
         if words * ends.size > cut:
             return None
-        raw = raw[:cut] + b"\n" * (8 * words)
-        step = _sample_step(ends.size)
-        table = _probe(_row_keys(_padded_lines(raw, starts[::step], lengths[::step], words)))
-        if table is not None:
-            rows = _padded_lines(raw, starts, lengths, words)
-            keys = _row_keys(rows)
+        rows = _padded_lines(raw[:cut] + b"\n" * (8 * words), starts, lengths, words)
+        keys = _row_keys(rows)
+    table = _probe(keys[:: _sample_step(keys.size)])
     if table is None:
         return None
     table, inverse = _index(keys, table)

@@ -151,6 +151,14 @@ class TestDoseCommand:
         assert code == 1
         assert "beta" in err
 
+    def test_unattainable_tolerance_exits_1(self, capsys):
+        code, out, err = run(
+            capsys, "dose", "--model", "lq", "--alpha", "0.3", "--beta", "0.05",
+            "--n0", "3", "--target-p", "0.2", "--tolerance", "1e-300",
+        )
+        assert (code, out) == (1, "")
+        assert "tolerance 1e-300" in err
+
     def test_kappa_route_requires_n_and_gamma(self, capsys):
         code, _, _ = run(
             capsys, "dose", "--model", "single_hit", "--alpha", "1.0",

@@ -522,6 +522,26 @@ class TestDamageVolume:
         with pytest.raises(DomainError, match="fractional reserve kappa"):
             OrganSpec(n=10, volume=1.0, reserve=1.5)
 
+    def test_equal_volumes_are_added_as_given_ones(self):
+        # volume / n is added once per killed FSU, the same floats in the
+        # same order as a tuple of n copies of it
+        organ = OrganSpec(n=7, volume=0.3, reserve=3)
+        states = [1, 0, 1, 1, 0, 1, 1]
+        given = OrganSpec(n=7, volume=0.3, reserve=3, fsu_volumes=(0.3 / 7,) * 7)
+        assert damage_volume(organ, states) == damage_volume(given, states)
+        assert damage_volume(organ, states) == sum([0.3 / 7] * 5)
+
+    def test_equal_volumes_are_not_stored(self):
+        # 10^8 copies of volume / n would take 800 MB
+        tracemalloc.start()
+        try:
+            organ = OrganSpec(n=cv_ntcp.MAX_EXACT_N, volume=1.0, reserve=0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        assert organ.fsu_volumes is None
+
     @pytest.mark.parametrize("n", [2.5, 2.0, 0, -3, True])
     def test_fsu_count_must_be_a_positive_integer(self, n):
         # [v] * 2.5 would end in a bare TypeError

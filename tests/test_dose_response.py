@@ -10,9 +10,10 @@ from ntcpfields.dose_response import (
     SingleHit,
     dose_for_kill_probability,
     fsu_kill_probability,
+    killed_fraction_of_cells,
     surviving_fraction,
 )
-from ntcpfields.errors import DomainError, ParameterError
+from ntcpfields.errors import DomainError, ParameterError, UnattainableTargetError
 from ntcpfields.lattice_fields import MovingWindowThreshold, threshold_model_from_dose
 
 LN2 = math.log(2.0)
@@ -138,10 +139,25 @@ class TestDoseInversion:
         d = dose_for_kill_probability(model, cells, target, 1e-10)
         assert fsu_kill_probability(model, cells, d) == pytest.approx(target, abs=1e-10)
 
+    def test_tolerance_below_the_doubles_raises(self):
+        # the bisection's doses miss p = 0.2 by 5.6e-17 at best
+        with pytest.raises(UnattainableTargetError, match="tolerance 1e-300"):
+            dose_for_kill_probability(LinearQuadratic(alpha=0.3, beta=0.05),
+                                      CellPopulation(n0=3), 0.2, tolerance=1e-300)
+
+    def test_target_beyond_the_dose_cap_raises(self):
+        with pytest.raises(UnattainableTargetError, match="dose cap"):
+            dose_for_kill_probability(SingleHit(alpha=1e-300), CellPopulation(n0=1), 0.5)
+
     @pytest.mark.parametrize("target", [0.0, 1.0, -0.2, 1.5])
     def test_target_outside_open_interval(self, target):
         with pytest.raises(DomainError):
             dose_for_kill_probability(SingleHit(alpha=1.0), CellPopulation(n0=1), target)
+
+
+def test_unknown_model_rejected():
+    with pytest.raises(ParameterError, match="unknown model"):
+        killed_fraction_of_cells(object(), 1.0)
 
 
 def test_cell_population_validation():

@@ -135,6 +135,14 @@ LARGE_SAMPLE = functools.partial(sample_field, MovingWindowThreshold(1, 0.5, 14)
                                  LatticeCube(d=3, n=35), 201)
 
 
+def every_nth_distinct(step):
+    """A 255^2 sample in which every step-th cell holds its own value, the
+    rest 0."""
+    values = np.zeros(255 * 255)
+    values[::step] = np.random.default_rng(5).random(values[::step].size)
+    return FieldSample(LatticeCube(d=2, n=127), values.reshape(255, 255), IidBernoulli(0.5), 3)
+
+
 def per_cell_bytes(sample):
     """The file the per-cell writer makes: the reference for save_sample."""
     header = {"d": sample.cube.d, "n": sample.cube.n, "seed": sample.seed,
@@ -584,6 +592,10 @@ class TestSerialization:
         with pytest.raises(ParameterError):
             model_from_dict({"type": "nope"})
 
+    def test_unknown_model_has_no_dict(self):
+        with pytest.raises(ParameterError, match="unknown model"):
+            model_to_dict(object())
+
     def test_truncated_file(self, tmp_path):
         sample = sample_field(IidBernoulli(p=0.5), LatticeCube(d=1, n=3), 1)
         path = tmp_path / "sample.dat"
@@ -685,8 +697,8 @@ class TestSerialization:
     @pytest.mark.parametrize("block_cells", [64, 1000, 1 << 16])
     def test_saved_bytes_when_the_probe_undercounts(self, block_cells, tmp_path):
         # every 4th of 81^2 cells holds its own value: the strided probe sees
-        # few enough of them to index blocks in a table, and the saver leaves
-        # that table for np.unique once it holds more than _PROBED values
+        # few enough of them to index blocks in its table, and each block
+        # completes that table by the many values it adds
         values = np.zeros(81 * 81)
         values[::4] = np.random.default_rng(5).random(values[::4].size)
         sample = FieldSample(LatticeCube(d=2, n=40), values.reshape(81, 81), IidBernoulli(0.5), 3)
@@ -706,10 +718,23 @@ class TestSerialization:
         finally:
             tracemalloc.stop()
 
-    def test_saver_temporaries_stay_block_sized(self, tmp_path):
-        # the 71^3 threshold sample is indexed and written a block at a time
-        _, peak = self._traced_peak(save_sample, LARGE_SAMPLE(), tmp_path / "sample.dat")
-        assert peak < 48 * lattice_fields._BLOCK_CELLS
+    @pytest.mark.parametrize("make, block_cells, per_cell", [
+        (LARGE_SAMPLE, 1 << 16, 48),
+        (functools.partial(every_nth_distinct, 1), 4096, 512),
+        (functools.partial(every_nth_distinct, 4), 4096, 512),
+    ], ids=["threshold", "distinct", "probe_undercounts"])
+    def test_saver_temporaries_stay_block_sized(self, make, block_cells, per_cell, tmp_path):
+        # each block is indexed, formatted and written on its own, whether the
+        # probe finds the sample's values few (threshold), mostly distinct
+        # (distinct) or few enough to index blocks in its table although
+        # most blocks add many (probe_undercounts); the untraced first save
+        # takes the modules numpy imports on first use
+        sample, path = make(), tmp_path / "sample.dat"
+        with mock.patch.object(lattice_fields, "_BLOCK_CELLS", block_cells):
+            save_sample(sample, path)
+            _, peak = self._traced_peak(save_sample, sample, path)
+        assert peak < per_cell * block_cells
+        assert path.read_bytes() == per_cell_bytes(sample)
 
     def test_loader_fills_one_array_of_the_cube(self, tmp_path):
         # each block of lines is parsed straight into the cube's float64 array
