@@ -10,8 +10,8 @@ with Q_j = U intersect K_j(b), K_j(b) the sup-norm ball of radius b at j.
 Boundary sites use the truncated Q_j exactly as written: no wraparound.
 One engine, a loop over slabs of first-axis rows, runs for one block, a
 single sample being a block of one.  Its only fork is the window sums
-S(Q_j): a float field's are differences of float64 prefix sums, carried
-from slab to slab in the order of one cumsum; a binary field, held as bool,
+S(Q_j): a float field's are in-place differences of float64 prefix sums,
+the first axis's carried from slab to slab; a binary field, held as bool,
 takes exact integer sums instead, the sampler's doubling rule over the
 field padded with b zeros, the same bits.  So does a single sample of a
 binary model whose values are all 0 or 1, whatever their dtype; any other
@@ -141,20 +141,14 @@ def partial_sum(sample: FieldSample, region=None) -> float:
 # Block-average variance estimator
 # ---------------------------------------------------------------------------
 
-def _truncated_window_sum(a: np.ndarray, b: int, axis: int) -> np.ndarray:
-    """Sums over windows [i-b, i+b] clipped to the array, along one axis."""
-    out = np.empty(a.shape)
-    _carried_window_sums(a, axis, b, 0, a.shape[axis], np.empty(a.shape), out)
-    return out
-
-
 def _carried_window_sums(values: np.ndarray, axis: int, b: int, top: int, rows: int,
                          cs: np.ndarray, out: np.ndarray) -> None:
     """Writes into ``out`` the float window sums [i-b, i+b] along ``axis``,
-    clipped to it, at indices top..top + rows: differences of the axis's
-    cumsum at lo..hi, which ``cs`` holds.  Those the slab before computed
-    are at its front, and the rest continue from them, so each lane is
-    summed in sequence, as by one np.cumsum; the next slab's go there."""
+    clipped to it, at indices top..top + rows, for every axis of a float
+    slab: differences of the axis's cumsum at lo..hi, which ``cs`` holds, so
+    ``out`` may be ``values``.  Those the slab before computed are at its
+    front, and the rest continue from them, so each lane is summed in
+    sequence, as by one np.cumsum; the next slab's go there."""
     values, cs, out = values.swapaxes(0, axis), cs.swapaxes(0, axis), out.swapaxes(0, axis)
     side = len(values)
     lo, hi = max(top - b - 1, 0), min(top + rows + b, side)
@@ -201,7 +195,8 @@ class _ChatWorkspace:
     being a block of one, is allocated for the first block and replaced only
     by a larger one: the window sums' start (the padded bool cubes, zero
     margins, or float cumsum rows), and the weights and a slab of products
-    (from ``scratch``, or a ``_Scratch`` of its own)."""
+    (from ``scratch``, or a ``_Scratch`` of its own), which holds a float
+    slab's other axes' cumsum until its final multiply."""
 
     def __init__(self, d: int, side: int, b: int, scratch: _Scratch = None):
         b = min(b, side)
@@ -260,9 +255,9 @@ def _variance_estimator_batch(values: np.ndarray, d: int, b: int, sums=None,
             block_sums = _exact_window_sums(values, d, b, top, rows, front)
         else:
             _carried_window_sums(values, 1, b, top, rows, front, dev)
-            block_sums = dev
             for axis in spatial[1:]:
-                block_sums = _truncated_window_sum(block_sums, b, axis)
+                _carried_window_sums(dev, axis, b, 0, side, products[:, :rows], dev)
+            block_sums = dev
         if work.counts_top != top:
             np.multiply(work.column[top:top + rows], work.inner, out=work.counts[:rows])
             work.counts_top = top
@@ -346,11 +341,12 @@ def self_normalized_statistic(
     ``mode="true_sigma"`` normalizes by a supplied sigma^2; ``"estimated"``
     by C_hat.  A zero normalizer (constant fields) raises DegenerateError.
     """
-    total = partial_sum(sample)
+    checked = _checked(sample)
+    total = _finite_result(checked[1], "sum")
     if mode == "true_sigma":
         variance = float(real(sigma2, "sigma2"))
     elif mode == "estimated":
-        variance = variance_estimator(sample, config or EstimatorConfig())
+        variance = variance_estimator(sample, config or EstimatorConfig(), checked)
     else:
         raise DomainError(f"unknown mode {mode!r}")
     return NormalizedStatistic(
@@ -367,9 +363,10 @@ def confidence_interval(
     sample: FieldSample, level: float, config: Optional[EstimatorConfig] = None
 ) -> Tuple[float, float]:
     """Approximate CI for E X_0: sample mean +- z_{(1+level)/2} sqrt(C_hat/|U|)."""
-    c_hat = variance_estimator(sample, config or EstimatorConfig())
+    checked = _checked(sample)
+    c_hat = variance_estimator(sample, config or EstimatorConfig(), checked)
     half = _half_width(level, c_hat, sample.cube.size)
-    center = partial_sum(sample) / sample.cube.size
+    center = _finite_result(checked[1], "sum") / sample.cube.size
     return float(center - half), float(center + half)
 
 

@@ -618,9 +618,9 @@ def model_sigma2(model: FieldModel, d: int = 1) -> Sigma2Result:
 # ---------------------------------------------------------------------------
 # Serialization: JSON header line + one %.17g value per line (round trips
 # doubles exactly).  Sample values repeat (a threshold field holds two), so
-# both directions key the body once, a block at a time, and work on a sorted
-# table of the block's distinct keys, found without a sort of the block: the
-# probe, np.unique of an evenly strided sample of at most _PROBED keys, then
+# both directions key the body once, a block at a time, and work on a table
+# of the block's distinct keys, found without a sort of the block: the probe,
+# the sorted distinct keys of an evenly strided sample of at most _PROBED, then
 # each key's position in it (_positions: counted without a branch per key in
 # a small table, else searchsorted), checked, and the table completed by the
 # keys it missed (_index).  Both directions hold one block of temporaries at
@@ -670,7 +670,7 @@ def _probe(sample: np.ndarray):
     """The distinct keys of a strided sample, sorted; None when more than
     half the sample is distinct, so that a table of distinct keys would not
     pay."""
-    table = np.unique(sample)
+    table = np.unique(sample, return_counts=True)[0]  # np.unique(sample) imports numpy.ma
     return None if 2 * table.size > sample.size else table
 
 
@@ -703,17 +703,15 @@ def _positions(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 
 def _index(keys: np.ndarray, table: np.ndarray):
-    """(table, inverse) with table[inverse] == keys, the table sorted and
-    each key in it once: the ``_positions`` of the keys in the sorted
-    ``table``, verified, and the keys it lacks added in order."""
+    """(table, inverse) with table[inverse] == keys, each key in the table
+    once: the ``_positions`` of the keys in the sorted ``table``, verified,
+    and the keys it lacks added after it in order."""
     inverse = _positions(table, keys)
     missed = table.take(inverse, mode="clip") != keys
     if missed.any():
         extra, where = np.unique(keys[missed], return_inverse=True)
         inverse[missed] = table.size + where
         table = np.concatenate([table, extra])
-        order = table.argsort()
-        table, inverse = table[order], order.argsort()[inverse]
     return table, inverse
 
 

@@ -362,12 +362,16 @@ class TestFreshProcess:
     """The CLI as users run it: ``python -m ntcpfields.cli`` in a new process."""
 
     @staticmethod
-    def cli(*argv):
+    def python(*args):
         source = os.path.dirname(os.path.dirname(ntcpfields.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [source, os.environ.get("PYTHONPATH")])))
-        return subprocess.run([sys.executable, "-m", "ntcpfields.cli", *argv],
+        return subprocess.run([sys.executable, *args],
                               capture_output=True, text=True, env=env, timeout=120)
+
+    @classmethod
+    def cli(cls, *argv):
+        return cls.python("-m", "ntcpfields.cli", *argv)
 
     def test_simulate_then_estimate(self, capsys, tmp_path):
         path = str(tmp_path / "sample.dat")
@@ -382,6 +386,19 @@ class TestFreshProcess:
         in_process = [run(capsys, *simulate), run(capsys, *estimate)]
         assert [p.stdout for p in fresh] == [out for _, out, _ in in_process]
         assert pathlib.Path(path).read_bytes() == saved
+
+    def test_simulate_then_estimate_leave_numpy_ma_unimported(self, tmp_path):
+        # np.unique(keys) with no second output imports numpy.ma (numpy 2.4),
+        # about 10 ms and 1 MB that sample I/O and C_hat never use
+        path = str(tmp_path / "sample.dat")
+        simulate = ["simulate", "--field", "window_threshold", "--theta", "0.5",
+                    "--k-min", "14", "--d", "3", "--n", "5", "--seed", "201", "--out", path]
+        estimate = ["estimate", "--sample", path, "--level", "0.95"]
+        done = self.python("-c", "import sys; from ntcpfields.cli import main; "
+                           f"codes = [main({simulate!r}), main({estimate!r})]; "
+                           "print(codes, 'numpy.ma' in sys.modules)")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.splitlines()[-1] == "[0, 0] False"
 
     def test_bad_flag_then_good_call_in_one_process(self, capsys, tmp_path):
         # one parser serves every call of a process: a parse that fails, and

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from scipy import special
 
-from ntcpfields import lattice_fields
+from ntcpfields import dependent_clt, lattice_fields
 from ntcpfields.dependent_clt import (
     EstimatorConfig,
     _ChatWorkspace,
+    _carried_window_sums,
     _checked,
     _replicate_batches,
-    _truncated_window_sum,
     _variance_estimator_batch,
     confidence_interval,
     default_bandwidth,
@@ -235,17 +235,19 @@ class TestVarianceEstimator:
         [(1, 1), (1, 3), (2, 1), (2, 2), (2, 4), (5, 1), (5, 2), (5, 4), (5, 5),
          (5, 7), (9, 1), (9, 3), (9, 8), (9, 9), (9, 11)],
     )
-    def test_truncated_window_sum_vs_brute_force(self, side, b):
+    @pytest.mark.parametrize("in_place", [False, True], ids=["fresh_out", "in_place"])
+    def test_carried_window_sums_vs_brute_force(self, side, b, in_place):
+        # one slab covering the axis, as a float slab's other axes take it;
         # covers b = side - 1 and b >= side; side 1 is the n = 0 cube, where
         # every b clips to the single site.  Small integers keep every sum
         # exact, so the comparison is exact.
         values = np.random.default_rng(side).integers(-9, 10, size=(3, side, side))
         values = values.astype(np.float64)
         for axis in (1, 2):
-            assert np.array_equal(
-                _truncated_window_sum(values, b, axis),
-                clipped_window_sum_brute_force(values, b, axis),
-            )
+            given = values.copy()
+            out = given if in_place else np.empty(values.shape)
+            _carried_window_sums(given, axis, b, 0, side, np.empty(values.shape), out)
+            assert np.array_equal(out, clipped_window_sum_brute_force(values, b, axis))
 
     @pytest.mark.parametrize("d,n,b", [(1, 40, 3), (1, 200, 6), (2, 9, 2), (3, 4, 2), (3, 0, 1)])
     def test_batch_rows_equal_single_estimates(self, d, n, b):
@@ -301,6 +303,20 @@ class TestVarianceEstimator:
         finally:
             tracemalloc.stop()
         assert peak < sample.values.nbytes + 48 * lattice_fields._BLOCK_CELLS
+        assert chat.hex() == LARGE_LEVELS_CHAT
+
+    def test_large_levels_chat_other_axes_run_in_place(self):
+        # the second and third axes' window sums overwrite the slab's
+        # deviations, their cumsum in the slab of products, so no axis
+        # allocates a slab-sized array of its own
+        sample = sample_field(LEVELS4, LatticeCube(d=3, n=35), 201)
+        tracemalloc.start()
+        try:
+            chat = variance_estimator(sample, EstimatorConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < sample.values.nbytes + 32 * lattice_fields._BLOCK_CELLS
         assert chat.hex() == LARGE_LEVELS_CHAT
 
     @pytest.mark.parametrize("block_cells", [1, 64, 1000])
@@ -651,3 +667,31 @@ class TestBinaryValueCheck:
             variance_estimator(self.sample(bad), EstimatorConfig(bandwidth=1))
         with pytest.raises(DomainError, match=message):
             partial_sum(self.sample(bad))
+
+    @pytest.mark.parametrize("call", [
+        lambda s, c: partial_sum(s),
+        lambda s, c: variance_estimator(s, c),
+        lambda s, c: confidence_interval(s, 0.9, c),
+        lambda s, c: self_normalized_statistic(s, 0.5, c),
+        lambda s, c: ntcp_estimate(s, 30.0, 0.5, c),
+    ], ids=["partial_sum", "variance_estimator", "confidence_interval",
+            "self_normalized_statistic", "ntcp_estimate"])
+    def test_public_estimators_check_a_sample_once(self, monkeypatch, call):
+        calls = []
+
+        def counted(sample):
+            calls.append(sample)
+            return _checked(sample)
+
+        monkeypatch.setattr(dependent_clt, "_checked", counted)
+        call(self.sample(0.5), EstimatorConfig(bandwidth=1))
+        assert len(calls) == 1
+
+    def test_errors_keep_their_order(self):
+        # a sum beyond float64: the statistic names the sum before the mode,
+        # the interval names C_hat before the level
+        huge = FieldSample(self.CUBE, np.full(self.CUBE.shape, 1e308), LEVELS4, 0)
+        with pytest.raises(DomainError, match="the sum of this sample"):
+            self_normalized_statistic(huge, 0.0, mode="bogus")
+        with pytest.raises(DomainError, match="the C_hat of this sample"):
+            confidence_interval(huge, 1.0)
