@@ -12,7 +12,7 @@ One engine, a loop over slabs of first-axis rows, runs for one block, a
 single sample being a block of one.  Its only fork is the window sums
 S(Q_j): a float field's are in-place differences of float64 prefix sums,
 the first axis's carried from slab to slab; a binary field, held as bool,
-takes exact integer sums instead, the sampler's doubling rule over the
+takes exact integer sums instead, the sampler's box-sum rule over the
 field padded with b zeros, the same bits.  So does a single sample of a
 binary model whose values are all 0 or 1, whatever their dtype; any other
 integer values are taken as float64.  The weights are the only array of
@@ -44,7 +44,7 @@ from .lattice_fields import (
     _Scratch,
     _count_dtype,
     _slab_rows,
-    _valid_window_sum,
+    _valid_box_sums,
     _value_dtype,
     derive_seeds,
     model_sigma2,
@@ -172,19 +172,17 @@ def _exact_window_sums(values: np.ndarray, d: int, b: int, top: int, rows: int,
                        padded: np.ndarray) -> np.ndarray:
     """The clipped window sums of a block of bool fields at the first-axis
     rows top..top + rows, exact integers: each spatial axis is padded with b
-    zeros on both sides and summed over windows of 2b + 1 by the sampler's
-    doubling rule, in the smallest count dtype that holds a window of the
-    field.  ``padded``, the padded cubes as uint8 with zero margins, takes
-    the fields' rows within b of them; b must not exceed the side."""
+    zeros on both sides, and the boxes of width 2b + 1 are summed by the
+    sampler's window rule, ``_valid_box_sums``, in the smallest count dtype
+    that holds a window of the field.  ``padded``, the padded cubes as uint8
+    with zero margins, takes the fields' rows within b of them; b must not
+    exceed the side."""
     side = values.shape[-1]
     lo, hi = max(top - b, 0), min(top + rows + b, side)
     padded[(slice(None), slice(lo + b, hi + b)) + (slice(b, b + side),) * (d - 1)] = (
         values.view(np.uint8)[:, lo:hi])
     dtype = _count_dtype(min(2 * b + 1, side) ** d)
-    sums = padded[:, top:top + rows + 2 * b]
-    for axis in range(1, d + 1):
-        sums = _valid_window_sum(sums, 2 * b + 1, axis, dtype)
-    return sums
+    return _valid_box_sums(padded[:, top:top + rows + 2 * b], 2 * b + 1, dtype)
 
 
 class _ChatWorkspace:
@@ -401,14 +399,13 @@ def _replicate_batches(model: FieldModel, cube: LatticeCube, replicates: int,
     replicates, so a consumer that reduces each block as it arrives works
     on it while it is still in cache.  The values are one buffer per cube
     in the field's own dtype (bool for the threshold and iid fields), and
-    the sampler's hashes and noise are the buffers of one
-    ``_SamplerWorkspace`` per cube, its hashes in ``scratch`` (a
-    ``_Scratch`` of its own unless given), all refilled by every block, so
-    a consumer is done with a block before it asks for the next; it may
-    use the scratch in between.  The cube's seeds are derived in one call,
-    8 bytes per replicate.  Both calls go through this module's names,
-    which perfbench/spans.py wraps; the workspace is the sampler call's
-    last argument.
+    the sampler's hashes and noise are the two arrays of ``scratch`` (a
+    ``_Scratch`` of its own unless given), lent to one ``_SamplerWorkspace``
+    per cube, all refilled by every block, so a consumer is done with a
+    block before it asks for the next; it may use the scratch in between.
+    The cube's seeds are derived in one call, 8 bytes per replicate.  Both
+    calls go through this module's names, which perfbench/spans.py wraps;
+    the workspace is the sampler call's last argument.
     """
     seeds = derive_seeds(master_seed, cube.n, np.arange(replicates))
     work = _SamplerWorkspace(model, cube, scratch)

@@ -38,6 +38,7 @@ from .lattice_fields import (
     LatticeCube,
     _Scratch,
     _check_d,
+    _plain,
     derive_seeds,
     model_from_dict,
     model_mean,
@@ -83,9 +84,9 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         bandwidth: dict = (
-            {"b": self.estimator.bandwidth}
+            {"b": _plain(self.estimator.bandwidth)}
             if self.estimator.bandwidth is not None
-            else {"eta": self.estimator.eta}
+            else {"eta": _plain(self.estimator.eta)}
         )
         mean: Union[str, dict] = (
             "model"
@@ -94,13 +95,13 @@ class ExperimentConfig:
         )
         return {
             "model": model_to_dict(self.model),
-            "d": self.d,
-            "n_schedule": list(self.n_schedule),
-            "replicates": self.replicates,
-            "master_seed": self.master_seed,
+            "d": _plain(self.d),
+            "n_schedule": [_plain(n) for n in self.n_schedule],
+            "replicates": _plain(self.replicates),
+            "master_seed": _plain(self.master_seed),
             "bandwidth": bandwidth,
             "mean_source": mean,
-            "levels": list(self.levels),
+            "levels": [_plain(level) for level in self.levels],
         }
 
 
@@ -326,7 +327,7 @@ def coverage_study(config: ExperimentConfig) -> List[Tuple[int, float, float]]:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
+    if isinstance(value, (float, np.floating)):  # a float32 level prints as its value
         return "%.9g" % value
     return str(value)
 
@@ -343,9 +344,11 @@ def report_to_csv(report: ExperimentReport) -> str:
 
 
 def write_report(report: ExperimentReport, csv_path) -> None:
-    """Write the report CSV plus a JSON metadata sidecar echoing the config."""
+    """Write the report CSV plus a JSON metadata sidecar echoing the config.
+    Both texts are built before either file is opened."""
+    text = report_to_csv(report)
+    meta = json.dumps(report.config.to_dict(), indent=2, sort_keys=True) + "\n"
     with open(csv_path, "w", newline="") as fh:
-        fh.write(report_to_csv(report))
+        fh.write(text)
     with open(str(csv_path) + ".meta.json", "w") as fh:
-        json.dump(report.config.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(meta)

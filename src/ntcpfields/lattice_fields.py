@@ -26,9 +26,11 @@ before it, 1/side of the grid: a stage makes seven passes over its grid
 (the broadcast xor with the keys, then multiply, shift, xor, multiply,
 shift, xor) and the noise compare an eighth.  Window
 counts are exact integer sums in the smallest of uint8, uint16 and int32
-that holds the window size plus one, summed by doubling along each axis;
-the iid field is sampled as the radius-0 window.  Seeds are taken modulo
-2^64, in a batch as for a single sample, which is a batch of one.
+that holds the window size plus one, summed by doubling along each axis
+(``_valid_box_sums``, the one box-sum rule, which C_hat's exact window
+sums use too); the iid field is sampled as the radius-0 window.  Seeds are
+taken modulo 2^64, in a batch as for a single sample, which is a batch of
+one.
 Replicate seeds come from the same keyed hash under a replicate tag, at
 the sites (n, r) of the master seed.  A batch is computed in blocks of
 seeds whose noise grids hold about 2^16 cells, so the working set stays in
@@ -39,16 +41,17 @@ rows instead, each hashed with its 2m-row halo: a site's noise depends only
 on the seed and its coordinates, so the slabs give the same bits; a block's
 seeds take their stage of the hash once, its slabs only their sites'.
 Every call works from a ``_SamplerWorkspace``: the cube's grid keys, block
-and slab sizes and count dtype, and buffers for the bool noise and for
-``_site_hash``'s two uint64 arrays, which take the hash stages in turn,
-each the other's shift scratch in ``_premix`` and ``_mix_premixed``.  A
-call builds its own; replicate streams build one per cube, derive the
-cube's seeds once and refill its buffers and one block of values in the
-field's own dtype with every block, so after the first block they allocate
-nothing block-sized.
-The hashes and their scratch come from a ``_Scratch``, which a campaign
-shares with C_hat's weights and products, so a campaign holds one
-block's buffers plus 8 bytes of seed, S(U) and C_hat per replicate.
+and slab sizes and count dtype, and a ``_Scratch`` whose two uint64 arrays
+are all the sampler's block-sized buffers.  ``_site_hash`` takes its stages
+in them in turn, each the other's shift scratch in ``_premix`` and
+``_mix_premixed``, and leaves its result in the second; the bool noise is
+written into the first, which the hash leaves free.  A call builds its own
+workspace; replicate streams build one per cube, derive the cube's seeds
+once and refill its buffers and one block of values in the field's own
+dtype with every block, so after the first block they allocate nothing
+block-sized.  A campaign's ``_Scratch`` also holds C_hat's weights and
+products, so a campaign holds one block's buffers plus 8 bytes of seed,
+S(U) and C_hat per replicate.
 """
 
 from __future__ import annotations
@@ -94,7 +97,6 @@ _AXIS_KEYS = (
     _U64(0x9E3779B97F4A7C15),
     _U64(0xC2B2AE3D27D4EB4F),
     _U64(0x165667B19E3779F9),
-    _U64(0xD6E8FEB86659FD93),
 )
 
 
@@ -158,12 +160,15 @@ def _site_hash(h: np.ndarray, keys: Sequence[np.ndarray], buffers=None) -> np.nd
     alternate between ``buffers``, two flat uint64 arrays of at least
     h.size * grid cells (allocated when not given): each stage is written
     into one, and the other, which holds the stage before (the seed stage
-    is copied there), is its shift scratch.  The result is a view of one
-    of them."""
+    is copied there), is its shift scratch.  The last stage is written into
+    ``buffers[1]``, and the result is a view of it; ``buffers[0]`` holds
+    only a spent stage, so the caller may overwrite it."""
     cells, shape = h.size, h.shape + (1,) * len(keys)
     if buffers is None:
         size = cells * math.prod(key.size for key in keys)
         buffers = _Scratch().take(size, size)
+    if len(keys) % 2:
+        buffers = buffers[::-1]  # so that the last stage, k = len(keys) - 1, is in buffers[1]
     flat = buffers[1][:cells]
     flat[:] = h
     for k, key in enumerate(keys):
@@ -348,32 +353,35 @@ def _count_dtype(w_size: int) -> type:
     return np.int32  # w_size is at most MAX_CELLS
 
 
-def _valid_window_sum(a: np.ndarray, w: int, axis: int, dtype: type) -> np.ndarray:
-    """Sliding integer sums of width w along one axis ('valid' mode), in
-    ``dtype``, by doubling.
+def _valid_box_sums(a: np.ndarray, w: int, dtype: type) -> np.ndarray:
+    """Sliding integer sums over boxes of width w along every axis after the
+    first, which indexes a batch ('valid' mode), in ``dtype``: the window
+    rule of the sampler's noise counts and of C_hat's binary window sums.
 
-    Sums of width 2, 4, 8, ... are each two shifted slices of the one
-    before, about log2(w) adds; the narrower widths of the set bits of w
-    are then added in place into the widest.  Integer sums are exact, so
-    the counts do not depend on the order of the adds.
+    One axis at a time, sums of width 2, 4, 8, ... are each two shifted
+    slices of the one before, about log2(w) adds; the narrower widths of the
+    set bits of w are then added in place into the widest.  Integer sums are
+    exact, so the counts do not depend on the order of the adds.
     """
-    def part(x, start, length):
+    def part(x, axis, start, length):
         return x[(slice(None),) * axis + (slice(start, start + length),)]
 
-    n = a.shape[axis]
-    powers = [a]  # powers[j]: the sums of width 2^j at every start that fits
-    while 2 ** len(powers) <= w:
-        span = 2 ** (len(powers) - 1)
-        size = n - 2 * span + 1
-        widest = powers[-1]
-        powers.append(np.add(part(widest, 0, size), part(widest, span, size), dtype=dtype))
-    out = part(powers[-1], 0, n - w + 1)
-    offset = 2 ** (len(powers) - 1)
-    for j in reversed(range(len(powers) - 1)):
-        if w >> j & 1:
-            out += part(powers[j], offset, n - w + 1)
-            offset += 2**j
-    return out
+    for axis in range(1, a.ndim):
+        n = a.shape[axis]
+        powers = [a]  # powers[j]: the sums of width 2^j at every start that fits
+        while 2 ** len(powers) <= w:
+            span = 2 ** (len(powers) - 1)
+            size = n - 2 * span + 1
+            widest = powers[-1]
+            powers.append(np.add(part(widest, axis, 0, size), part(widest, axis, span, size),
+                                 dtype=dtype))
+        a = part(powers[-1], axis, 0, n - w + 1)
+        offset = 2 ** (len(powers) - 1)
+        for j in reversed(range(len(powers) - 1)):
+            if w >> j & 1:
+                a += part(powers[j], axis, offset, n - w + 1)
+                offset += 2**j
+    return a
 
 
 def _value_dtype(model: FieldModel) -> type:
@@ -421,11 +429,11 @@ def _slab_rows(side: int, halo: int, d: int) -> int:
 
 class _Scratch:
     """Two flat uint64 arrays, replaced only by larger ones.  The workspaces
-    that run one after another on a block, the sampler's (site hashes and
-    their shift scratch) and then C_hat's (weights and products), can
-    take their largest arrays from one ``_Scratch``, so that every stage of
-    a block works in the same memory, still in cache, and none holds its
-    own."""
+    that run one after another on a block, the sampler's (the stages of the
+    site hash, then its noise in the array the hash leaves free) and then
+    C_hat's (weights and products), can take their largest arrays from one
+    ``_Scratch``, so that every stage of a block works in the same memory,
+    still in cache, and none holds its own."""
 
     def __init__(self):
         self.pair = (np.empty(0, np.uint64),) * 2
@@ -442,12 +450,11 @@ class _Scratch:
 class _SamplerWorkspace:
     """What ``sample_fields_batch`` needs for one model and cube: the
     per-cube constants (grid keys, seeds per block, slab rows and count
-    dtype), computed once, and the arrays that every block refills, the
-    two uint64 arrays of ``_site_hash`` (the site hashes and the shift
-    scratch of its ``_premix`` and ``_mix_premixed``) from ``scratch`` (a
-    ``_Scratch`` of its own unless given) and the bool noise.  They are
-    allocated for the first block, the largest of a stream, and replaced
-    only by a larger one."""
+    dtype), computed once, and ``scratch`` (a ``_Scratch`` of its own unless
+    given), whose two arrays every block refills: the site hashes in the
+    second and the bool noise in the first, the hash's shift scratch until
+    the noise is written.  They are allocated for the first block, the
+    largest of a stream, and replaced only by a larger one."""
 
     def __init__(self, model: FieldModel, cube: LatticeCube, scratch: _Scratch = None):
         m = model.window_radius
@@ -458,15 +465,6 @@ class _SamplerWorkspace:
         self.slab_cells = (self.rows + 2 * m) * (cube.side + 2 * m) ** (cube.d - 1)
         self.dtype = _count_dtype((2 * m + 1) ** cube.d)
         self.scratch = _Scratch() if scratch is None else scratch
-        self.noise = np.empty(0, bool)
-
-    def buffers(self, seeds: int):
-        """((hashes, scratch), noise): flat arrays of at least a slab of
-        ``seeds`` seeds."""
-        cells = seeds * self.slab_cells
-        if self.noise.size < cells:
-            self.noise = np.empty(cells, bool)
-        return self.scratch.take(cells, cells), self.noise
 
 
 def sample_fields_batch(
@@ -514,14 +512,14 @@ def sample_fields_batch(
     step, rows = work.step, work.rows
     for start in range(0, seeds.size, step):
         block = _mix64(seeds[start:start + step] ^ _TAG_NOISE)  # the seeds' stage
-        hashes, noise = work.buffers(block.size)
+        cells = block.size * work.slab_cells
+        hashes = work.scratch.take(cells, cells)
         for top in range(0, cube.side, rows):
             slab = [work.keys[0][:, top:top + rows + 2 * m], *work.keys[1:]]
-            h = _site_hash(block, slab, hashes)
-            counts = _noise_from_hash(h, model.theta, noise[:h.size].reshape(h.shape))
-            counts = counts.view(np.uint8)
-            for k in range(cube.d):
-                counts = _valid_window_sum(counts, 2 * m + 1, 1 + k, work.dtype)
+            h = _site_hash(block, slab, hashes)  # in hashes[1], leaving hashes[0] free
+            noise = hashes[0].view(bool)[:h.size].reshape(h.shape)
+            _noise_from_hash(h, model.theta, noise)
+            counts = _valid_box_sums(noise.view(np.uint8), 2 * m + 1, work.dtype)
             _rule_on_counts(model, counts, cube.d, out=out[start:start + step, top:top + rows])
     return out
 
@@ -638,10 +636,17 @@ def model_sigma2(model: FieldModel, d: int = 1) -> Sigma2Result:
 # per-line parse, which skips blank lines and names the first bad one.
 # ---------------------------------------------------------------------------
 
+def _plain(value):
+    """A numpy scalar, which the validators accept, as its Python value
+    (``.item()``), so that JSON writes it as it writes the Python one; any
+    other value as it is."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def model_to_dict(model: FieldModel) -> dict:
     for kind, cls in _MODEL_TYPES.items():
         if isinstance(model, cls):
-            return {"type": kind, **{f.name: getattr(model, f.name) for f in fields(cls)}}
+            return {"type": kind, **{f.name: _plain(getattr(model, f.name)) for f in fields(cls)}}
     raise ParameterError(f"unknown model {model!r}")
 
 
@@ -749,17 +754,19 @@ def save_sample(sample: FieldSample, path) -> None:
     of cells is indexed in the probe's sorted table, completed by the values
     the block adds (``_index``), or by ``np.unique`` when the probe found
     the sample mostly distinct, and its lines are gathered from ``_lines``
-    of the block's table."""
+    of the block's table.  The header line is built before the file is
+    opened, so a header that cannot be written leaves the file alone."""
     header = {
-        "d": sample.cube.d,
-        "n": sample.cube.n,
-        "seed": sample.seed,
+        "d": _plain(sample.cube.d),
+        "n": _plain(sample.cube.n),
+        "seed": _plain(sample.seed),
         "model": model_to_dict(sample.model),
     }
+    line = json.dumps(header, sort_keys=True).encode() + b"\n"
     values = np.asarray(sample.values).reshape(-1)
     probe = _probe(_bits(values[:: _sample_step(values.size)]))
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+        fh.write(line)
         for start in range(0, values.size, _BLOCK_CELLS):
             keys = _bits(values[start:start + _BLOCK_CELLS])
             table, inverse = (np.unique(keys, return_inverse=True) if probe is None

@@ -283,6 +283,22 @@ class TestReportPersistence:
         meta = json.loads((tmp_path / "a.csv.meta.json").read_text())
         assert config_from_dict(meta) == small_config()
 
+    @pytest.mark.parametrize("level", [np.float64(0.95), np.float32(0.95)], ids=["f64", "f32"])
+    def test_numpy_scalars_write_the_python_bytes(self, tmp_path, level):
+        # the validators accept numpy scalars, so the report and its sidecar
+        # write them as the Python values they equal
+        python = small_config(estimator=EstimatorConfig(bandwidth=2), levels=(float(level),))
+        numpy = small_config(
+            model=MovingWindowThreshold(np.int64(1), np.float64(0.5), np.int64(2)),
+            d=np.int64(1), n_schedule=(np.int64(20), np.int64(40)),
+            replicates=np.int64(200), master_seed=np.int64(6),
+            estimator=EstimatorConfig(bandwidth=np.int64(2)), levels=(level,))
+        for name, config in (("python.csv", python), ("numpy.csv", numpy)):
+            write_report(run_clt_experiment(config), tmp_path / name)
+        for suffix in ("", ".meta.json"):
+            assert ((tmp_path / ("numpy.csv" + suffix)).read_bytes()
+                    == (tmp_path / ("python.csv" + suffix)).read_bytes())
+
     def test_none_serialized_as_empty_field(self):
         report = run_clt_experiment(small_config())
         for line in report_to_csv(report).strip().split("\n")[1:]:

@@ -368,6 +368,22 @@ class TestSampling:
             tracemalloc.stop()
         assert peak < 32 * lattice_fields._BLOCK_CELLS
 
+    def test_noise_shares_the_hash_buffers(self):
+        # the bool noise is written into the hash buffer that _site_hash
+        # leaves free, so a cold call holds two uint64 slabs of hashes, the
+        # window counts and the keys: about 18.5 x _BLOCK_CELLS on this cube;
+        # a bool noise slab of its own would add about one _BLOCK_CELLS
+        model, cube = SLAB_CASES["threshold_d3"]
+        out = np.empty((1,) + cube.shape)
+        sample_fields_batch(model, cube, [201], out)  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            sample_fields_batch(model, cube, [201], out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 19 * lattice_fields._BLOCK_CELLS
+
     def test_noise_rule_matches_float_rule(self):
         seeds = derive_seeds(3, 0, np.arange(8))
         hashes = lattice_fields._keyed_hash(seeds, lattice_fields._axis_keys(
@@ -587,6 +603,19 @@ class TestSerialization:
     def test_model_dict_round_trip(self):
         for model in [IidBernoulli(p=0.5), MAJORITY]:
             assert model_from_dict(model_to_dict(model)) == model
+
+    def test_numpy_scalars_write_the_python_bytes(self, tmp_path):
+        # the validators accept numpy integers, so the header writes them as
+        # the Python integers they equal
+        values = sample_field(MAJORITY, LatticeCube(d=2, n=3), 5).values
+        python = FieldSample(LatticeCube(2, 3), values, MAJORITY, 5)
+        numpy = FieldSample(LatticeCube(np.int64(2), np.int64(3)), values,
+                            MovingWindowThreshold(np.int64(1), np.float64(0.5), np.int64(2)),
+                            np.int64(5))
+        save_sample(python, tmp_path / "python.dat")
+        save_sample(numpy, tmp_path / "numpy.dat")
+        assert (tmp_path / "numpy.dat").read_bytes() == (tmp_path / "python.dat").read_bytes()
+        assert model_to_dict(numpy.model) == model_to_dict(MAJORITY)
 
     def test_unknown_model_type(self):
         with pytest.raises(ParameterError):
