@@ -134,6 +134,12 @@ def _log_term_ratios(n: int, p: float, start: int, stop: int, out: np.ndarray) -
     np.subtract(n + 1, logs, out=out)  # n - k, exact below 2^53
     np.log(out, out=out)
     np.log(logs, out=logs)
+    _finish_ratios(out, logs, p)
+
+
+def _finish_ratios(out: np.ndarray, logs: np.ndarray, p: float) -> None:
+    """The term ratios' arithmetic after the logs, in place: out holds
+    log(n - k) and logs log(k + 1), which may broadcast along out."""
     out -= logs
     out += math.log(p)
     out -= math.log1p(-p)
@@ -157,26 +163,26 @@ def _pmf_window(n: int, p: float) -> Tuple[np.ndarray, int, int]:
     # sum carries on in place from the entry before it.  Once a chunk ends
     # below the running maximum less the underflow margin, every later
     # entry lies below the floor too and would exp to 0.0: those stay the
-    # zeros np.zeros gave them.
-    top = stop = 0
+    # zeros np.zeros gave them.  The mode is the first argmax of the computed
+    # head, taken from the chunk that holds it: a chunk's first argmax
+    # replaces the running one only when strictly above it, which a chunk's
+    # first entry, the last of the chunk before, never is.
+    top, mode, stop = 0.0, 0, 0  # out[0] = log pmf(0) - log pmf(0) = 0.0
     while True:
         start, stop = stop, min(stop + _CHUNK, n)
         _log_term_ratios(n, p, start, stop, out[start + 1:stop + 1])
         head = out[start:stop + 1]
         np.add.accumulate(head, out=head)  # cumsum, less call overhead
-        if stop == n:  # the last chunk needs no stop test
-            break
-        top = max(top, head.max())
-        if head[-1] < top - _EXP_UNDERFLOW:
+        peak = int(head.argmax())
+        if head[peak] > top:
+            top, mode = head[peak], start + peak
+        if stop == n or head[-1] < top - _EXP_UNDERFLOW:
             break
     # Each half of the computed head is monotone, so one search on each
     # finds where it crosses the floor.  Every entry below the floor has
     # exp(x - top) == 0.0 exactly, so the window [lo, hi) is a superset of
-    # the nonzero pmf entries.  (The array methods below skip the np.*
-    # wrappers: the moments path calls this for many tiny n.)
+    # the nonzero pmf entries.
     log_pmf = out[:stop + 1]
-    mode = int(log_pmf.argmax())
-    top = log_pmf[mode]
     floor = top - _EXP_UNDERFLOW
     lo = int(log_pmf[:mode + 1].searchsorted(floor))
     hi = stop + 1 - int(log_pmf[mode:][::-1].searchsorted(floor))
@@ -201,6 +207,52 @@ def _binomial_pmf(n: int, p: float) -> np.ndarray:
     MAX_EXACT_N cap of the exact tail.
     """
     return _pmf_window(n, p)[0][:n + 1]
+
+
+def _hankel(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The view h[i, j] = v[i + j] of a contiguous float64 vector v of at
+    least rows + cols - 1 entries, shape (rows, cols); a plain strided
+    ndarray, which costs far less to build than numpy's stride-tricks
+    helpers."""
+    return np.ndarray((rows, cols), buffer=v, strides=(v.itemsize, v.itemsize))
+
+
+def _binomial_rows(ks: Sequence[int], p: float) -> np.ndarray:
+    """Binomial(k, p) pmfs for the counts k of ``ks``, as the rows of one
+    (len(ks), max(ks) + 1) array: row i holds the bytes of
+    ``_binomial_pmf(ks[i], p)`` and then 0.0.
+
+    Each row takes _binomial_pmf's steps: the term ratios of
+    ``_finish_ratios`` on the same logs, one prefix sum along the row, exp
+    of the row less its maximum, and division by the pairwise sum of its
+    own k + 1 entries.  Past k a row holds the ratio -inf, so its prefix
+    sum is -inf and exp gives exactly 0.0; an entry that _pmf_window leaves
+    at 0.0 outside its window lies more than _EXP_UNDERFLOW below the
+    maximum, where exp gives 0.0 too.  A sum over a row's padding would
+    change the summation order, so each row is summed on its own.
+    """
+    top = max(ks)
+    if p == 0.0 or p == 1.0:
+        rows = np.zeros((len(ks), top + 1))
+        rows[np.arange(len(ks)), 0 if p == 0.0 else ks] = 1.0
+        return rows
+    # up = 0.0, log(1), ..., log(top): log(j) for column j.  Row k of the
+    # windows of down = 0.0, log(top), ..., log(1), -inf x top that start at
+    # top - k holds log(k + 1 - j) in columns j = 1..k and -inf past k, and in
+    # column 0 a finite value, which is set to 0.0 = log pmf(0) below.
+    up = np.zeros(top + 1)
+    np.log(np.arange(1, top + 1, dtype=np.float64), out=up[1:])
+    down = np.full(2 * top + 1, -np.inf)
+    down[0] = 0.0
+    down[1:top + 1] = up[:0:-1]
+    rows = _hankel(down, top + 1, top + 1)[[top - k for k in ks]]
+    _finish_ratios(rows, up, p)
+    rows[:, 0] = 0.0
+    np.add.accumulate(rows, axis=1, out=rows)
+    rows -= rows.max(axis=1, keepdims=True)
+    np.exp(rows, out=rows)
+    rows /= np.array([row[:k + 1].sum() for row, k in zip(rows, ks)])[:, None]
+    return rows
 
 
 def ntcp_exact_all_thresholds(n: int, p: float) -> np.ndarray:

@@ -56,7 +56,6 @@ S(U) and C_hat per replicate.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import operator
@@ -67,7 +66,7 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .cv_ntcp import _binomial_pmf
+from .cv_ntcp import _binomial_rows, _hankel
 from .errors import (CapacityError, ConfigError, DomainError, ParameterError, ShapeError, integer,
                      naming, probability, read_field)
 
@@ -531,21 +530,76 @@ def sample_field(model: FieldModel, cube: LatticeCube, seed: int) -> FieldSample
 
 
 # ---------------------------------------------------------------------------
-# Exact moments by enumeration
+# Exact moments by enumeration.  The window rules are symmetric in the window
+# noise, so two windows that share s of their W noise sites are summarized by
+# the shared count a ~ Binomial(s, theta) and g(a) = E[f(a + b)], b ~
+# Binomial(W - s, theta) the private count: E X = E g(a), and X_0, X_j are
+# independent given a, so cov = Var g(a).  One engine,
+# ``_shared_count_moments``, computes both for a batch of shared counts (a
+# group each); ``model_sigma2`` passes every lag group, ``covariance_at_lag``
+# and ``model_mean`` a batch of one.  It checks every group's count table
+# against MAX_CELLS before it allocates anything, evaluates the rule once on
+# the counts 0..W, and cuts each group's table f(a + b) from one Hankel view of
+# that vector.  The Binomial pmf rows are computed a chunk of groups at a time
+# (``_binomial_rows``, each row the bytes of ``_binomial_pmf``), and each
+# group keeps its own matrix-vector product, centring and two dots, so the
+# batch gives the bits of one group at a time.
 # ---------------------------------------------------------------------------
 
-def _shared_count_means(model: FieldModel, shared: int, only: int, d: int):
-    """The pmf of the shared noise count a and g(a) = E[f(a + private count)]
-    for ``only`` private sites, from a (shared + 1) x (only + 1) count table
-    that must fit MAX_CELLS (else CapacityError, before allocating)."""
-    if (shared + 1) * (only + 1) > MAX_CELLS:
-        raise CapacityError(
-            f"a {shared + 1} x {only + 1} table of window counts exceeds the cap of {MAX_CELLS}"
-        )
-    pmf_shared = _binomial_pmf(shared, model.theta)
-    pmf_only = _binomial_pmf(only, model.theta)
-    counts = np.arange(shared + 1)[:, None] + np.arange(only + 1)[None, :]
-    return pmf_shared, _rule_on_counts(model, counts, d) @ pmf_only
+def _check_tables(shared: Sequence[int], w_size: int) -> None:
+    """Raise CapacityError if the count table of a group, (s + 1) x
+    (w_size - s + 1) for s shared noise sites, exceeds MAX_CELLS."""
+    for s in shared:
+        if (s + 1) * (w_size - s + 1) > MAX_CELLS:
+            raise CapacityError(
+                f"a {s + 1} x {w_size - s + 1} table of window counts exceeds the cap of {MAX_CELLS}"
+            )
+
+
+def _shared_count_moments(model: FieldModel, d: int, shared: Sequence[int]) -> list:
+    """(E g(a), Var g(a)) for each shared-window count s of ``shared``, with
+    a ~ Binomial(s, theta) and g(a) = E[f(a + b)], b ~ Binomial(W - s, theta);
+    a count table above MAX_CELLS raises CapacityError before anything is
+    allocated.
+
+    The groups run in chunks of pairs {t, W - t}, t = min(s, W - s)
+    ascending.  A chunk's Binomial rows, one block of its t and one of its
+    W - t, hold at most _BLOCK_CELLS // 2 entries together (or one pair, when
+    that is wider), so the rows held at once do not grow with the number of
+    groups.  The table of group s is a contiguous copy of the (s + 1) x
+    (W - s + 1) Hankel view f(a + b) of the rule on the counts 0..W.
+    """
+    w_size = (2 * model.window_radius + 1) ** d
+    _check_tables(shared, w_size)
+    rule = _rule_on_counts(model, np.arange(w_size + 1), d)  # f(c), c = 0..W
+    by_pair = {}  # t -> indices of the groups s = t and s = W - t
+    for i, s in enumerate(shared):
+        by_pair.setdefault(min(s, w_size - s), []).append(i)
+    pairs = sorted(by_pair)
+    moments = [None] * len(shared)
+    first = 0
+    while first < len(pairs):
+        last = first + 1
+        while last < len(pairs) and (last + 1 - first) * (
+                pairs[last] + w_size - pairs[first] + 2) <= _BLOCK_CELLS // 2:
+            last += 1
+        small = pairs[first:last]
+        large = [w_size - t for t in small]
+        pmfs = dict(zip(small, _binomial_rows(small, model.theta)))
+        pmfs.update(zip(large, _binomial_rows(large, model.theta)))
+        for t in small:
+            for i in by_pair[t]:
+                s = shared[i]
+                pmf_shared = pmfs[s][:s + 1]
+                # the table f(a + b), a temporary, so one table is held at a time
+                g = _hankel(rule, s + 1, w_size - s + 1).copy() @ pmfs[w_size - s][:w_size - s + 1]
+                mean = pmf_shared @ g
+                # summed centered, to avoid the cancellation of E[g^2] - mu^2
+                # when the covariance is far below mu^2
+                centered = g - mean
+                moments[i] = (mean, float(pmf_shared @ (centered * centered)))
+        first = last
+    return moments
 
 
 def model_mean(model: FieldModel, d: int = 1) -> float:
@@ -553,12 +607,12 @@ def model_mean(model: FieldModel, d: int = 1) -> float:
 
     The window rules are symmetric in the window noise, so configurations
     are grouped by their noise count (binomial weights); the value is exact.
+    It is the moments engine's batch of one group, all W sites shared.
     """
     _check_d(d)
     if isinstance(model, IidBernoulli):
         return model.p
-    pmf, g = _shared_count_means(model, (2 * model.window_radius + 1) ** d, 0, d)
-    return float(pmf @ g)
+    return float(_shared_count_moments(model, d, [(2 * model.window_radius + 1) ** d])[0][0])
 
 
 def covariance_at_lag(model: FieldModel, lag: Sequence[int]) -> float:
@@ -568,7 +622,9 @@ def covariance_at_lag(model: FieldModel, lag: Sequence[int]) -> float:
     configurations by the three independent noise counts makes the
     enumeration exact for every supported window size.  Disjoint windows
     (any |lag_k| > 2m) give exactly zero; a count table above MAX_CELLS
-    raises CapacityError before it is allocated.
+    raises CapacityError before it is allocated.  It is the moments
+    engine's batch of one group, and gives the bits of that group in
+    ``model_sigma2``.
     """
     lag = tuple(integer(v, "lag component") for v in lag)
     d = _check_d(len(lag))
@@ -576,39 +632,62 @@ def covariance_at_lag(model: FieldModel, lag: Sequence[int]) -> float:
         if all(v == 0 for v in lag):
             return model.p * (1.0 - model.p)
         return 0.0
-    m = model.window_radius
-    w = 2 * m + 1
+    w = 2 * model.window_radius + 1
     shared = 1
     for v in lag:
         shared *= max(0, w - abs(v))
-    w_size = w**d
     if shared == 0:
         return 0.0
-    pmf_shared, g = _shared_count_means(model, shared, w_size - shared, d)
-    # X_0 and X_j are independent given the shared count a, so
-    # cov = Var_a(g(a)), summed centered to avoid the cancellation of
-    # E[g^2] - mu^2 when the covariance is far below mu^2
-    centered = g - pmf_shared @ g
-    return float(pmf_shared @ (centered * centered))
+    return _shared_count_moments(model, d, [shared])[0][1]
+
+
+def _lag_groups(w: int, d: int) -> Tuple[list, list]:
+    """The lags j in {0..w-1}^d grouped by their shared-window count
+    prod_k (w - j_k): each group's count, and the number of signed lags it
+    stands for (2 per nonzero component, summed), in the order of each
+    count's first lag in ``itertools.product(range(w), repeat=d)``.
+
+    The groups are grown one axis at a time from the groups of the axes
+    before, in their order: a lag whose earlier axes give a count seen
+    before has all its extensions seen before too, so this keeps the order
+    of first lags.  It takes a step per group of the earlier axes and offset
+    j of the new axis (100 for the 125 lags of d = 3, m = 2), with no sort.
+    """
+    groups = {1: 1}  # no axes: the one empty lag, all w^0 = 1 sites shared
+    for _ in range(d):
+        grown = {}
+        for shared, count in groups.items():
+            for j in range(w):
+                key = shared * (w - j)
+                grown[key] = grown.get(key, 0) + (2 * count if j else count)
+        groups = grown
+    return list(groups), list(groups.values())
 
 
 def model_sigma2(model: FieldModel, d: int = 1) -> Sigma2Result:
     """sigma^2 = sum of cov(X_0, X_j) over all lags; finite by m-dependence.
 
     cov(X_0, X_j) depends on j only through the shared-window count
-    prod_k (w - |j_k|), so the nonnegative lags are grouped by that count,
-    each standing for 2^(nonzero components) signed lags, and one
-    covariance is computed per group.
+    prod_k (w - |j_k|), so the nonnegative lags are grouped by that count
+    (``_lag_groups``), each standing for 2^(nonzero components) signed lags.
+    One batch of the moments engine gives every group's covariance, each
+    the bits of ``covariance_at_lag`` at the group's first lag, and they are
+    summed in group order.  Every group's count table is checked against
+    MAX_CELLS before anything is allocated: first the group of lag
+    (m, 0, ..., 0), whose table fits only when there are at most about 2^14
+    lags to group, then all groups.
     """
-    w = 2 * model.window_radius + 1
-    groups = {}  # shared-window count -> [covariance, number of signed lags]
-    for lag in itertools.product(range(w), repeat=_check_d(d)):
-        shared = math.prod(w - j for j in lag)
-        if shared not in groups:
-            groups[shared] = [covariance_at_lag(model, lag), 0]
-        groups[shared][1] += 2 ** sum(1 for j in lag if j)
+    m = model.window_radius
+    w = 2 * m + 1
+    d = _check_d(d)
+    _check_tables([(m + 1) * w ** (d - 1)], w**d)
+    shared, counts = _lag_groups(w, d)
+    if isinstance(model, IidBernoulli):
+        covs = [model.p * (1.0 - model.p)]  # one group, lag 0
+    else:
+        covs = [cov for _, cov in _shared_count_moments(model, d, shared)]
     total = 0.0
-    for cov, count in groups.values():
+    for cov, count in zip(covs, counts):
         total += count * cov
     return Sigma2Result(value=total, degenerate=abs(total) < SIGMA2_EPSILON)
 

@@ -1,9 +1,11 @@
 import hashlib
 import math
+import platform
 import sys
 import tracemalloc
 
 import numpy as np
+from numpy._core import _multiarray_umath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -48,6 +50,18 @@ def reference_pmf(n, p):
     pmf = np.exp(log_pmf)
     pmf /= pmf.sum()
     return pmf
+
+
+def log_exp_target():
+    """The numpy dispatch target of float64 log and exp on this host: X86_V4
+    with AVX-512, else X86_V3 on x86-64 (its loop gives the bytes of the
+    X86_V2 baseline too); on another machine, its name.  Setting
+    NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" runs the X86_V3
+    loop on an AVX-512 host."""
+    machine = platform.machine()
+    if machine.lower() not in ("x86_64", "amd64"):
+        return machine
+    return "X86_V4" if _multiarray_umath.__cpu_features__.get("X86_V4") else "X86_V3"
 
 
 def reference_tail(n, p):
@@ -192,15 +206,31 @@ class TestExactTailBits:
             tracemalloc.stop()
         assert peak < 1.1 * 8 * (n + 2)
 
-    # sha256 of the full-array formula's bytes at n = 10^6 (numpy 2.4, x86-64)
-    @pytest.mark.parametrize("p, digest", [
-        (0.42, "78753f00af51cf5981efb050662ae0647d997bdc7e7abec3f8a0ade017798dc1"),
-        (0.4335, "b0b33e5a46a714999f9970afe9fdcd1a0db017bd2c6c8a1bddf3901f82958866"),
-        (0.58, "e64adbf9107404131c44eb237561740b281b91d6fcd0c8702d733cec1666daeb"),
+    # sha256 of the full-array formula's bytes at n = 10^6 on numpy 2.4 for
+    # x86-64, for each loop that numpy dispatches float64 log and exp to:
+    # the AVX-512 one (X86_V4) and the one of hosts without AVX-512 (X86_V3;
+    # the X86_V2 baseline gives the same bytes).  The ids keep the X86_V4
+    # digest.
+    @pytest.mark.parametrize("p, digests", [
+        pytest.param(0.42, {
+            "X86_V4": "78753f00af51cf5981efb050662ae0647d997bdc7e7abec3f8a0ade017798dc1",
+            "X86_V3": "ebae2d804a56b7234497666d75007bdbc22a99b3da7f193ec7f96cc429285fd9",
+        }, id="0.42-78753f00af51cf5981efb050662ae0647d997bdc7e7abec3f8a0ade017798dc1"),
+        pytest.param(0.4335, {
+            "X86_V4": "b0b33e5a46a714999f9970afe9fdcd1a0db017bd2c6c8a1bddf3901f82958866",
+            "X86_V3": "235db8ea6e9ca598523e8bd77f3958b1099939975b37689a0c7d26a7c52a0e0f",
+        }, id="0.4335-b0b33e5a46a714999f9970afe9fdcd1a0db017bd2c6c8a1bddf3901f82958866"),
+        pytest.param(0.58, {
+            "X86_V4": "e64adbf9107404131c44eb237561740b281b91d6fcd0c8702d733cec1666daeb",
+            "X86_V3": "35dead82f910bc928ec262ba0425a107ab44b48a59514b66df381ee3b4841ecc",
+        }, id="0.58-e64adbf9107404131c44eb237561740b281b91d6fcd0c8702d733cec1666daeb"),
     ])
-    def test_pinned_digest_at_a_million(self, p, digest):
+    def test_pinned_digest_at_a_million(self, p, digests):
+        target = log_exp_target()
+        if target not in digests:
+            pytest.skip(f"no digest pinned for float64 log and exp on {target}")
         tail = ntcp_exact_all_thresholds(10**6, p)
-        assert hashlib.sha256(tail.tobytes()).hexdigest() == digest
+        assert hashlib.sha256(tail.tobytes()).hexdigest() == digests[target]
 
 
 class TestExactTailCapacity:

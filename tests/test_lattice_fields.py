@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ntcpfields import lattice_fields
+from ntcpfields.cv_ntcp import _binomial_pmf
 from ntcpfields.errors import (
     CapacityError,
     ConfigError,
@@ -577,8 +578,121 @@ class TestMoments:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        with pytest.raises(CapacityError):  # after lag 0, a 1030302 x 1 table
+        with pytest.raises(CapacityError):  # lag (50, 0, 0): a 520252 x 510051 table
             model_sigma2(wide, 3)
+
+
+def one_group_moments(model, d, shared):
+    """(E g(a), Var g(a)) for one lag group of s = ``shared`` shared sites,
+    the reference for the batched engine: two _binomial_pmf calls and an
+    integer count table a + b under the rule."""
+    w_size = (2 * model.window_radius + 1) ** d
+    pmf_shared = _binomial_pmf(shared, model.theta)
+    pmf_only = _binomial_pmf(w_size - shared, model.theta)
+    counts = np.arange(shared + 1)[:, None] + np.arange(w_size - shared + 1)[None, :]
+    g = lattice_fields._rule_on_counts(model, counts, d) @ pmf_only
+    centered = g - pmf_shared @ g
+    return float(pmf_shared @ g), float(pmf_shared @ (centered * centered))
+
+
+def per_lag_sigma2(model, d):
+    """sigma^2 by a loop over every lag: groups keyed by shared count in
+    itertools.product order, one ``one_group_moments`` covariance per group,
+    summed in group order; and each group's first lag and covariance."""
+    w = 2 * model.window_radius + 1
+    groups = {}  # shared count -> [first lag, covariance, signed lags]
+    for lag in itertools.product(range(w), repeat=d):
+        shared = math.prod(w - j for j in lag)
+        if shared not in groups:
+            cov = (model.p * (1.0 - model.p) if isinstance(model, IidBernoulli)
+                   else one_group_moments(model, d, shared)[1])
+            groups[shared] = [lag, cov, 0]
+        groups[shared][2] += 2 ** sum(1 for j in lag if j)
+    total = 0.0
+    for _, cov, count in groups.values():
+        total += count * cov
+    return total, [(lag, cov) for lag, cov, _ in groups.values()]
+
+
+BIT_THETAS = [0.0, 1e-300, 1e-9, 0.25, 0.5, 0.999, 1.0 - 2.0**-53, 1.0]
+
+
+def bit_models():
+    """Threshold and levels fields for d = 1..3 and m = 0..3 (at most 343
+    window sites), and the iid field in each d."""
+    for d in (1, 2, 3):
+        yield pytest.param("iid", d, 0, id=f"iid-d{d}")
+        for m in range(4):
+            for kind in ("threshold", "levels"):
+                yield pytest.param(kind, d, m, id=f"{kind}-d{d}-m{m}")
+
+
+def bit_model(kind, d, m, theta):
+    if kind == "iid":
+        return IidBernoulli(p=theta)
+    if kind == "threshold":  # a majority of the window
+        return MovingWindowThreshold(m, theta, ((2 * m + 1) ** d + 1) // 2)
+    return MovingWindowLevels(m, theta, 5)
+
+
+class TestMomentBits:
+    """The batched moments engine gives the bytes of one group at a time."""
+
+    @pytest.fixture
+    def rows_seen(self, monkeypatch):
+        seen = []
+
+        def recording(ks, p, _original=lattice_fields._binomial_rows):
+            rows = _original(ks, p)
+            seen.append((list(ks), p, rows))
+            return rows
+
+        monkeypatch.setattr(lattice_fields, "_binomial_rows", recording)
+        return seen
+
+    @staticmethod
+    def assert_rows_are_pmfs(rows_seen):
+        for ks, p, rows in rows_seen:
+            assert rows.shape == (len(ks), max(ks) + 1)
+            for k, row in zip(ks, rows):
+                assert row[:k + 1].tobytes() == _binomial_pmf(k, p).tobytes(), (k, p)
+                assert not row[k + 1:].any(), (k, p)
+
+    @pytest.mark.parametrize("theta", BIT_THETAS)
+    @pytest.mark.parametrize("kind, d, m", bit_models())
+    def test_sigma2_mean_and_covariances_match_per_group_formula(self, kind, d, m, theta,
+                                                                 rows_seen):
+        model = bit_model(kind, d, m, theta)
+        expected, groups = per_lag_sigma2(model, d)
+        assert model_sigma2(model, d).value.hex() == expected.hex()
+        for lag, cov in groups:
+            assert covariance_at_lag(model, lag).hex() == cov.hex(), lag
+        if kind != "iid":
+            mean = one_group_moments(model, d, (2 * m + 1) ** d)[0]
+            assert model_mean(model, d).hex() == mean.hex()
+        self.assert_rows_are_pmfs(rows_seen)
+
+    @pytest.mark.parametrize("d, m, kind", [(2, 10, "threshold"), (1, 200, "levels")])
+    def test_chunked_groups_match_per_group_formula(self, d, m, kind, rows_seen):
+        # 164 and 201 groups: their rows take several chunks
+        model = bit_model(kind, d, m, 0.4335)
+        assert model_sigma2(model, d).value.hex() == per_lag_sigma2(model, d)[0].hex()
+        assert len(rows_seen) > 2
+        self.assert_rows_are_pmfs(rows_seen)
+
+    @pytest.mark.parametrize("d, m, k_min, bound", [(3, 2, 63, 102_616), (2, 10, 200, 813_184)])
+    def test_peak_memory_within_per_group_tables(self, d, m, k_min, bound):
+        # the bounds are the tracemalloc peaks of an enumeration one group
+        # at a time, which held an int64 count table and its rule values
+        model = MovingWindowThreshold(m, 0.5, k_min)
+        model_sigma2(model, d)
+        tracemalloc.start()
+        try:
+            model_sigma2(model, d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 class TestSerialization:
