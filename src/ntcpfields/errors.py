@@ -6,7 +6,8 @@ I/O problems to exit code 2 and every other ValueError to exit code 1.
 
 Every input check goes through a validator that returns the value it accepts:
 
-* ``integer(value, name, ge, le)``: an int or np.integer (no bool, no 2.0);
+* ``integer(value, name, ge, le)``: an int or np.integer (no bool, no 2.0),
+  returned as a Python int;
 * ``real(value, name, gt, ge, lt, le)``: a finite real (no bool, nan or inf);
 * ``probability(value, name)``: a real in [0, 1];
 * ``read_field(data, key, kind, where, default)``: a typed field of a config,
@@ -60,7 +61,7 @@ def _must(name, kind, value, gt=None, ge=None, lt=None, le=None) -> str:
 def integer(value, name, ge=None, le=None, error=DomainError):
     if ((type(value) is int or isinstance(value, np.integer))  # type(True) is bool
             and (ge is None or value >= ge) and (le is None or value <= le)):
-        return value
+        return int(value)  # so that sizes computed from it never wrap in int64
     raise error(_must(name, "an integer", value, ge=ge, le=le))
 
 

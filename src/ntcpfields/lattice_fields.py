@@ -210,8 +210,8 @@ def derive_seeds(master_seed: int, group: int, indices) -> np.ndarray:
     if indices.size and indices.dtype.kind not in "iu":
         raise DomainError(f"indices must be integers in [-2^63, 2^64), got {indices.dtype} "
                           f"array {indices.ravel()[:3].tolist()}")
-    master = np.array([int(integer(master_seed, "master seed")) & (2**64 - 1)], dtype=np.uint64)
-    keys = _axis_keys([[int(integer(group, "group")) & (2**64 - 1)], indices.ravel()])
+    master = np.array([integer(master_seed, "master seed") & (2**64 - 1)], dtype=np.uint64)
+    keys = _axis_keys([[integer(group, "group") & (2**64 - 1)], indices.ravel()])
     return _keyed_hash(master, keys, _TAG_REPLICATE).reshape(indices.shape)
 
 
@@ -231,9 +231,9 @@ class LatticeCube:
     d: int
     n: int
 
-    def __post_init__(self):
-        _check_d(self.d)
-        integer(self.n, "half-width n", ge=0)
+    def __post_init__(self):  # stored as Python ints, so that side and size never wrap
+        object.__setattr__(self, "d", _check_d(self.d))
+        object.__setattr__(self, "n", integer(self.n, "half-width n", ge=0))
 
     @property
     def side(self) -> int:
@@ -246,6 +246,13 @@ class LatticeCube:
     @property
     def shape(self) -> Tuple[int, ...]:
         return (self.side,) * self.d
+
+
+def _keep_parameter(model, name: str, ge: int) -> None:
+    """Check the integer parameter ``name`` of a frozen model and keep the
+    Python int that ``integer`` returns, so that sizes computed from it never
+    wrap in int64."""
+    object.__setattr__(model, name, integer(getattr(model, name), name, ge=ge, error=ParameterError))
 
 
 @dataclass(frozen=True)
@@ -269,9 +276,9 @@ class MovingWindowThreshold:
     k_min: int
 
     def __post_init__(self):
-        integer(self.window_radius, "window_radius", ge=0, error=ParameterError)
+        _keep_parameter(self, "window_radius", ge=0)
         probability(self.theta, "theta", error=ParameterError)
-        integer(self.k_min, "k_min", ge=0, error=ParameterError)
+        _keep_parameter(self, "k_min", ge=0)
 
 
 @dataclass(frozen=True)
@@ -281,9 +288,9 @@ class MovingWindowLevels:
     levels: int = 5
 
     def __post_init__(self):
-        integer(self.window_radius, "window_radius", ge=0, error=ParameterError)
+        _keep_parameter(self, "window_radius", ge=0)
         probability(self.theta, "theta", error=ParameterError)
-        integer(self.levels, "levels", ge=2, error=ParameterError)
+        _keep_parameter(self, "levels", ge=2)
 
 
 FieldModel = Union[IidBernoulli, MovingWindowThreshold, MovingWindowLevels]
@@ -535,15 +542,16 @@ def sample_field(model: FieldModel, cube: LatticeCube, seed: int) -> FieldSample
 # the shared count a ~ Binomial(s, theta) and g(a) = E[f(a + b)], b ~
 # Binomial(W - s, theta) the private count: E X = E g(a), and X_0, X_j are
 # independent given a, so cov = Var g(a).  One engine,
-# ``_shared_count_moments``, computes both for a batch of shared counts (a
+# ``_shared_count_moments``, is the only code that knows a model's moments,
+# the iid field's included: it computes both for a batch of shared counts (a
 # group each); ``model_sigma2`` passes every lag group, ``covariance_at_lag``
 # and ``model_mean`` a batch of one.  It checks every group's count table
 # against MAX_CELLS before it allocates anything, evaluates the rule once on
 # the counts 0..W, and cuts each group's table f(a + b) from one Hankel view of
-# that vector.  The Binomial pmf rows are computed a chunk of groups at a time
-# (``_binomial_rows``, each row the bytes of ``_binomial_pmf``), and each
-# group keeps its own matrix-vector product, centring and two dots, so the
-# batch gives the bits of one group at a time.
+# that vector.  The Binomial pmf rows are computed a fixed-size chunk of
+# groups at a time (``_binomial_rows``, each row the bytes of
+# ``_binomial_pmf``), and each group keeps its own matrix-vector product,
+# centring and two dots, so the batch gives the bits of one group at a time.
 # ---------------------------------------------------------------------------
 
 def _check_tables(shared: Sequence[int], w_size: int) -> None:
@@ -557,49 +565,42 @@ def _check_tables(shared: Sequence[int], w_size: int) -> None:
 
 
 def _shared_count_moments(model: FieldModel, d: int, shared: Sequence[int]) -> list:
-    """(E g(a), Var g(a)) for each shared-window count s of ``shared``, with
-    a ~ Binomial(s, theta) and g(a) = E[f(a + b)], b ~ Binomial(W - s, theta);
-    a count table above MAX_CELLS raises CapacityError before anything is
-    allocated.
+    """(E g(a), Var g(a)) as Python floats for each shared-window count s of
+    ``shared``, with a ~ Binomial(s, theta) and g(a) = E[f(a + b)], b ~
+    Binomial(W - s, theta); a count table above MAX_CELLS raises
+    CapacityError before anything is allocated.  The iid field is one
+    Bernoulli(p) site, so its groups are (p, p(1 - p)) for p = float(model.p).
 
-    The groups run in chunks of pairs {t, W - t}, t = min(s, W - s)
-    ascending.  A chunk's Binomial rows, one block of its t and one of its
-    W - t, hold at most _BLOCK_CELLS // 2 entries together (or one pair, when
-    that is wider), so the rows held at once do not grow with the number of
-    groups.  The table of group s is a contiguous copy of the (s + 1) x
-    (W - s + 1) Hankel view f(a + b) of the rule on the counts 0..W.
+    The groups run in chunks of a fixed number of pairs {t, W - t}, t =
+    min(s, W - s) ascending: a pair's two Binomial rows hold at most
+    W + W // 2 + 2 entries, since t <= W / 2, and a chunk takes as many pairs
+    as fit that into _BLOCK_CELLS // 2 entries (at least one), so the rows
+    held at once do not grow with the number of groups.
     """
     w_size = (2 * model.window_radius + 1) ** d
     _check_tables(shared, w_size)
+    if isinstance(model, IidBernoulli):
+        p = float(model.p)
+        return [(p, p * (1.0 - p))] * len(shared)
     rule = _rule_on_counts(model, np.arange(w_size + 1), d)  # f(c), c = 0..W
-    by_pair = {}  # t -> indices of the groups s = t and s = W - t
-    for i, s in enumerate(shared):
-        by_pair.setdefault(min(s, w_size - s), []).append(i)
-    pairs = sorted(by_pair)
-    moments = [None] * len(shared)
-    first = 0
-    while first < len(pairs):
-        last = first + 1
-        while last < len(pairs) and (last + 1 - first) * (
-                pairs[last] + w_size - pairs[first] + 2) <= _BLOCK_CELLS // 2:
-            last += 1
-        small = pairs[first:last]
+    moments = dict.fromkeys(shared)  # shared count -> (mean, covariance)
+    pairs = sorted({min(s, w_size - s) for s in moments})
+    step = max(1, _BLOCK_CELLS // 2 // (w_size + w_size // 2 + 2))
+    for first in range(0, len(pairs), step):
+        small = pairs[first:first + step]
         large = [w_size - t for t in small]
         pmfs = dict(zip(small, _binomial_rows(small, model.theta)))
         pmfs.update(zip(large, _binomial_rows(large, model.theta)))
-        for t in small:
-            for i in by_pair[t]:
-                s = shared[i]
-                pmf_shared = pmfs[s][:s + 1]
-                # the table f(a + b), a temporary, so one table is held at a time
-                g = _hankel(rule, s + 1, w_size - s + 1).copy() @ pmfs[w_size - s][:w_size - s + 1]
-                mean = pmf_shared @ g
-                # summed centered, to avoid the cancellation of E[g^2] - mu^2
-                # when the covariance is far below mu^2
-                centered = g - mean
-                moments[i] = (mean, float(pmf_shared @ (centered * centered)))
-        first = last
-    return moments
+        for s in moments.keys() & pmfs.keys():
+            pmf_shared = pmfs[s][:s + 1]
+            # the table f(a + b), a temporary, so one table is held at a time
+            g = _hankel(rule, s + 1, w_size - s + 1).copy() @ pmfs[w_size - s][:w_size - s + 1]
+            mean = pmf_shared @ g
+            # summed centered, to avoid the cancellation of E[g^2] - mu^2
+            # when the covariance is far below mu^2
+            centered = g - mean
+            moments[s] = (float(mean), float(pmf_shared @ (centered * centered)))
+    return [moments[s] for s in shared]
 
 
 def model_mean(model: FieldModel, d: int = 1) -> float:
@@ -607,12 +608,11 @@ def model_mean(model: FieldModel, d: int = 1) -> float:
 
     The window rules are symmetric in the window noise, so configurations
     are grouped by their noise count (binomial weights); the value is exact.
-    It is the moments engine's batch of one group, all W sites shared.
+    It is the moments engine's batch of one group, all W sites shared, so
+    the iid field gives float(p).
     """
     _check_d(d)
-    if isinstance(model, IidBernoulli):
-        return model.p
-    return float(_shared_count_moments(model, d, [(2 * model.window_radius + 1) ** d])[0][0])
+    return _shared_count_moments(model, d, [(2 * model.window_radius + 1) ** d])[0][0]
 
 
 def covariance_at_lag(model: FieldModel, lag: Sequence[int]) -> float:
@@ -628,10 +628,6 @@ def covariance_at_lag(model: FieldModel, lag: Sequence[int]) -> float:
     """
     lag = tuple(integer(v, "lag component") for v in lag)
     d = _check_d(len(lag))
-    if isinstance(model, IidBernoulli):
-        if all(v == 0 for v in lag):
-            return model.p * (1.0 - model.p)
-        return 0.0
     w = 2 * model.window_radius + 1
     shared = 1
     for v in lag:
@@ -672,7 +668,8 @@ def model_sigma2(model: FieldModel, d: int = 1) -> Sigma2Result:
     (``_lag_groups``), each standing for 2^(nonzero components) signed lags.
     One batch of the moments engine gives every group's covariance, each
     the bits of ``covariance_at_lag`` at the group's first lag, and they are
-    summed in group order.  Every group's count table is checked against
+    summed in group order into a Python float (the iid field, w = 1, is one
+    group: p(1 - p)).  Every group's count table is checked against
     MAX_CELLS before anything is allocated: first the group of lag
     (m, 0, ..., 0), whose table fits only when there are at most about 2^14
     lags to group, then all groups.
@@ -682,12 +679,8 @@ def model_sigma2(model: FieldModel, d: int = 1) -> Sigma2Result:
     d = _check_d(d)
     _check_tables([(m + 1) * w ** (d - 1)], w**d)
     shared, counts = _lag_groups(w, d)
-    if isinstance(model, IidBernoulli):
-        covs = [model.p * (1.0 - model.p)]  # one group, lag 0
-    else:
-        covs = [cov for _, cov in _shared_count_moments(model, d, shared)]
     total = 0.0
-    for cov, count in zip(covs, counts):
+    for (_, cov), count in zip(_shared_count_moments(model, d, shared), counts):
         total += count * cov
     return Sigma2Result(value=total, degenerate=abs(total) < SIGMA2_EPSILON)
 

@@ -9,6 +9,7 @@ import pathlib
 import tempfile
 import threading
 import tracemalloc
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -581,6 +582,25 @@ class TestMoments:
         with pytest.raises(CapacityError):  # lag (50, 0, 0): a 520252 x 510051 table
             model_sigma2(wide, 3)
 
+    @pytest.mark.parametrize("call", [
+        lambda k: sample_field(MAJORITY, LatticeCube(3, k(2095015987364570925)), 1),
+        lambda k: model_mean(MovingWindowThreshold(k(2**21), 0.5, 2), 3),
+        lambda k: model_sigma2(MovingWindowThreshold(k(3037000499), 0.5, 2), 2),
+        lambda k: covariance_at_lag(MovingWindowThreshold(k(3037000499), 0.5, 2), (1, 0)),
+    ], ids=["sample_field", "model_mean", "model_sigma2", "covariance_at_lag"])
+    def test_numpy_integer_sizes_do_not_wrap(self, call):
+        # sizes computed in int64 from np.int64 parameters wrap: an enlarged
+        # grid of 5 cells that passes the cap, a wrapped table, or an
+        # overflow warning; each call must raise what its Python int raises
+        messages = []
+        for kind in (int, np.int64):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(CapacityError) as info:
+                    call(kind)
+            messages.append(str(info.value))
+        assert messages[1] == messages[0]
+
 
 def one_group_moments(model, d, shared):
     """(E g(a), Var g(a)) for one lag group of s = ``shared`` shared sites,
@@ -679,6 +699,34 @@ class TestMomentBits:
         assert model_sigma2(model, d).value.hex() == per_lag_sigma2(model, d)[0].hex()
         assert len(rows_seen) > 2
         self.assert_rows_are_pmfs(rows_seen)
+
+    @pytest.mark.parametrize("p", [1, np.float32(0.3), np.float16(0.3)],
+                             ids=["int", "float32", "float16"])
+    def test_iid_moments_are_python_floats(self, p):
+        model, q = IidBernoulli(p), float(p)
+        for value, expected in [(model_mean(model, 2), q),
+                                (covariance_at_lag(model, (0, 0)), q * (1.0 - q)),
+                                (covariance_at_lag(model, (1, 0)), 0.0),
+                                (model_sigma2(model, 2).value, q * (1.0 - q))]:
+            assert type(value) is float and value.hex() == expected.hex()
+
+    @pytest.mark.parametrize("theta", BIT_THETAS)
+    @pytest.mark.parametrize("kind, d, m", bit_models())
+    def test_one_pair_per_chunk_gives_the_same_bits(self, kind, d, m, theta, rows_seen):
+        model = bit_model(kind, d, m, theta)
+        shared = lattice_fields._lag_groups(2 * m + 1, d)[0]
+
+        def moments():
+            groups = lattice_fields._shared_count_moments(model, d, shared)
+            return [model_sigma2(model, d).value, model_mean(model, d),
+                    *itertools.chain.from_iterable(groups)]
+
+        default = moments()
+        rows_seen.clear()
+        with mock.patch.object(lattice_fields, "_BLOCK_CELLS", 1):  # one pair a chunk
+            chunked = moments()
+        assert all(len(ks) == 1 for ks, _, _ in rows_seen)
+        assert [v.hex() for v in chunked] == [v.hex() for v in default]
 
     @pytest.mark.parametrize("d, m, k_min, bound", [(3, 2, 63, 102_616), (2, 10, 200, 813_184)])
     def test_peak_memory_within_per_group_tables(self, d, m, k_min, bound):
