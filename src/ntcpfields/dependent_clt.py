@@ -17,6 +17,10 @@ field padded with b zeros, the same bits.  So does a single sample of a
 binary model whose values are all 0 or 1, whatever their dtype; any other
 integer values are taken as float64.  The weights are the only array of
 the values' size, summed once, whole, in the order that fixes the bits.
+The slab loop runs in the sampler's buffer-size scope (``_unbuffered_rows``)
+for a slab's cells, so that numpy does not copy the counts and global means
+its passes broadcast through its ufunc buffer; the sums outside the loop run
+under the caller's buffer size.
 With a bandwidth schedule b_n -> infinity, b_n = o(n), C_hat is consistent
 for sigma^2 and can replace it in the CLT normalizer (random
 normalization).  One formula, (S(U) - |U| mean) / sqrt(v |U|), v = sigma^2
@@ -44,6 +48,7 @@ from .lattice_fields import (
     _Scratch,
     _count_dtype,
     _slab_rows,
+    _unbuffered_rows,
     _valid_box_sums,
     _value_dtype,
     derive_seeds,
@@ -244,25 +249,29 @@ def _variance_estimator_batch(values: np.ndarray, d: int, b: int, sums=None,
     sums = values.sum(axis=spatial) if sums is None else sums
     global_mean = np.reshape(sums, (-1,) + (1,) * d) / size
     front, weights, products = work.arrays(values)
-    for top in range(0, side, work.rows):
-        rows = min(work.rows, side - top)
-        dev = weights[:, top:top + rows]
-        if values.dtype == bool:
-            # every float cumsum entry and difference of a 0/1 field is an exact
-            # integer below 2^53, so the exact integer sums carry the same bits
-            block_sums = _exact_window_sums(values, d, b, top, rows, front)
-        else:
-            _carried_window_sums(values, 1, b, top, rows, front, dev)
-            for axis in spatial[1:]:
-                _carried_window_sums(dev, axis, b, 0, side, products[:, :rows], dev)
-            block_sums = dev
-        if work.counts_top != top:
-            np.multiply(work.column[top:top + rows], work.inner, out=work.counts[:rows])
-            work.counts_top = top
-        counts = work.counts[:rows]
-        np.divide(block_sums, counts, out=dev)
-        dev -= global_mean
-        dev *= np.multiply(counts, dev, out=products[:, :rows])  # (c * dev) * dev
+    # the slab loop's elementwise passes only, whose counts and means
+    # broadcast along a slab's cells; the reductions that fix the bits (the
+    # sums above and the weights' sum) run outside the scope
+    with _unbuffered_rows(work.counts.size):
+        for top in range(0, side, work.rows):
+            rows = min(work.rows, side - top)
+            dev = weights[:, top:top + rows]
+            if values.dtype == bool:
+                # every float cumsum entry and difference of a 0/1 field is an exact
+                # integer below 2^53, so the exact integer sums carry the same bits
+                block_sums = _exact_window_sums(values, d, b, top, rows, front)
+            else:
+                _carried_window_sums(values, 1, b, top, rows, front, dev)
+                for axis in spatial[1:]:
+                    _carried_window_sums(dev, axis, b, 0, side, products[:, :rows], dev)
+                block_sums = dev
+            if work.counts_top != top:
+                np.multiply(work.column[top:top + rows], work.inner, out=work.counts[:rows])
+                work.counts_top = top
+            counts = work.counts[:rows]
+            np.divide(block_sums, counts, out=dev)
+            dev -= global_mean
+            dev *= np.multiply(counts, dev, out=products[:, :rows])  # (c * dev) * dev
     return weights.sum(axis=spatial) / size
 
 

@@ -28,14 +28,22 @@ shift, xor) and the noise compare an eighth.  Window
 counts are exact integer sums in the smallest of uint8, uint16 and int32
 that holds the window size plus one, summed by doubling along each axis
 (``_valid_box_sums``, the one box-sum rule, which C_hat's exact window
-sums use too); the iid field is sampled as the radius-0 window.  Seeds are
-taken modulo 2^64, in a batch as for a single sample, which is a batch of
-one.
+sums use too) on the flat array, so each add is one contiguous pass however
+short the rows; the iid field is sampled as the radius-0 window.  At
+numpy's default buffer size, a pass that broadcasts an operand along rows
+shorter than about 2730 cells, as the stage xor does, copies it through the
+ufunc buffer at about three times the cost of a flat pass, so a call whose
+grid rows are that short and at least about 170 cells runs under the buffer
+size ``_UFUNC_BUFSIZE`` (``_unbuffered_rows``), in a scope that restores the
+caller's.  Seeds are taken modulo 2^64, in a batch as for a single sample,
+which is a batch of one.
 Replicate seeds come from the same keyed hash under a replicate tag, at
 the sites (n, r) of the master seed.  A batch is computed in blocks of
 seeds whose noise grids hold about 2^16 cells, so the working set stays in
-cache, and each block's rule writes straight into the output, float64 or
-the field's own dtype (bool for the threshold and iid fields).  One large
+cache, and each block's rule writes straight into the output in the
+field's own dtype (bool for the threshold and iid fields), or into a
+float64 output in one cast from the bool rule, written into the hash's
+buffer, which the noise leaves free.  One large
 cube whose grid alone overflows a block is computed in slabs of first-axis
 rows instead, each hashed with its 2m-row halo: a site's noise depends only
 on the seed and its coordinates, so the slabs give the same bits; a block's
@@ -56,6 +64,7 @@ S(U) and C_hat per replicate.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import operator
@@ -79,8 +88,46 @@ MAX_CELLS = 1 << 26
 #: C_hat reads them from cache too.
 _BLOCK_CELLS = 1 << 16
 
+#: numpy's ufunc buffer size (elements) for the passes of the sampler's
+#: block loop and C_hat's slab loop that broadcast an operand along short
+#: rows (``_unbuffered_rows``).  numpy 2.4's ufunc iterator copies an operand
+#: broadcast along the loop's inner dimension through its buffer whenever
+#: that dimension is shorter than about a third of the buffer (at the
+#: default 8192, an inner dimension of 2700 is slow and 2900 fast).  The
+#: stage xor of 2^16 uint64 cells took 66, 62 and 70 us on the stream's
+#: 127x515, 40x1603 and 162x403 blocks at 8192 against 18, 17 and 20 us at
+#: 512, and 16 us as a flat xor (2-core Xeon, numpy 2.4.6); 256 and 1024
+#: gave the same.  Rows shorter than about 170 stay buffered at 512: 1872x35
+#: took 82 us at either size.
+_UFUNC_BUFSIZE = 512
+
 #: Treat |sigma^2| below this as the degenerate sigma = 0 case.
 SIGMA2_EPSILON = 1e-12
+
+
+def _unbuffered_rows(row: int):
+    """A scope for passes that broadcast an operand along rows of ``row``
+    elements: numpy copies such an operand through its ufunc buffer when the
+    row is shorter than about a third of the buffer size, so where numpy's
+    default buffer size, 8192, would copy it and ``_UFUNC_BUFSIZE`` would
+    not, the body runs under ``_UFUNC_BUFSIZE``, in an ``np.errstate()``
+    that restores the caller's on exit (``_SmallBuffer``).  Elsewhere it
+    runs as it is, and numpy's error state is not touched: in the
+    benchmark's process, one ``np.getbufsize()`` per sampler call made the
+    op of the 1-d criterion-7 campaign, most of whose blocks have 6403-cell
+    rows, 137-142 ms against 116-122 ms, for no gain on rows that long.
+    The scope is a block's or a slab loop's, never a generator's across a
+    yield."""
+    return _SmallBuffer() if _UFUNC_BUFSIZE <= 3 * row < 8192 else contextlib.nullcontext()
+
+
+class _SmallBuffer(np.errstate):
+    """``np.errstate()`` that also sets numpy's buffer size to
+    ``_UFUNC_BUFSIZE``, which its exit restores with the error state."""
+
+    def __enter__(self):
+        super().__enter__()
+        np.setbufsize(_UFUNC_BUFSIZE)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +202,10 @@ def _site_hash(h: np.ndarray, keys: Sequence[np.ndarray], buffers=None) -> np.nd
     the stage before, which ``_premix``'s linearity computes as
     _mix_premixed(_premix(before) ^ key): the premix runs on the stage
     before, 1/side of the grid, and the grid takes seven passes, the
-    broadcast xor and the six steps of ``_mix_premixed``.  The stages
+    broadcast xor and the six steps of ``_mix_premixed``.  The xor is a
+    flat pass's speed only where numpy does not buffer its broadcast
+    operands: under the sampler's ``_UFUNC_BUFSIZE``, on rows of about 170
+    cells and more (at numpy's default buffer size, 2730).  The stages
     alternate between ``buffers``, two flat uint64 arrays of at least
     h.size * grid cells (allocated when not given): each stage is written
     into one, and the other, which holds the stage before (the seed stage
@@ -255,6 +305,14 @@ def _keep_parameter(model, name: str, ge: int) -> None:
     object.__setattr__(model, name, integer(getattr(model, name), name, ge=ge, error=ParameterError))
 
 
+def _keep_probability(model, name: str) -> None:
+    """Check the probability ``name`` of a frozen model and keep it as a
+    Python float, so that the sampler's theta * 2^53 is exact whatever
+    numpy type it was given in (a float16 one overflows)."""
+    object.__setattr__(model, name, float(probability(getattr(model, name), name,
+                                                      error=ParameterError)))
+
+
 @dataclass(frozen=True)
 class IidBernoulli:
     p: float
@@ -262,7 +320,7 @@ class IidBernoulli:
     k_min = 1
 
     def __post_init__(self):
-        probability(self.p, "p", error=ParameterError)
+        _keep_probability(self, "p")
 
     @property
     def theta(self) -> float:
@@ -277,7 +335,7 @@ class MovingWindowThreshold:
 
     def __post_init__(self):
         _keep_parameter(self, "window_radius", ge=0)
-        probability(self.theta, "theta", error=ParameterError)
+        _keep_probability(self, "theta")
         _keep_parameter(self, "k_min", ge=0)
 
 
@@ -289,7 +347,7 @@ class MovingWindowLevels:
 
     def __post_init__(self):
         _keep_parameter(self, "window_radius", ge=0)
-        probability(self.theta, "theta", error=ParameterError)
+        _keep_probability(self, "theta")
         _keep_parameter(self, "levels", ge=2)
 
 
@@ -366,28 +424,38 @@ def _valid_box_sums(a: np.ndarray, w: int, dtype: type) -> np.ndarray:
 
     One axis at a time, sums of width 2, 4, 8, ... are each two shifted
     slices of the one before, about log2(w) adds; the narrower widths of the
-    set bits of w are then added in place into the widest.  Integer sums are
-    exact, so the counts do not depend on the order of the adds.
+    set bits of w are then added in place into the widest.  The adds run on
+    the flat C-ordered array (a copy when ``a`` is not C-contiguous), an
+    axis's shift being its flat stride, so each is one contiguous pass
+    however short the rows: entry i of a sum starts its box at flat index
+    i, and the sums whose box crosses a row end are computed but never
+    read.  Each pass stops where its shifted operand ends, and the last
+    box that fits ends there too, so every entry read is computed.  The
+    valid boxes are returned as a strided view of the last sums (``a``
+    itself when w is 1).  Every entry sums as many cells as a box, so none
+    wraps where a box would not, and integer sums are exact, so the counts
+    do not depend on the order of the adds.
     """
-    def part(x, axis, start, length):
-        return x[(slice(None),) * axis + (slice(start, start + length),)]
-
+    if w == 1:
+        return a
+    flat = a.reshape(-1)
+    end = flat.size  # the entries of ``flat`` that are computed
     for axis in range(1, a.ndim):
-        n = a.shape[axis]
-        powers = [a]  # powers[j]: the sums of width 2^j at every start that fits
+        shift = math.prod(a.shape[axis + 1:])
+        powers = [flat]  # powers[j]: the sums of width 2^j, of end - (2^j - 1) shift entries
         while 2 ** len(powers) <= w:
-            span = 2 ** (len(powers) - 1)
-            size = n - 2 * span + 1
-            widest = powers[-1]
-            powers.append(np.add(part(widest, axis, 0, size), part(widest, axis, span, size),
-                                 dtype=dtype))
-        a = part(powers[-1], axis, 0, n - w + 1)
-        offset = 2 ** (len(powers) - 1)
+            span = 2 ** (len(powers) - 1) * shift
+            count = end - 2 * span + shift
+            powers.append(np.empty(flat.size, dtype))
+            np.add(powers[-2][:count], powers[-2][span:span + count], out=powers[-1][:count],
+                   dtype=dtype)
+        flat, end = powers[-1], end - (w - 1) * shift
+        offset = 2 ** (len(powers) - 1) * shift
         for j in reversed(range(len(powers) - 1)):
             if w >> j & 1:
-                a += part(powers[j], axis, offset, n - w + 1)
-                offset += 2**j
-    return a
+                flat[:end] += powers[j][offset:offset + end]
+                offset += 2**j * shift
+    return flat.reshape(a.shape)[(slice(None),) + tuple(slice(n - w + 1) for n in a.shape[1:])]
 
 
 def _value_dtype(model: FieldModel) -> type:
@@ -459,8 +527,9 @@ class _SamplerWorkspace:
     dtype), computed once, and ``scratch`` (a ``_Scratch`` of its own unless
     given), whose two arrays every block refills: the site hashes in the
     second and the bool noise in the first, the hash's shift scratch until
-    the noise is written.  They are allocated for the first block, the
-    largest of a stream, and replaced only by a larger one."""
+    the noise is written, then a threshold rule's bool in the second when
+    it is cast into a float64 output.  They are allocated for the first
+    block, the largest of a stream, and replaced only by a larger one."""
 
     def __init__(self, model: FieldModel, cube: LatticeCube, scratch: _Scratch = None):
         m = model.window_radius
@@ -516,17 +585,25 @@ def sample_fields_batch(
     elif (work.model, work.cube) != (model, cube):
         raise ShapeError("the sampler workspace belongs to another model or cube")
     step, rows = work.step, work.rows
-    for start in range(0, seeds.size, step):
-        block = _mix64(seeds[start:start + step] ^ _TAG_NOISE)  # the seeds' stage
-        cells = block.size * work.slab_cells
-        hashes = work.scratch.take(cells, cells)
-        for top in range(0, cube.side, rows):
-            slab = [work.keys[0][:, top:top + rows + 2 * m], *work.keys[1:]]
-            h = _site_hash(block, slab, hashes)  # in hashes[1], leaving hashes[0] free
-            noise = hashes[0].view(bool)[:h.size].reshape(h.shape)
-            _noise_from_hash(h, model.theta, noise)
-            counts = _valid_box_sums(noise.view(np.uint8), 2 * m + 1, work.dtype)
-            _rule_on_counts(model, counts, cube.d, out=out[start:start + step, top:top + rows])
+    # a float64 ``out`` of a threshold field takes the rule's bool in one cast
+    cast = out.dtype != _value_dtype(model)
+    with _unbuffered_rows(cube.side + 2 * m):  # the stage xor's rows
+        for start in range(0, seeds.size, step):
+            block = _mix64(seeds[start:start + step] ^ _TAG_NOISE)  # the seeds' stage
+            cells = block.size * work.slab_cells
+            hashes = work.scratch.take(cells, cells)
+            for top in range(0, cube.side, rows):
+                slab = [work.keys[0][:, top:top + rows + 2 * m], *work.keys[1:]]
+                h = _site_hash(block, slab, hashes)  # in hashes[1], leaving hashes[0] free
+                noise = hashes[0].view(bool)[:h.size].reshape(h.shape)
+                _noise_from_hash(h, model.theta, noise)
+                counts = _valid_box_sums(noise.view(np.uint8), 2 * m + 1, work.dtype)
+                values = out[start:start + step, top:top + rows]
+                if cast:  # the bool rule into hashes[1], free once the noise is drawn
+                    rule = hashes[1].view(bool)[:counts.size].reshape(counts.shape)
+                    values[...] = _rule_on_counts(model, counts, cube.d, out=rule)
+                else:
+                    _rule_on_counts(model, counts, cube.d, out=values)
     return out
 
 
@@ -569,7 +646,7 @@ def _shared_count_moments(model: FieldModel, d: int, shared: Sequence[int]) -> l
     ``shared``, with a ~ Binomial(s, theta) and g(a) = E[f(a + b)], b ~
     Binomial(W - s, theta); a count table above MAX_CELLS raises
     CapacityError before anything is allocated.  The iid field is one
-    Bernoulli(p) site, so its groups are (p, p(1 - p)) for p = float(model.p).
+    Bernoulli(p) site, so its groups are (p, p(1 - p)), p the model's float.
 
     The groups run in chunks of a fixed number of pairs {t, W - t}, t =
     min(s, W - s) ascending: a pair's two Binomial rows hold at most
@@ -580,7 +657,7 @@ def _shared_count_moments(model: FieldModel, d: int, shared: Sequence[int]) -> l
     w_size = (2 * model.window_radius + 1) ** d
     _check_tables(shared, w_size)
     if isinstance(model, IidBernoulli):
-        p = float(model.p)
+        p = model.p
         return [(p, p * (1.0 - p))] * len(shared)
     rule = _rule_on_counts(model, np.arange(w_size + 1), d)  # f(c), c = 0..W
     moments = dict.fromkeys(shared)  # shared count -> (mean, covariance)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -569,6 +570,47 @@ class TestBlockIndependence:
             assert sums.dtype == np.float64 and sums.tolist() == [cube.size] * len(sums)
             floats = values.reshape(len(values), -1).sum(axis=1, dtype=np.float64)
             assert sums.tobytes() == floats.tobytes()
+
+
+class TestCallerBufferSize:
+    """The sampler and C_hat run the passes that broadcast along short rows
+    under a ufunc buffer size of their own, in a scope that restores the
+    caller's: their bits do not depend on the caller's buffer size, which
+    every call keeps, an error raised for a wrong ``out`` included."""
+
+    @staticmethod
+    def outputs(bufsize):
+        outputs = []
+        with np.errstate(), mock.patch.object(np, "setbufsize", wraps=np.setbufsize) as setbufsize:
+            np.setbufsize(bufsize)
+            for (d, name, b), pins in sorted(CHAT_PINS.items()):
+                model, cube = chat_pin_model(name, d), LatticeCube(d=d, n=CHAT_PIN_N[d])
+                seeds = lattice_fields.derive_seeds(7, cube.n, [0, 1])
+                values = sample_fields_batch(model, cube, seeds)
+                assert np.getbufsize() == bufsize
+                rows = _variance_estimator_batch(values, d, b)
+                assert np.getbufsize() == bufsize
+                config = EstimatorConfig(bandwidth=b)
+                single = variance_estimator(sample_field(model, cube, 123), config)
+                assert (single.hex(), *map(float.hex, rows)) == pins
+                outputs.append(values.tobytes())
+            # n = 128: the sampler's rows of 259 cells take its scope
+            for model in (MAJORITY, LEVELS4):
+                points = variance_gap(model, 1, (4, 8, 128), 200, master_seed=3)
+                outputs += [p.gap.hex() for p in points]
+                assert np.getbufsize() == bufsize
+            with pytest.raises(ShapeError):
+                sample_fields_batch(MAJORITY, LatticeCube(d=1, n=2), [1], np.empty((2, 5)))
+            assert np.getbufsize() == bufsize
+        return outputs, mock.call(lattice_fields._UFUNC_BUFSIZE) in setbufsize.call_args_list
+
+    @pytest.mark.parametrize("bufsize", [16, 8192, 65536])
+    def test_bits_do_not_depend_on_the_callers_buffer_size(self, bufsize):
+        default = np.getbufsize()
+        outputs, scoped = self.outputs(bufsize)
+        assert outputs == self.outputs(8192)[0]
+        assert scoped
+        assert np.getbufsize() == default
 
 
 class TestStreamAllocations:

@@ -441,6 +441,19 @@ class TestSampling:
             assert sample_fields_batch(model, cube, [4, 5], out) is out
             assert np.array_equal(out, expected)
 
+    @pytest.mark.parametrize("narrow", [np.float16, np.float32])
+    @pytest.mark.parametrize("kind", ["threshold", "iid", "levels"])
+    def test_narrow_float_theta_samples_as_its_python_float(self, kind, narrow):
+        # theta * 2^53 overflows float16, so every model keeps float(theta)
+        model = {"threshold": lambda t: MovingWindowThreshold(1, t, 2), "iid": IidBernoulli,
+                 "levels": lambda t: MovingWindowLevels(1, t, 3)}[kind]
+        theta, cube = narrow(0.3), LatticeCube(d=2, n=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow in a cast on the way
+            values = sample_field(model(theta), cube, 5).values
+        assert type(model(theta).theta) is float
+        assert values.tobytes() == sample_field(model(float(theta)), cube, 5).values.tobytes()
+
     def test_workspace_grows_and_belongs_to_one_cube(self):
         model, cube = MovingWindowLevels(1, 0.4, 5), LatticeCube(d=2, n=6)
         work = lattice_fields._SamplerWorkspace(model, cube)
@@ -778,6 +791,16 @@ class TestSerialization:
         save_sample(numpy, tmp_path / "numpy.dat")
         assert (tmp_path / "numpy.dat").read_bytes() == (tmp_path / "python.dat").read_bytes()
         assert model_to_dict(numpy.model) == model_to_dict(MAJORITY)
+
+    def test_float32_theta_writes_the_same_bytes(self):
+        # the model keeps float(theta), which JSON writes as it wrote the float32
+        for model, text in [
+            (MovingWindowThreshold(1, np.float32(0.3), 2),
+             '{"type": "moving_window_threshold", "window_radius": 1, '
+             '"theta": 0.30000001192092896, "k_min": 2}'),
+            (IidBernoulli(np.float32(0.3)), '{"type": "iid_bernoulli", "p": 0.30000001192092896}'),
+        ]:
+            assert json.dumps(model_to_dict(model)) == text
 
     def test_unknown_model_type(self):
         with pytest.raises(ParameterError):

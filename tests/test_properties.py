@@ -122,6 +122,51 @@ def test_sampler_matches_brute_force_windows(model_d, n, seeds):
     assert sample_fields_batch(model, cube, seeds).tobytes() == expected.tobytes()
 
 
+@st.composite
+def box_sum_cases(draw):
+    """(padded, top, length, w, dtype): 0/1 uint8 cells of shape (batch,) +
+    d sides, batch 1..3 and sides 1..7, of which the box sums take the
+    first-axis rows top..top + length, every row or, as C_hat's slab slice
+    padded[:, top:top + rows + 2 * b], a window of them; a box width w from
+    1 up to the shortest side summed; and a count dtype that holds w^d."""
+    d = draw(dims)
+    sides = draw(st.lists(st.integers(min_value=1, max_value=7), min_size=d, max_size=d))
+    length = draw(st.integers(min_value=1, max_value=sides[0]))
+    top = draw(st.integers(min_value=0, max_value=sides[0] - length))
+    w = draw(st.integers(min_value=1, max_value=min([length] + sides[1:])))
+    dtype = draw(st.sampled_from([t for t in (np.uint8, np.uint16, np.int32)
+                                  if np.iinfo(t).max >= w**d]))
+    shape = (draw(st.integers(min_value=1, max_value=3)),) + tuple(sides)
+    bits = draw(st.lists(st.booleans(), min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(bits, np.uint8).reshape(shape), top, length, w, dtype
+
+
+def random_bits(*shape):
+    return np.random.default_rng(sum(shape)).integers(0, 2, shape, np.uint8)
+
+
+@PROPERTY
+@given(case=box_sum_cases())
+@example(case=(random_bits(2, 7, 7), 0, 7, 7, np.uint8))  # w = 4 + 2 + 1, the whole side
+@example(case=(random_bits(1, 7, 7, 7), 0, 7, 7, np.int32))  # 343 per box
+@example(case=(np.ones((1, 1, 1, 1), np.uint8), 0, 1, 1, np.uint8))  # sides of 1
+@example(case=(np.ones((3, 7, 5, 5), np.uint8), 2, 5, 5, np.uint16))  # a slab, 125 per box
+@example(case=(random_bits(2, 3, 7, 7, 7)[:, 0], 1, 5, 3, np.uint8))  # a strided input
+def test_box_sums_match_brute_force(case):
+    """The flat doubling sums of every box that fits, summed cell by cell;
+    the input is left as it was."""
+    padded, top, length, w, dtype = case
+    before = padded.copy()
+    a = padded[:, top:top + length]
+    sums = lattice_fields._valid_box_sums(a, w, dtype)
+    assert sums.shape == a.shape[:1] + tuple(n - w + 1 for n in a.shape[1:])
+    assert w == 1 or sums.dtype == dtype
+    for start in itertools.product(*map(range, sums.shape)):
+        box = a[start[:1] + tuple(slice(j, j + w) for j in start[1:])]
+        assert sums[start] == box.sum(dtype=np.int64), start
+    assert np.array_equal(padded, before)
+
+
 @PROPERTY
 @given(model=models, d=dims, n=half_widths,
        seeds=st.lists(seed, min_size=1, max_size=8), b=bandwidths)
