@@ -21,8 +21,8 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import (CapacityError, DegenerateError, DomainError, ShapeError, integer,
-                     probability, real)
+from .errors import (CapacityError, DegenerateError, DomainError, ShapeError, each, integer,
+                     keep, probability, real)
 
 #: Berry-Esseen constant for the binomial normal approximation.
 BERRY_ESSEEN_C = 0.7975
@@ -42,7 +42,8 @@ def normal_cdf(x: float) -> float:
 
 def normal_quantile(gamma: float) -> float:
     """Inverse of normal_cdf on (0, 1), Newton-polished against normal_cdf."""
-    z = _NORMAL.inv_cdf(real(gamma, "quantile argument", gt=0, lt=1))
+    gamma = real(gamma, "quantile argument", gt=0, lt=1)
+    z = _NORMAL.inv_cdf(gamma)
     # one Newton step tightens the round trip to ~1e-15 in the bulk
     pdf = math.exp(-0.5 * z * z) / _SQRT_2PI
     if pdf > 1e-300:
@@ -65,19 +66,18 @@ class OrganSpec:
     fsu_volumes: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self):
-        integer(self.n, "n", ge=1, le=MAX_EXACT_N)
-        real(self.volume, "volume", gt=0)
+        n = keep(self, "n", integer, ge=1, le=MAX_EXACT_N)
+        volume = keep(self, "volume", real, gt=0)
         if self.fsu_volumes is not None:
-            if len(self.fsu_volumes) != self.n:
+            if len(self.fsu_volumes) != n:
                 raise ShapeError("fsu_volumes must have length n")
-            for v in self.fsu_volumes:
-                real(v, "each FSU volume", gt=0)
-            if abs(sum(self.fsu_volumes) - self.volume) > 1e-9 * self.volume:
+            volumes = keep(self, "fsu_volumes", each(real), "each FSU volume", gt=0)
+            if abs(sum(volumes) - volume) > 1e-9 * volume:
                 raise DomainError("FSU volumes must sum to the total volume")
         if isinstance(self.reserve, (int, np.integer)):
-            integer(self.reserve, "reserve L", ge=0, le=self.n + 1)
+            keep(self, "reserve", integer, "reserve L", ge=0, le=n + 1)
         else:
-            real(self.reserve, "fractional reserve kappa", gt=0, lt=1)
+            keep(self, "reserve", real, "fractional reserve kappa", gt=0, lt=1)
 
 
 @dataclass(frozen=True)
@@ -89,9 +89,9 @@ class ApproxResult:
     method: str
 
     def __post_init__(self):
-        probability(self.value, "value")
+        keep(self, "value", probability)
         if self.error_bound is not None:
-            real(self.error_bound, "error_bound", ge=0)
+            keep(self, "error_bound", real, ge=0)
 
 
 @dataclass(frozen=True)
@@ -261,8 +261,7 @@ def ntcp_exact_all_thresholds(n: int, p: float) -> np.ndarray:
     Raises CapacityError, before allocating, for n above MAX_EXACT_N: the
     tail needs about 8 bytes x n of memory at its peak.
     """
-    integer(n, "n", ge=1)
-    probability(p, "p")
+    n, p = integer(n, "n", ge=1), probability(p, "p")
     if n > MAX_EXACT_N:
         raise CapacityError(
             f"exact tail of {n} FSUs exceeds the cap of {MAX_EXACT_N} "
@@ -283,7 +282,8 @@ def ntcp_exact_all_thresholds(n: int, p: float) -> np.ndarray:
 
 def ntcp_exact(n: int, p: float, threshold: int) -> float:
     """Exact binomial upper tail P(S_n >= threshold)."""
-    integer(threshold, "threshold", ge=0, le=integer(n, "n", ge=1) + 1)
+    n = integer(n, "n", ge=1)
+    threshold = integer(threshold, "threshold", ge=0, le=n + 1)
     return float(ntcp_exact_all_thresholds(n, p)[threshold])
 
 
@@ -291,16 +291,17 @@ def ntcp_exact(n: int, p: float, threshold: int) -> float:
 # Certified approximations
 # ---------------------------------------------------------------------------
 
-def _sigma(n: int, p: float) -> float:
-    integer(n, "n", ge=1)
-    if not (0.0 < probability(p, "p") < 1.0):
+def _sigma(n: int, p: float) -> Tuple[int, float, float]:
+    """n and p, validated (n * p is a float), and sigma = sqrt(npq)."""
+    n, p = integer(n, "n", ge=1, le=sys.float_info.max), probability(p, "p")
+    if not 0.0 < p < 1.0:
         raise DegenerateError("p in {0, 1} gives a degenerate distribution")
-    return math.sqrt(n * p * (1.0 - p))
+    return n, p, math.sqrt(n * p * (1.0 - p))
 
 
 def ntcp_normal(n: int, p: float, x: float) -> ApproxResult:
     """Normal approximation 1 - Phi(z) with the Berry-Esseen certificate."""
-    sigma = _sigma(n, p)
+    n, p, sigma = _sigma(n, p)
     z = (real(x, "x") - n * p) / sigma
     return ApproxResult(
         value=normal_cdf(-z),
@@ -311,7 +312,7 @@ def ntcp_normal(n: int, p: float, x: float) -> ApproxResult:
 
 def threshold_for_confidence(n: int, p: float, gamma: float) -> float:
     """Real threshold x_gamma = np + sqrt(npq) z_gamma with Phi(z_gamma) = gamma."""
-    sigma = _sigma(n, p)
+    n, p, sigma = _sigma(n, p)
     return n * p + sigma * normal_quantile(gamma)
 
 
@@ -323,7 +324,8 @@ def ntcp_normal_integer_threshold(
     Flooring the real threshold costs at most the continuity modulus of Phi,
     so the bound grows by 1/sqrt(2 pi npq).
     """
-    sigma = _sigma(n, p)
+    n, p, sigma = _sigma(n, p)
+    gamma = real(gamma, "gamma", gt=0, lt=1)
     x_gamma = threshold_for_confidence(n, p, gamma)
     threshold = math.floor(x_gamma)
     result = ApproxResult(
@@ -342,15 +344,18 @@ def ntcp_weiss(n: int, p: float, k: int, m: int) -> ApproxResult:
     The certificate (0.12 + 0.18|p-q|)/sigma^2 + exp(-3 sigma/2) holds for
     sigma >= 5; below that the bound is reported as unavailable.
     """
-    if integer(k, "k") > integer(m, "m"):
+    top = sys.float_info.max  # k and m enter float arithmetic
+    k, m = integer(k, "k", ge=-top, le=top), integer(m, "m", ge=-top, le=top)
+    if k > m:
         raise DomainError(f"need k <= m, got k={k}, m={m}")
-    sigma = _sigma(n, p)
+    n, p, sigma = _sigma(n, p)
     q = 1.0 - p
     t1 = (k - 0.5 - n * p) / sigma
     t2 = (m + 0.5 - n * p) / sigma
 
-    def g(t: float) -> float:
-        return (1.0 - t * t) * math.exp(-0.5 * t * t)
+    def g(t: float) -> float:  # 0.0 once exp underflows, where t * t may be inf
+        tail = math.exp(-0.5 * t * t)
+        return (1.0 - t * t) * tail if tail else 0.0
 
     value = normal_cdf(t2) - normal_cdf(t1)
     value += (q - p) / (6.0 * _SQRT_2PI * sigma) * (g(t2) - g(t1))
@@ -364,9 +369,9 @@ def ntcp_weiss(n: int, p: float, k: int, m: int) -> ApproxResult:
 
 def ntcp_weiss_tail(n: int, p: float, threshold: int) -> ApproxResult:
     """Weiss approximation of the upper tail P(S_n >= threshold)."""
-    integer(n, "n", ge=1)
-    probability(p, "p")
-    if integer(threshold, "threshold") <= 0:
+    n, p = integer(n, "n", ge=1), probability(p, "p")
+    threshold = integer(threshold, "threshold")
+    if threshold <= 0:
         return ApproxResult(value=1.0, error_bound=0.0, method="Weiss")
     if threshold > n:
         return ApproxResult(value=0.0, error_bound=0.0, method="Weiss")
@@ -379,14 +384,14 @@ def ntcp_weiss_tail(n: int, p: float, threshold: int) -> ApproxResult:
 
 def kill_fraction(p: float, c: float) -> float:
     """kappa(p) = p + c sqrt(p(1-p)); the fraction threshold at confidence c."""
-    probability(p, "p")
-    real(c, "c", ge=0)
+    p, c = probability(p, "p"), real(c, "c", ge=0)
     return p + c * math.sqrt(p * (1.0 - p))
 
 
 def fraction_curve_features(c: float) -> FractionCurveFeatures:
     """Closed-form landmarks of the concave curve kappa(p)."""
-    root = math.hypot(1.0, real(c, "c", ge=0))  # sqrt(1 + c^2) without forming c^2
+    c = real(c, "c", ge=0)
+    root = math.hypot(1.0, c)  # sqrt(1 + c^2) without forming c^2
     return FractionCurveFeatures(
         c=c,
         p1=(1.0 / root) ** 2,
@@ -412,8 +417,8 @@ def invert_fraction(kappa: float, c: float) -> float:
     below the normal float range (about kappa^2 / c^2 < 2.2e-308) has lost
     its precision and raises DomainError; at c = 0, p is kappa exactly.
     """
-    real(kappa, "kappa", gt=0, lt=1)
-    half = 0.5 * real(c, "c", ge=0)
+    kappa, c = real(kappa, "kappa", gt=0, lt=1), real(c, "c", ge=0)
+    half = 0.5 * c
     root = math.hypot(math.sqrt(kappa - kappa * kappa), half)
     p = kappa * (kappa / (kappa + c * (half + root)))
     if c > 0.0 and p < sys.float_info.min:
@@ -431,8 +436,8 @@ def dose_for_fraction(model, cells, kappa: float, n: int, gamma: float,
     """
     from .dose_response import dose_for_kill_probability
 
-    integer(n, "n", ge=1)
-    real(gamma, "gamma", ge=0.5, lt=1)  # so that c = z_gamma/sqrt(n) >= 0
+    n = integer(n, "n", ge=1, le=sys.float_info.max)  # sqrt(n) takes it as a float
+    gamma = real(gamma, "gamma", ge=0.5, lt=1)  # so that c = z_gamma/sqrt(n) >= 0
     p_bar = invert_fraction(kappa, _fraction_c(n, gamma))
     return dose_for_kill_probability(model, cells, p_bar, tolerance)
 

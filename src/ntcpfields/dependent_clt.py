@@ -32,13 +32,14 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .cv_ntcp import normal_cdf, normal_quantile
-from .errors import DegenerateError, DomainError, ShapeError, integer, real
+from .errors import DegenerateError, DomainError, ShapeError, integer, keep, real
 from .lattice_fields import (
     MAX_CELLS,
     FieldModel,
@@ -71,10 +72,11 @@ class EstimatorConfig:
 
     def __post_init__(self):
         if self.bandwidth is not None:
-            integer(self.bandwidth, "bandwidth", ge=1)
-        real(self.eta, "eta", gt=0, lt=1)  # so that b_n = o(n)
+            keep(self, "bandwidth", integer, ge=1)
+        keep(self, "eta", real, gt=0, lt=1)  # so that b_n = o(n)
 
     def bandwidth_for(self, n: int) -> int:
+        n = integer(n, "n", ge=0, le=sys.float_info.max)  # n**eta takes it as a float
         if self.bandwidth is not None:
             return self.bandwidth
         b = math.ceil(n**self.eta - 1e-9)
@@ -348,10 +350,11 @@ def self_normalized_statistic(
     ``mode="true_sigma"`` normalizes by a supplied sigma^2; ``"estimated"``
     by C_hat.  A zero normalizer (constant fields) raises DegenerateError.
     """
+    mean = real(mean, "mean")
     checked = _checked(sample)
     total = _finite_result(checked[1], "sum")
     if mode == "true_sigma":
-        variance = float(real(sigma2, "sigma2"))
+        variance = real(sigma2, "sigma2")
     elif mode == "estimated":
         variance = variance_estimator(sample, config or EstimatorConfig(), checked)
     else:
@@ -440,8 +443,8 @@ def variance_gap(
     For the m-dependent window models the true gap decays like 1/n, the
     lambda > d+1 regime of the decay envelope; the label records that.
     """
-    integer(replicates, "replicates", ge=2, le=MAX_CELLS)
-    integer(master_seed, "master_seed")
+    replicates = integer(replicates, "replicates", ge=2, le=MAX_CELLS)
+    master_seed = integer(master_seed, "master_seed")
     cubes = [LatticeCube(d=d, n=n) for n in n_schedule]
     sigma2 = model_sigma2(model, d)
     if sigma2.degenerate:

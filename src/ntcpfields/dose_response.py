@@ -18,10 +18,11 @@ consistency tests rely on.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import ParameterError, UnattainableTargetError, integer, real
+from .errors import ParameterError, UnattainableTargetError, integer, keep, real
 
 # Bisection bracket cap: dose doubling stops here.  p(D) -> 1 monotonically
 # for all variants, so any target < 1 brackets long before this.
@@ -33,7 +34,7 @@ class SingleHit:
     alpha: float
 
     def __post_init__(self):
-        real(self.alpha, "alpha", gt=0, error=ParameterError)
+        keep(self, "alpha", real, gt=0, error=ParameterError)
 
 
 @dataclass(frozen=True)
@@ -42,8 +43,8 @@ class MultiTarget:
     m: int
 
     def __post_init__(self):
-        real(self.alpha, "alpha", gt=0, error=ParameterError)
-        integer(self.m, "m", ge=1, error=ParameterError)
+        keep(self, "alpha", real, gt=0, error=ParameterError)
+        keep(self, "m", integer, ge=1, le=sys.float_info.max, error=ParameterError)
 
 
 @dataclass(frozen=True)
@@ -53,9 +54,9 @@ class Hybrid:
     m: int
 
     def __post_init__(self):
-        real(self.alpha, "alpha", gt=0, error=ParameterError)
-        real(self.beta, "beta", ge=0, error=ParameterError)
-        integer(self.m, "m", ge=1, error=ParameterError)
+        keep(self, "alpha", real, gt=0, error=ParameterError)
+        keep(self, "beta", real, ge=0, error=ParameterError)
+        keep(self, "m", integer, ge=1, le=sys.float_info.max, error=ParameterError)
 
 
 @dataclass(frozen=True)
@@ -64,8 +65,8 @@ class LinearQuadratic:
     beta: float
 
     def __post_init__(self):
-        real(self.alpha, "alpha", gt=0, error=ParameterError)
-        real(self.beta, "beta", ge=0, error=ParameterError)
+        keep(self, "alpha", real, gt=0, error=ParameterError)
+        keep(self, "beta", real, ge=0, error=ParameterError)
 
 
 DoseResponseModel = Union[SingleHit, MultiTarget, Hybrid, LinearQuadratic]
@@ -78,7 +79,7 @@ class CellPopulation:
     n0: int
 
     def __post_init__(self):
-        integer(self.n0, "n0", ge=1, error=ParameterError)
+        keep(self, "n0", integer, ge=1, le=sys.float_info.max, error=ParameterError)
 
 
 def _pow_one_minus_exp(rate_dose: float, exponent: float) -> float:
@@ -91,7 +92,7 @@ def _pow_one_minus_exp(rate_dose: float, exponent: float) -> float:
 
 def killed_fraction_of_cells(model: DoseResponseModel, dose: float) -> float:
     """1 - SF(D), computed directly to avoid cancellation at small doses."""
-    real(dose, "dose", ge=0)
+    dose = real(dose, "dose", ge=0)
     if isinstance(model, SingleHit):
         return -math.expm1(-model.alpha * dose)
     if isinstance(model, MultiTarget):
@@ -132,8 +133,8 @@ def dose_for_kill_probability(
     floating point), or if no dose of the bisection's 200 steps comes
     within the tolerance (one below the spacing of doubles near the target).
     """
-    real(target_p, "target_p", gt=0, lt=1)
-    real(tolerance, "tolerance", gt=0)
+    target_p = real(target_p, "target_p", gt=0, lt=1)
+    tolerance = real(tolerance, "tolerance", gt=0)
     hi = 1.0
     while fsu_kill_probability(model, cells, hi) < target_p:
         hi *= 2.0

@@ -4,16 +4,21 @@ Everything derives from ValueError so callers that do not care about the
 finer distinctions can catch a single type; the CLI maps ConfigError and
 I/O problems to exit code 2 and every other ValueError to exit code 1.
 
-Every input check goes through a validator that returns the value it accepts:
+Every input check goes through a validator that returns the value it
+accepts as a Python scalar, so a numpy scalar gives the bits of the equal
+Python value:
 
 * ``integer(value, name, ge, le)``: an int or np.integer (no bool, no 2.0),
-  returned as a Python int;
-* ``real(value, name, gt, ge, lt, le)``: a finite real (no bool, nan or inf);
+  as an int; one that enters float arithmetic has ``le=sys.float_info.max``;
+* ``real(value, name, gt, ge, lt, le)``: a finite real (no bool, nan, inf or
+  int beyond the float range), as a float;
 * ``probability(value, name)``: a real in [0, 1];
 * ``read_field(data, key, kind, where, default)``: a typed field of a config,
   model or sample-header mapping, else ConfigError naming key and ``where``.
 
 The first three raise DomainError, or ParameterError in model constructors.
+Frozen input types keep what their validators return (``keep``), and
+functions compute with it, never with the raw argument.
 ``naming(source)`` puts the file a config or model came from in front of
 the message of any error raised while it is read.
 """
@@ -66,15 +71,33 @@ def integer(value, name, ge=None, le=None, error=DomainError):
 
 
 def real(value, name, gt=None, ge=None, lt=None, le=None, error=DomainError):
-    if ((type(value) in (float, int) or isinstance(value, (np.floating, np.integer)))
-            and math.isfinite(value) and (gt is None or value > gt) and (ge is None or value >= ge)
-            and (lt is None or value < lt) and (le is None or value <= le)):
-        return value
+    number = math.nan
+    if type(value) in (float, int) or isinstance(value, (np.floating, np.integer)):
+        try:
+            number = float(value)  # so that a numpy scalar computes as its Python value
+        except OverflowError:  # an int beyond the float range
+            pass
+    if (math.isfinite(number) and (gt is None or number > gt) and (ge is None or number >= ge)
+            and (lt is None or number < lt) and (le is None or number <= le)):
+        return number
     raise error(_must(name, "a finite real", value, gt, ge, lt, le))
 
 
 def probability(value, name, error=DomainError):
     return real(value, name, ge=0, le=1, error=error)
+
+
+def keep(obj, name, validator, what=None, **bounds):
+    """Check field ``name`` of the frozen dataclass ``obj`` with ``validator``,
+    its message naming ``what or name``, and keep and return what it returns."""
+    value = validator(getattr(obj, name), what or name, **bounds)
+    object.__setattr__(obj, name, value)
+    return value
+
+
+def each(validator):
+    """The validator of a sequence: ``validator`` on every item, as a tuple."""
+    return lambda values, name, **bounds: tuple(validator(v, name, **bounds) for v in values)
 
 
 def _is(value, kind) -> bool:

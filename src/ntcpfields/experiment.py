@@ -29,8 +29,8 @@ import numpy as np
 from .cv_ntcp import normal_cdf
 from .dependent_clt import (EstimatorConfig, _ChatWorkspace, _half_width, _replicate_batches,
                             _standardized, _variance_estimator_batch)
-from .errors import (ConfigError, DegenerateError, DomainError, ShapeError, integer, naming,
-                     read_field, real)
+from .errors import (ConfigError, DegenerateError, DomainError, ShapeError, each, integer, keep,
+                     naming, read_field, real)
 # derive_seeds and sample_fields_batch stay imported: perfbench/spans.py wraps them here
 from .lattice_fields import (
     MAX_CELLS,
@@ -38,7 +38,6 @@ from .lattice_fields import (
     LatticeCube,
     _Scratch,
     _check_d,
-    _plain,
     derive_seeds,
     model_from_dict,
     model_mean,
@@ -63,45 +62,33 @@ class ExperimentConfig:
     levels: Tuple[float, ...] = (0.95,)
 
     def __post_init__(self):
-        object.__setattr__(self, "n_schedule", tuple(self.n_schedule))
-        object.__setattr__(self, "levels", tuple(self.levels))
-        _check_d(self.d)
-        for n in self.n_schedule:
-            integer(n, "every n in n_schedule", ge=1)
-        if not self.n_schedule or list(self.n_schedule) != sorted(set(self.n_schedule)):
+        keep(self, "d", _check_d, "dimension d")
+        schedule = keep(self, "n_schedule", each(integer), "every n in n_schedule", ge=1)
+        if not schedule or list(schedule) != sorted(set(schedule)):
             raise DomainError("n_schedule must be nonempty and strictly increasing")
-        integer(self.replicates, "replicates", ge=2, le=MAX_CELLS)
-        integer(self.master_seed, "master_seed")
-        for level in self.levels:
-            real(level, "each level", gt=0, lt=1)
+        keep(self, "replicates", integer, ge=2, le=MAX_CELLS)
+        keep(self, "master_seed", integer)
+        keep(self, "levels", each(real), "each level", gt=0, lt=1)
         if self.mean_source != "model":
-            real(self.mean_source, "mean_source, unless 'model',")
+            keep(self, "mean_source", real, "mean_source, unless 'model',")
 
     def mean_value(self) -> float:
         if self.mean_source == "model":
             return model_mean(self.model, self.d)
-        return float(self.mean_source)
+        return self.mean_source
 
     def to_dict(self) -> dict:
-        bandwidth: dict = (
-            {"b": _plain(self.estimator.bandwidth)}
-            if self.estimator.bandwidth is not None
-            else {"eta": _plain(self.estimator.eta)}
-        )
-        mean: Union[str, dict] = (
-            "model"
-            if self.mean_source == "model"
-            else {"hypothesized": float(self.mean_source)}
-        )
+        estimator, mean = self.estimator, self.mean_source
         return {
             "model": model_to_dict(self.model),
-            "d": _plain(self.d),
-            "n_schedule": [_plain(n) for n in self.n_schedule],
-            "replicates": _plain(self.replicates),
-            "master_seed": _plain(self.master_seed),
-            "bandwidth": bandwidth,
-            "mean_source": mean,
-            "levels": [_plain(level) for level in self.levels],
+            "d": self.d,
+            "n_schedule": list(self.n_schedule),
+            "replicates": self.replicates,
+            "master_seed": self.master_seed,
+            "bandwidth": ({"eta": estimator.eta} if estimator.bandwidth is None
+                          else {"b": estimator.bandwidth}),
+            "mean_source": mean if mean == "model" else {"hypothesized": mean},
+            "levels": list(self.levels),
         }
 
 
@@ -110,23 +97,23 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     ConfigError, a well-typed value outside its domain DomainError."""
     bandwidth = read_field(data, "bandwidth", dict, "config", default={})
     if "b" in bandwidth:
-        estimator = EstimatorConfig(bandwidth=int(read_field(bandwidth, "b", int, "bandwidth")))
+        estimator = EstimatorConfig(bandwidth=read_field(bandwidth, "b", int, "bandwidth"))
     elif "eta" in bandwidth:
-        estimator = EstimatorConfig(eta=float(read_field(bandwidth, "eta", float, "bandwidth")))
+        estimator = EstimatorConfig(eta=read_field(bandwidth, "eta", float, "bandwidth"))
     else:
         estimator = EstimatorConfig()
     mean_source = read_field(data, "mean_source", (str, dict), "config", default="model")
     if isinstance(mean_source, dict):
-        mean_source = float(read_field(mean_source, "hypothesized", float, "mean_source"))
+        mean_source = read_field(mean_source, "hypothesized", float, "mean_source")
     return ExperimentConfig(
         model=model_from_dict(read_field(data, "model", dict, "config")),
-        d=int(read_field(data, "d", int, "config")),
-        n_schedule=tuple(map(int, read_field(data, "n_schedule", [int], "config"))),
-        replicates=int(read_field(data, "replicates", int, "config")),
-        master_seed=int(read_field(data, "master_seed", int, "config")),
+        d=read_field(data, "d", int, "config"),
+        n_schedule=read_field(data, "n_schedule", [int], "config"),
+        replicates=read_field(data, "replicates", int, "config"),
+        master_seed=read_field(data, "master_seed", int, "config"),
         estimator=estimator,
         mean_source=mean_source,
-        levels=tuple(map(float, read_field(data, "levels", [float], "config", default=[0.95]))),
+        levels=read_field(data, "levels", [float], "config", default=[0.95]),
     )
 
 
@@ -208,7 +195,7 @@ def fit_rate(points: Sequence[Tuple[int, float]], d: int = 1) -> RateFit:
 
     Nonpositive ks values are clamped to machine epsilon and flagged.
     """
-    _check_d(d)
+    d = _check_d(d)
     clipped = False
     xs, ys = [], []
     for point in points:
@@ -327,7 +314,7 @@ def coverage_study(config: ExperimentConfig) -> List[Tuple[int, float, float]]:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (float, np.floating)):  # a float32 level prints as its value
+    if isinstance(value, float):
         return "%.9g" % value
     return str(value)
 

@@ -70,6 +70,7 @@ import math
 import operator
 import os
 import stat
+import sys
 from dataclasses import MISSING, dataclass, fields
 from typing import Sequence, Tuple, Union
 
@@ -77,7 +78,7 @@ import numpy as np
 
 from .cv_ntcp import _binomial_rows, _hankel
 from .errors import (CapacityError, ConfigError, DomainError, ParameterError, ShapeError, integer,
-                     naming, probability, read_field)
+                     keep, naming, probability, read_field)
 
 #: Refuse to allocate enlarged noise grids beyond this many cells.
 MAX_CELLS = 1 << 26
@@ -269,9 +270,9 @@ def derive_seeds(master_seed: int, group: int, indices) -> np.ndarray:
 # Domain types
 # ---------------------------------------------------------------------------
 
-def _check_d(d: int) -> int:
-    """``d`` if it is a supported lattice dimension: 1, 2 or 3."""
-    return integer(d, "dimension d", ge=1, le=3)
+def _check_d(d: int, name: str = "dimension d") -> int:
+    """``d`` as a Python int if it is a supported lattice dimension: 1, 2 or 3."""
+    return integer(d, name, ge=1, le=3)
 
 
 @dataclass(frozen=True)
@@ -282,8 +283,8 @@ class LatticeCube:
     n: int
 
     def __post_init__(self):  # stored as Python ints, so that side and size never wrap
-        object.__setattr__(self, "d", _check_d(self.d))
-        object.__setattr__(self, "n", integer(self.n, "half-width n", ge=0))
+        keep(self, "d", _check_d, "dimension d")
+        keep(self, "n", integer, "half-width n", ge=0)
 
     @property
     def side(self) -> int:
@@ -298,21 +299,6 @@ class LatticeCube:
         return (self.side,) * self.d
 
 
-def _keep_parameter(model, name: str, ge: int) -> None:
-    """Check the integer parameter ``name`` of a frozen model and keep the
-    Python int that ``integer`` returns, so that sizes computed from it never
-    wrap in int64."""
-    object.__setattr__(model, name, integer(getattr(model, name), name, ge=ge, error=ParameterError))
-
-
-def _keep_probability(model, name: str) -> None:
-    """Check the probability ``name`` of a frozen model and keep it as a
-    Python float, so that the sampler's theta * 2^53 is exact whatever
-    numpy type it was given in (a float16 one overflows)."""
-    object.__setattr__(model, name, float(probability(getattr(model, name), name,
-                                                      error=ParameterError)))
-
-
 @dataclass(frozen=True)
 class IidBernoulli:
     p: float
@@ -320,7 +306,7 @@ class IidBernoulli:
     k_min = 1
 
     def __post_init__(self):
-        _keep_probability(self, "p")
+        keep(self, "p", probability, error=ParameterError)
 
     @property
     def theta(self) -> float:
@@ -334,9 +320,9 @@ class MovingWindowThreshold:
     k_min: int
 
     def __post_init__(self):
-        _keep_parameter(self, "window_radius", ge=0)
-        _keep_probability(self, "theta")
-        _keep_parameter(self, "k_min", ge=0)
+        keep(self, "window_radius", integer, ge=0, error=ParameterError)
+        keep(self, "theta", probability, error=ParameterError)
+        keep(self, "k_min", integer, ge=0, error=ParameterError)
 
 
 @dataclass(frozen=True)
@@ -346,9 +332,9 @@ class MovingWindowLevels:
     levels: int = 5
 
     def __post_init__(self):
-        _keep_parameter(self, "window_radius", ge=0)
-        _keep_probability(self, "theta")
-        _keep_parameter(self, "levels", ge=2)
+        keep(self, "window_radius", integer, ge=0, error=ParameterError)
+        keep(self, "theta", probability, error=ParameterError)
+        keep(self, "levels", integer, ge=2, le=sys.float_info.max, error=ParameterError)
 
 
 FieldModel = Union[IidBernoulli, MovingWindowThreshold, MovingWindowLevels]
@@ -373,6 +359,7 @@ class FieldSample:
     seed: int
 
     def __post_init__(self):
+        keep(self, "seed", integer)
         if self.values.shape != self.cube.shape:
             raise ShapeError(
                 f"values shape {self.values.shape} != cube shape {self.cube.shape}"
@@ -688,7 +675,7 @@ def model_mean(model: FieldModel, d: int = 1) -> float:
     It is the moments engine's batch of one group, all W sites shared, so
     the iid field gives float(p).
     """
-    _check_d(d)
+    d = _check_d(d)
     return _shared_count_moments(model, d, [(2 * model.window_radius + 1) ** d])[0][0]
 
 
@@ -785,17 +772,10 @@ def model_sigma2(model: FieldModel, d: int = 1) -> Sigma2Result:
 # per-line parse, which skips blank lines and names the first bad one.
 # ---------------------------------------------------------------------------
 
-def _plain(value):
-    """A numpy scalar, which the validators accept, as its Python value
-    (``.item()``), so that JSON writes it as it writes the Python one; any
-    other value as it is."""
-    return value.item() if isinstance(value, np.generic) else value
-
-
 def model_to_dict(model: FieldModel) -> dict:
     for kind, cls in _MODEL_TYPES.items():
         if isinstance(model, cls):
-            return {"type": kind, **{f.name: _plain(getattr(model, f.name)) for f in fields(cls)}}
+            return {"type": kind, **{f.name: getattr(model, f.name) for f in fields(cls)}}
     raise ParameterError(f"unknown model {model!r}")
 
 
@@ -906,9 +886,9 @@ def save_sample(sample: FieldSample, path) -> None:
     of the block's table.  The header line is built before the file is
     opened, so a header that cannot be written leaves the file alone."""
     header = {
-        "d": _plain(sample.cube.d),
-        "n": _plain(sample.cube.n),
-        "seed": _plain(sample.seed),
+        "d": sample.cube.d,
+        "n": sample.cube.n,
+        "seed": sample.seed,
         "model": model_to_dict(sample.model),
     }
     line = json.dumps(header, sort_keys=True).encode() + b"\n"
