@@ -19,7 +19,7 @@ from dataclasses import fields
 from typing import List, Optional, Sequence, Tuple
 
 from . import cv_ntcp, dependent_clt, dose_response, experiment, lattice_fields
-from .errors import ConfigError, DomainError, real
+from .errors import ConfigError, DomainError
 
 
 def _f(value: float) -> str:
@@ -133,24 +133,16 @@ def _cmd_estimate(args) -> List[Tuple[str, object]]:
         config = dependent_clt.EstimatorConfig(bandwidth=args.bandwidth)
     else:
         config = dependent_clt.EstimatorConfig(eta=args.eta)
-    size = sample.cube.size
-    checked = dependent_clt._checked(sample)  # rejects nan and inf first
-    c_hat = dependent_clt.variance_estimator(sample, config, checked)
-    total = dependent_clt._finite_result(checked[1], "sum")
-    out: List[Tuple[str, object]] = [
-        ("sum", total),
-        ("mean", total / size),
-        ("chat", c_hat),
-    ]
-    for level in args.level:
-        half = dependent_clt._half_width(level, c_hat, size)
-        out.append((f"ci_{_f(level)}_lo", total / size - half))
-        out.append((f"ci_{_f(level)}_hi", total / size + half))
-    if args.x is not None:
-        if args.mean is None:
-            raise DomainError("--x requires --mean (the model mean E X_0)")
-        xi = dependent_clt._standardized(real(args.x, "x"), size, args.mean, c_hat)
-        out.append(("ntcp_estimate", cv_ntcp.normal_cdf(-xi)))
+    at = None if args.x is None or args.mean is None else (args.x, args.mean)
+    total, c_hat, intervals, ntcp = dependent_clt._estimates(sample, config, args.level, at)
+    if args.x is not None and args.mean is None:
+        raise DomainError("--x requires --mean (the model mean E X_0)")
+    out: List[Tuple[str, object]] = [("sum", total), ("mean", total / sample.cube.size),
+                                     ("chat", c_hat)]
+    for level, (lo, hi) in zip(args.level, intervals):
+        out += [(f"ci_{_f(level)}_lo", lo), (f"ci_{_f(level)}_hi", hi)]
+    if ntcp is not None:
+        out.append(("ntcp_estimate", ntcp))
     return out
 
 

@@ -25,7 +25,10 @@ With a bandwidth schedule b_n -> infinity, b_n = o(n), C_hat is consistent
 for sigma^2 and can replace it in the CLT normalizer (random
 normalization).  One formula, (S(U) - |U| mean) / sqrt(v |U|), v = sigma^2
 or C_hat, and its half-width z sqrt(v/|U|) serve the statistic, the interval,
-the NTCP estimate, the campaign and CLI ``estimate`` (one C_hat per sample).
+the NTCP estimate, the campaign and CLI ``estimate``.  The interval, the NTCP
+estimate and CLI ``estimate`` take S(U) and C_hat from one door,
+``_estimates`` (one check of the sample, one C_hat); the statistic, which
+names S(U) before its mode, from ``_checked`` and ``variance_estimator``.
 """
 
 from __future__ import annotations
@@ -369,30 +372,35 @@ def self_normalized_statistic(
     )
 
 
-def confidence_interval(
-    sample: FieldSample, level: float, config: Optional[EstimatorConfig] = None
-) -> Tuple[float, float]:
-    """Approximate CI for E X_0: sample mean +- z_{(1+level)/2} sqrt(C_hat/|U|)."""
+def _estimates(sample: FieldSample, config: Optional[EstimatorConfig], levels=(), at=None):
+    """(S(U), C_hat, [(lo, hi) of the interval for E X_0 at each level], the
+    NTCP estimate at ``at`` = (x, mean), else None): the one door from a
+    sample to its estimates.  The sample is checked once and C_hat computed
+    once, by ``variance_estimator``; C_hat is checked, then S(U), then each
+    level, then x and mean."""
     checked = _checked(sample)
     c_hat = variance_estimator(sample, config or EstimatorConfig(), checked)
-    half = _half_width(level, c_hat, sample.cube.size)
-    center = _finite_result(checked[1], "sum") / sample.cube.size
-    return float(center - half), float(center + half)
+    total, size = _finite_result(checked[1], "sum"), sample.cube.size
+    halves = [_half_width(level, c_hat, size) for level in levels]
+    ntcp = None if at is None else normal_cdf(-_standardized(real(at[0], "x"), size, at[1], c_hat))
+    center = total / size
+    return total, c_hat, [(float(center - h), float(center + h)) for h in halves], ntcp
 
 
-def ntcp_estimate(
-    sample: FieldSample,
-    x: float,
-    mean: float,
-    config: Optional[EstimatorConfig] = None,
-) -> float:
+def confidence_interval(sample: FieldSample, level: float,
+                        config: Optional[EstimatorConfig] = None) -> Tuple[float, float]:
+    """Approximate CI for E X_0: sample mean +- z_{(1+level)/2} sqrt(C_hat/|U|)."""
+    return _estimates(sample, config, [level])[2][0]
+
+
+def ntcp_estimate(sample: FieldSample, x: float, mean: float,
+                  config: Optional[EstimatorConfig] = None) -> float:
     """Randomly normalized NTCP estimate 1 - Phi((x - |U| mean)/sqrt(C_hat |U|)).
 
     This is itself a random quantity (a statistical estimate), not a
     certified probability.
     """
-    c_hat = variance_estimator(sample, config or EstimatorConfig())
-    return normal_cdf(-_standardized(real(x, "x"), sample.cube.size, mean, c_hat))
+    return _estimates(sample, config, at=(x, mean))[3]
 
 
 # ---------------------------------------------------------------------------
