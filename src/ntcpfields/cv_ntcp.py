@@ -369,7 +369,7 @@ def ntcp_weiss(n: int, p: float, k: int, m: int) -> ApproxResult:
 
 def ntcp_weiss_tail(n: int, p: float, threshold: int) -> ApproxResult:
     """Weiss approximation of the upper tail P(S_n >= threshold)."""
-    n, p = integer(n, "n", ge=1), probability(p, "p")
+    n, p = integer(n, "n", ge=1, le=sys.float_info.max), probability(p, "p")
     threshold = integer(threshold, "threshold")
     if threshold <= 0:
         return ApproxResult(value=1.0, error_bound=0.0, method="Weiss")

@@ -42,7 +42,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cv_ntcp import normal_cdf, normal_quantile
-from .errors import DegenerateError, DomainError, ShapeError, integer, keep, real
+from .errors import DegenerateError, DomainError, ShapeError, instance, integer, keep, real
 from .lattice_fields import (
     MAX_CELLS,
     FieldModel,
@@ -293,7 +293,7 @@ def _checked(sample: FieldSample):
     pass, as bool for C_hat's exact integer sums, other integers as float64.
     The values are all 0 or 1 when every nonzero one equals 1, which two
     counts decide (nan is nonzero and not 1; -0.0 is 0)."""
-    values = sample.values
+    values = instance(sample, "sample", FieldSample).values
     if (_value_dtype(sample.model) is bool
             and np.count_nonzero(bits := values != 0) == np.count_nonzero(values == 1)):
         values = bits
@@ -309,8 +309,9 @@ def variance_estimator(sample: FieldSample, config: EstimatorConfig, checked=Non
     """C_hat(U) with bandwidth taken from the config for this cube.  A sample
     holding nan or inf, or one whose C_hat overflows float64 (values near
     1e154 and above), raises DomainError.  ``checked`` is _checked(sample)."""
-    b = config.bandwidth_for(sample.cube.n)
+    config = instance(config, "config", EstimatorConfig)
     values, total = _checked(sample) if checked is None else checked
+    b = config.bandwidth_for(sample.cube.n)
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan
         c_hat = float(_variance_estimator_batch(values, sample.cube.d, b, total))
     return _finite_result(c_hat, "C_hat")

@@ -13,10 +13,13 @@ Python value:
 * ``real(value, name, gt, ge, lt, le)``: a finite real (no bool, nan, inf or
   int beyond the float range), as a float;
 * ``probability(value, name)``: a real in [0, 1];
+* ``instance(value, name, kind)``: an instance of a class or of one of a
+  tuple of classes, as it is: a model, cube, sample, values array or config;
 * ``read_field(data, key, kind, where, default)``: a typed field of a config,
   model or sample-header mapping, else ConfigError naming key and ``where``.
 
-The first three raise DomainError, or ParameterError in model constructors.
+The first four raise DomainError, or ParameterError for a model's parameter
+or an argument that is not a model.
 Frozen input types keep what their validators return (``keep``), and
 functions compute with it, never with the raw argument.
 ``naming(source)`` puts the file a config or model came from in front of
@@ -24,6 +27,7 @@ the message of any error raised while it is read.
 """
 
 import math
+import reprlib
 from contextlib import contextmanager
 
 import numpy as np
@@ -57,10 +61,16 @@ class ConfigError(ValueError):
     """A config or sample-file field is missing, malformed or has the wrong type."""
 
 
+#: Quotes a rejected value: a long one is shortened (an int to 40 characters, a
+#: str to 30), and a numpy float64's repr, at most 36 characters, is kept whole.
+_QUOTE = reprlib.Repr()
+_QUOTE.maxother = 40
+
+
 def _must(name, kind, value, gt=None, ge=None, lt=None, le=None) -> str:
     bounds = [f" {op} {b!r}" for op, b in ((">", gt), (">=", ge), ("<", lt), ("<=", le))
               if b is not None]
-    return f"{name} must be {kind}{' and'.join(bounds)}, got {value!r}"
+    return f"{name} must be {kind}{' and'.join(bounds)}, got {_QUOTE.repr(value)}"
 
 
 def integer(value, name, ge=None, le=None, error=DomainError):
@@ -85,6 +95,14 @@ def real(value, name, gt=None, ge=None, lt=None, le=None, error=DomainError):
 
 def probability(value, name, error=DomainError):
     return real(value, name, ge=0, le=1, error=error)
+
+
+def instance(value, name, kind, error=DomainError):
+    """``value`` if it is an instance of ``kind``, a class or a tuple of them."""
+    if isinstance(value, kind):
+        return value
+    names = [k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,))]
+    raise error(_must(name, "an instance of " + " or ".join(names), value))
 
 
 def keep(obj, name, validator, what=None, **bounds):

@@ -29,8 +29,8 @@ import numpy as np
 from .cv_ntcp import normal_cdf
 from .dependent_clt import (EstimatorConfig, _ChatWorkspace, _half_width, _replicate_batches,
                             _standardized, _variance_estimator_batch)
-from .errors import (ConfigError, DegenerateError, DomainError, ShapeError, each, integer, keep,
-                     naming, read_field, real)
+from .errors import (ConfigError, DegenerateError, DomainError, ShapeError, each, instance, integer,
+                     keep, naming, read_field, real)
 # derive_seeds and sample_fields_batch stay imported: perfbench/spans.py wraps them here
 from .lattice_fields import (
     MAX_CELLS,
@@ -38,6 +38,7 @@ from .lattice_fields import (
     LatticeCube,
     _Scratch,
     _check_d,
+    _field_model,
     derive_seeds,
     model_from_dict,
     model_mean,
@@ -62,6 +63,7 @@ class ExperimentConfig:
     levels: Tuple[float, ...] = (0.95,)
 
     def __post_init__(self):
+        keep(self, "model", _field_model)
         keep(self, "d", _check_d, "dimension d")
         schedule = keep(self, "n_schedule", each(integer), "every n in n_schedule", ge=1)
         if not schedule or list(schedule) != sorted(set(schedule)):
@@ -69,6 +71,7 @@ class ExperimentConfig:
         keep(self, "replicates", integer, ge=2, le=MAX_CELLS)
         keep(self, "master_seed", integer)
         keep(self, "levels", each(real), "each level", gt=0, lt=1)
+        keep(self, "estimator", instance, kind=EstimatorConfig)
         if self.mean_source != "model":
             keep(self, "mean_source", real, "mean_source, unless 'model',")
 

@@ -65,6 +65,7 @@ S(U) and C_hat per replicate.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import operator
@@ -77,8 +78,8 @@ from typing import Sequence, Tuple, Union
 import numpy as np
 
 from .cv_ntcp import _binomial_rows, _hankel
-from .errors import (CapacityError, ConfigError, DomainError, ParameterError, ShapeError, integer,
-                     keep, naming, probability, read_field)
+from .errors import (CapacityError, ConfigError, DomainError, ParameterError, ShapeError, instance,
+                     integer, keep, naming, probability, read_field)
 
 #: Refuse to allocate enlarged noise grids beyond this many cells.
 MAX_CELLS = 1 << 26
@@ -349,6 +350,11 @@ _MODEL_TYPES = {
 _KINDS = {"int": int, "float": float}  # field annotations, strings under postponed evaluation
 
 
+def _field_model(model, name: str = "model") -> FieldModel:
+    """``model`` if it is a field model, else ParameterError."""
+    return instance(model, name, tuple(_MODEL_TYPES.values()), ParameterError)
+
+
 @dataclass(frozen=True)
 class FieldSample:
     """A realized field over a cube, with model and seed provenance."""
@@ -359,6 +365,9 @@ class FieldSample:
     seed: int
 
     def __post_init__(self):
+        keep(self, "cube", instance, kind=LatticeCube)
+        keep(self, "values", instance, kind=np.ndarray)
+        keep(self, "model", _field_model)
         keep(self, "seed", integer)
         if self.values.shape != self.cube.shape:
             raise ShapeError(
@@ -509,9 +518,10 @@ class _Scratch:
 
 
 class _SamplerWorkspace:
-    """What ``sample_fields_batch`` needs for one model and cube: the
-    per-cube constants (grid keys, seeds per block, slab rows and count
-    dtype), computed once, and ``scratch`` (a ``_Scratch`` of its own unless
+    """What ``sample_fields_batch`` needs for one model and cube, both
+    checked here, where they enter the sampler: the per-cube constants
+    (grid keys, seeds per block, slab rows and count dtype), computed once,
+    and ``scratch`` (a ``_Scratch`` of its own unless
     given), whose two arrays every block refills: the site hashes in the
     second and the bool noise in the first, the hash's shift scratch until
     the noise is written, then a threshold rule's bool in the second when
@@ -519,14 +529,20 @@ class _SamplerWorkspace:
     block, the largest of a stream, and replaced only by a larger one."""
 
     def __init__(self, model: FieldModel, cube: LatticeCube, scratch: _Scratch = None):
+        self.model, self.cube = _field_model(model), instance(cube, "cube", LatticeCube)
         m = model.window_radius
-        self.model, self.cube = model, cube
-        self.keys = _axis_keys([np.arange(-cube.n - m, cube.n + m + 1)] * cube.d)
         self.step = _seeds_per_block(model, cube)
         self.rows = _slab_rows(cube.side, m, cube.d)
         self.slab_cells = (self.rows + 2 * m) * (cube.side + 2 * m) ** (cube.d - 1)
         self.dtype = _count_dtype((2 * m + 1) ** cube.d)
         self.scratch = _Scratch() if scratch is None else scratch
+
+    @functools.cached_property
+    def keys(self) -> list:
+        """The grid's ``_axis_keys``, made for the first block, so that a call
+        over the cap raises CapacityError before they are allocated."""
+        m, n = self.model.window_radius, self.cube.n
+        return _axis_keys([np.arange(-n - m, n + m + 1)] * self.cube.d)
 
 
 def sample_fields_batch(
@@ -553,6 +569,10 @@ def sample_fields_batch(
         seeds = np.array([operator.index(s) & (2**64 - 1) for s in seeds], dtype=np.uint64)
     if seeds.ndim != 1:
         raise ShapeError(f"seeds must be one-dimensional, got shape {seeds.shape}")
+    if work is None:
+        work = _SamplerWorkspace(model, cube)
+    elif (work.model, work.cube) != (model, cube):
+        raise ShapeError("the sampler workspace belongs to another model or cube")
     m = model.window_radius
     enlarged = (cube.side + 2 * m) ** cube.d
     if seeds.size * enlarged > MAX_CELLS:
@@ -567,10 +587,6 @@ def sample_fields_batch(
         raise ShapeError(
             f"out must be a float64 or {np.dtype(_value_dtype(model))} array of shape {shape}"
         )
-    if work is None:
-        work = _SamplerWorkspace(model, cube)
-    elif (work.model, work.cube) != (model, cube):
-        raise ShapeError("the sampler workspace belongs to another model or cube")
     step, rows = work.step, work.rows
     # a float64 ``out`` of a threshold field takes the rule's bool in one cast
     cast = out.dtype != _value_dtype(model)
@@ -675,7 +691,7 @@ def model_mean(model: FieldModel, d: int = 1) -> float:
     It is the moments engine's batch of one group, all W sites shared, so
     the iid field gives float(p).
     """
-    d = _check_d(d)
+    model, d = _field_model(model), _check_d(d)
     return _shared_count_moments(model, d, [(2 * model.window_radius + 1) ** d])[0][0]
 
 
@@ -690,6 +706,7 @@ def covariance_at_lag(model: FieldModel, lag: Sequence[int]) -> float:
     engine's batch of one group, and gives the bits of that group in
     ``model_sigma2``.
     """
+    model = _field_model(model)
     lag = tuple(integer(v, "lag component") for v in lag)
     d = _check_d(len(lag))
     w = 2 * model.window_radius + 1
@@ -738,7 +755,7 @@ def model_sigma2(model: FieldModel, d: int = 1) -> Sigma2Result:
     (m, 0, ..., 0), whose table fits only when there are at most about 2^14
     lags to group, then all groups.
     """
-    m = model.window_radius
+    m = _field_model(model).window_radius
     w = 2 * m + 1
     d = _check_d(d)
     _check_tables([(m + 1) * w ** (d - 1)], w**d)
@@ -885,6 +902,7 @@ def save_sample(sample: FieldSample, path) -> None:
     the sample mostly distinct, and its lines are gathered from ``_lines``
     of the block's table.  The header line is built before the file is
     opened, so a header that cannot be written leaves the file alone."""
+    sample = instance(sample, "sample", FieldSample)
     header = {
         "d": sample.cube.d,
         "n": sample.cube.n,

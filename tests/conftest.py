@@ -2,11 +2,28 @@
 which pytest reports as an unraisable-exception warning when the file is
 collected) fails the test that left it.  These filters are marks on the
 items under this directory, not pyproject filters, because the benchmark's
-smoke test reads with a bare ``open(...).read()``."""
+smoke test reads with a bare ``open(...).read()``.
+
+When a property test fails, hypothesis's pytest plugin imports
+``hypothesis.extra._patching`` to write a patch for the failing example.
+That module imports libcst, whose ``mypy_extensions.TypedDict`` raises a
+DeprecationWarning, which pyproject makes an error, and the plugin catches
+only ImportError, so the run would end in INTERNALERROR instead of the
+failure report.  The module is imported here once with that warning
+ignored; where libcst is not installed the import fails and the plugin
+does without it."""
 
 import pathlib
+import warnings
 
 import pytest
+
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 HERE = pathlib.Path(__file__).parent
 

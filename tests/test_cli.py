@@ -357,6 +357,39 @@ class TestSimulateEstimate:
         pairs = parse_pairs(out)
         assert {"ci_0.5_lo", "ci_0.95_hi", "ntcp_estimate"} <= set(pairs)
 
+    THRESHOLD = ("window_threshold", "--theta", "0.5", "--k-min", "5", "--d", "2", "--n", "6")
+    LEVELS = ("window_levels", "--theta", "0.4", "--levels", "7", "--d", "1", "--n", "40")
+
+    @pytest.mark.parametrize("field, flags, config", [
+        (THRESHOLD, ("--bandwidth", "2"), dependent_clt.EstimatorConfig(bandwidth=2)),
+        (THRESHOLD, ("--eta", "0.5"), dependent_clt.EstimatorConfig(eta=0.5)),
+        (LEVELS, ("--bandwidth", "3"), dependent_clt.EstimatorConfig(bandwidth=3)),
+        (LEVELS, ("--eta", "0.25"), dependent_clt.EstimatorConfig(eta=0.25)),
+    ], ids=["threshold-bandwidth", "threshold-eta", "levels-bandwidth", "levels-eta"])
+    def test_estimates_are_the_library_values(self, capsys, tmp_path, field, flags, config):
+        # every interval and the NTCP estimate that estimate prints is what
+        # confidence_interval and ntcp_estimate give for the same sample
+        path = str(tmp_path / "sample.dat")
+        code, _, _ = run(capsys, "simulate", "--field", *field, "--seed", "7", "--out", path)
+        assert code == 0
+        sample = lattice_fields.load_sample(path)
+        mean = lattice_fields.model_mean(sample.model, sample.cube.d)
+        x = float(round(sample.cube.size * mean) + 3)
+        levels = ("0.5", "0.9", "0.99")
+        code, out, err = run(capsys, "estimate", "--sample", path, *flags,
+                             *[arg for level in levels for arg in ("--level", level)],
+                             "--x", repr(x), "--mean", repr(mean))
+        assert (code, err) == (0, "")
+        pairs = parse_pairs(out)
+        assert list(pairs) == ["sum", "mean", "chat", *[f"ci_{level}_{end}" for level in levels
+                                                         for end in ("lo", "hi")], "ntcp_estimate"]
+        for level in levels:
+            lo, hi = dependent_clt.confidence_interval(sample, float(level), config)
+            assert (pairs[f"ci_{level}_lo"], pairs[f"ci_{level}_hi"]) == ("%.9g" % lo, "%.9g" % hi)
+        ntcp = dependent_clt.ntcp_estimate(sample, x, mean, config)
+        assert 0.0 < ntcp < 1.0
+        assert pairs["ntcp_estimate"] == "%.9g" % ntcp
+
 
 class TestFreshProcess:
     """The CLI as users run it: ``python -m ntcpfields.cli`` in a new process."""
