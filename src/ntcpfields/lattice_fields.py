@@ -521,12 +521,12 @@ class _SamplerWorkspace:
     """What ``sample_fields_batch`` needs for one model and cube, both
     checked here, where they enter the sampler: the per-cube constants
     (grid keys, seeds per block, slab rows and count dtype), computed once,
-    and ``scratch`` (a ``_Scratch`` of its own unless
-    given), whose two arrays every block refills: the site hashes in the
-    second and the bool noise in the first, the hash's shift scratch until
-    the noise is written, then a threshold rule's bool in the second when
-    it is cast into a float64 output.  They are allocated for the first
-    block, the largest of a stream, and replaced only by a larger one."""
+    and ``scratch`` (a ``_Scratch`` of its own unless given), whose two
+    arrays every block refills: the site hashes in the second and the bool
+    noise in the first, the hash's shift scratch until the noise is
+    written, then a threshold rule's bool in the second when it is cast
+    into a float64 output.  They are allocated for the first block, the
+    largest of a stream, and replaced only by a larger one."""
 
     def __init__(self, model: FieldModel, cube: LatticeCube, scratch: _Scratch = None):
         self.model, self.cube = _field_model(model), instance(cube, "cube", LatticeCube)

@@ -13,17 +13,15 @@ failure report.  The module is imported here once with that warning
 ignored; where libcst is not installed the import fails and the plugin
 does without it."""
 
+import contextlib
 import pathlib
 import warnings
 
 import pytest
 
-with warnings.catch_warnings():
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
     warnings.simplefilter("ignore", DeprecationWarning)
-    try:
-        import hypothesis.extra._patching  # noqa: F401
-    except ImportError:
-        pass
+    import hypothesis.extra._patching  # noqa: F401
 
 HERE = pathlib.Path(__file__).parent
 
