@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import fields
 from typing import List, Optional, Sequence, Tuple
@@ -157,9 +158,22 @@ def _cmd_experiment(args) -> List[Tuple[str, object]]:
 # Parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes a token such as -1e3, -2.5E-1 or -inf for
+    a value, so every float flag takes every negative number float() reads.
+    argparse decides what looks like a negative number by its private
+    ``_negative_number_matcher``, which takes only forms such as -3 and -1.5
+    in Python 3.11; no option string of this CLI looks like a number."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+
 @functools.lru_cache(maxsize=None)  # one per process: parses leave no state in it
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ntcpfields",
         description="Critical-volume NTCP calculus and dependent-field estimation",
     )

@@ -21,8 +21,8 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import (CapacityError, DegenerateError, DomainError, ShapeError, each, integer,
-                     keep, probability, real)
+from .errors import (CapacityError, DegenerateError, DomainError, ShapeError, each, instance,
+                     integer, keep, probability, real)
 
 #: Berry-Esseen constant for the binomial normal approximation.
 BERRY_ESSEEN_C = 0.7975
@@ -123,9 +123,8 @@ _EXP_UNDERFLOW = 746.0 + 1.0
 _CHUNK = 1 << 16
 
 
-def _log_term_ratios(n: int, p: float, start: int, stop: int, out: np.ndarray) -> None:
-    """log(pmf(k+1)/pmf(k)) = log(n-k) - log(k+1) + log(p) - log(q) into
-    out, for start <= k < stop.
+def _log_differences(n: int, start: int, stop: int, out: np.ndarray) -> None:
+    """D(k) = log(n-k) - log(k+1) into out, for start <= k < stop.
 
     log(k+1) is taken in one scratch array of stop - start entries and
     log(n-k) in out itself, so the logs never take more than a chunk.
@@ -134,15 +133,19 @@ def _log_term_ratios(n: int, p: float, start: int, stop: int, out: np.ndarray) -
     np.subtract(n + 1, logs, out=out)  # n - k, exact below 2^53
     np.log(out, out=out)
     np.log(logs, out=logs)
-    _finish_ratios(out, logs, p)
-
-
-def _finish_ratios(out: np.ndarray, logs: np.ndarray, p: float) -> None:
-    """The term ratios' arithmetic after the logs, in place: out holds
-    log(n - k) and logs log(k + 1), which may broadcast along out."""
     out -= logs
+
+
+def _add_p_terms(out: np.ndarray, p: float) -> None:
+    """log(pmf(k+1)/pmf(k)) = D(k) + log(p) - log(q), in place on D(k)."""
     out += math.log(p)
     out -= math.log1p(-p)
+
+
+def _log_term_ratios(n: int, p: float, start: int, stop: int, out: np.ndarray) -> None:
+    """The term ratios log(pmf(k+1)/pmf(k)) into out, for start <= k < stop."""
+    _log_differences(n, start, stop, out)
+    _add_p_terms(out, p)
 
 
 def _pmf_window(n: int, p: float) -> Tuple[np.ndarray, int, int]:
@@ -167,10 +170,27 @@ def _pmf_window(n: int, p: float) -> Tuple[np.ndarray, int, int]:
     # head, taken from the chunk that holds it: a chunk's first argmax
     # replaces the running one only when strictly above it, which a chunk's
     # first entry, the last of the chunk before, never is.
+    #
+    # D(n - 1 - k) = -D(k) exactly: np.log gives an integer one value
+    # wherever it sits, and IEEE subtraction is sign-symmetric.  So a chunk
+    # below the middle also writes -D(k), reversed, into out[n - k], the
+    # slot of count n - 1 - k, for each such count past the chunk and below
+    # `bound`: the end of the chunk that holds mean + 40 sd, which the walk
+    # seldom passes (its floor lies near 38.7 sd above the mode).  A chunk
+    # that reaches stored counts only adds the p terms to them; a count past
+    # `bound` is computed afresh, so the bits never depend on it.
+    bound = min(n, (int(n * p + 40.0 * math.sqrt(n * p * (1.0 - p))) // _CHUNK + 1) * _CHUNK)
     top, mode, stop = 0.0, 0, 0  # out[0] = log pmf(0) - log pmf(0) = 0.0
+    stored = bound  # the counts [stored, bound) hold their D(k)
     while True:
         start, stop = stop, min(stop + _CHUNK, n)
-        _log_term_ratios(n, p, start, stop, out[start + 1:stop + 1])
+        fresh = stop if stop > bound else min(max(start, stored), stop)
+        _log_differences(n, start, fresh, out[start + 1:fresh + 1])
+        low, high = max(stop, n - fresh), min(stored, n - start)
+        if low < high:
+            np.negative(out[n - high + 1:n - low + 1][::-1], out=out[low + 1:high + 1])
+            stored = low
+        _add_p_terms(out[start + 1:stop + 1], p)
         head = out[start:stop + 1]
         np.add.accumulate(head, out=head)  # cumsum, less call overhead
         peak = int(head.argmax())
@@ -190,7 +210,7 @@ def _pmf_window(n: int, p: float) -> Tuple[np.ndarray, int, int]:
     window -= top
     np.exp(window, out=window)
     out[:lo].fill(0.0)
-    out[hi:stop + 1].fill(0.0)
+    out[hi:max(stop, bound) + 1].fill(0.0)  # stored counts the walk stopped short of, too
     # the full-length sum keeps numpy's pairwise summation order
     window /= out[:n + 1].sum()
     return out, lo, hi
@@ -222,8 +242,8 @@ def _binomial_rows(ks: Sequence[int], p: float) -> np.ndarray:
     (len(ks), max(ks) + 1) array: row i holds the bytes of
     ``_binomial_pmf(ks[i], p)`` and then 0.0.
 
-    Each row takes _binomial_pmf's steps: the term ratios of
-    ``_finish_ratios`` on the same logs, one prefix sum along the row, exp
+    Each row takes _binomial_pmf's steps: the log differences of the same
+    logs and ``_add_p_terms``, one prefix sum along the row, exp
     of the row less its maximum, and division by the pairwise sum of its
     own k + 1 entries.  Past k a row holds the ratio -inf, so its prefix
     sum is -inf and exp gives exactly 0.0; an entry that _pmf_window leaves
@@ -246,7 +266,8 @@ def _binomial_rows(ks: Sequence[int], p: float) -> np.ndarray:
     down[0] = 0.0
     down[1:top + 1] = up[:0:-1]
     rows = _hankel(down, top + 1, top + 1)[[top - k for k in ks]]
-    _finish_ratios(rows, up, p)
+    rows -= up
+    _add_p_terms(rows, p)
     rows[:, 0] = 0.0
     np.add.accumulate(rows, axis=1, out=rows)
     rows -= rows.max(axis=1, keepdims=True)
@@ -447,6 +468,7 @@ def damage_volume(organ: OrganSpec, states: Sequence[int]) -> float:
 
     A state other than 0 (survived) or 1 (killed) raises DomainError.
     """
+    organ = instance(organ, "organ", OrganSpec)
     if len(states) != organ.n:
         raise ShapeError(f"expected {organ.n} states, got {len(states)}")
     volumes = organ.fsu_volumes

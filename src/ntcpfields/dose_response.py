@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import ParameterError, UnattainableTargetError, integer, keep, real
+from .errors import ParameterError, UnattainableTargetError, instance, integer, keep, real
 
 # Bisection bracket cap: dose doubling stops here.  p(D) -> 1 monotonically
 # for all variants, so any target < 1 brackets long before this.
@@ -114,9 +114,10 @@ def surviving_fraction(model: DoseResponseModel, dose: float) -> float:
 def fsu_kill_probability(model: DoseResponseModel, cells: CellPopulation, dose: float) -> float:
     """(1 - SF(D))^{n0}: the FSU dies only if none of its n0 cells survives."""
     killed = killed_fraction_of_cells(model, dose)
+    n0 = instance(cells, "cells", CellPopulation, ParameterError).n0
     if killed == 0.0:
         return 0.0
-    return math.exp(cells.n0 * math.log(killed))
+    return math.exp(n0 * math.log(killed))
 
 
 def dose_for_kill_probability(

@@ -229,6 +229,7 @@ def _campaign(config: ExperimentConfig) -> Tuple[float, float, Iterator]:
     two per-replicate arrays for every n, so a consumer derives what it
     needs from one n before it asks for the next.
     """
+    config = instance(config, "config", ExperimentConfig)
     sigma2 = model_sigma2(config.model, config.d)
     if sigma2.degenerate:
         raise DegenerateError(
@@ -303,7 +304,7 @@ def coverage_study(config: ExperimentConfig) -> List[Tuple[int, float, float]]:
     Requires mean_source = "model": coverage is scored against the true
     model mean.
     """
-    if config.mean_source != "model":
+    if instance(config, "config", ExperimentConfig).mean_source != "model":
         raise DomainError("coverage_study requires mean_source = 'model'")
     _, mean, stream = _campaign(config)
     return [(n, level, _hit_rate(sums, size, mean, level, chats))
@@ -324,7 +325,7 @@ def _fmt(value) -> str:
 
 def report_to_csv(report: ExperimentReport) -> str:
     lines = [",".join(REPORT_COLUMNS)]
-    for row in report.rows:
+    for row in instance(report, "report", ExperimentReport).rows:
         lines.append(
             ",".join(
                 _fmt(getattr(row, col)) for col in REPORT_COLUMNS

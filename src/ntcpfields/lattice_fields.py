@@ -1031,7 +1031,9 @@ def _store(out: np.ndarray, count: int, size: int, values: np.ndarray, inverse=N
         if inverse is None:
             out[count:count + k] = values
         else:
-            np.take(values, inverse, out=out[count:count + k])
+            # every index is in range (_index), and a clip-mode take writes
+            # straight into out, where a raise-mode one buffers
+            np.take(values, inverse, out=out[count:count + k], mode="clip")
     return out, count + k
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 import ntcpfields
-from ntcpfields import cv_ntcp, dependent_clt, lattice_fields
+from ntcpfields import cli, cv_ntcp, dependent_clt, lattice_fields
 from ntcpfields.cli import main
 
 
@@ -598,3 +599,61 @@ class TestExperimentCommand:
 
 def test_no_subcommand_exit_two(capsys):
     assert main([]) == 2
+
+
+class TestNegativeFloatValues:
+    """Every float flag takes a negative number in any form float() reads,
+    such as -1e3, and hands it to the library."""
+
+    @staticmethod
+    def base(command, tmp_path):
+        sample = tmp_path / "sample.dat"
+        if command == "estimate":
+            lattice_fields.save_sample(lattice_fields.sample_field(
+                lattice_fields.MovingWindowThreshold(1, 0.5, 2), lattice_fields.LatticeCube(1, 8),
+                1), sample)
+        return {
+            "ntcp": ["--n", "10", "--p", "0.5", "--L", "3"],
+            "threshold": ["--n", "10", "--p", "0.5", "--gamma", "0.9", "--kappa", "0.5"],
+            "dose": ["--model", "hybrid", "--alpha", "0.3", "--beta", "0.03", "--m", "2",
+                     "--kappa", "0.5", "--n", "100", "--gamma", "0.9"],
+            "simulate": ["--field", "window_threshold", "--theta", "0.5", "--k-min", "2",
+                         "--d", "1", "--n", "2", "--seed", "1",
+                         "--out", str(tmp_path / "out.dat")],
+            "estimate": ["--sample", str(sample), "--level", "0.9", "--x", "1.5",
+                         "--mean", "0.5"],
+        }[command]
+
+    @staticmethod
+    def float_flags():
+        parser = cli._build_parser()
+        commands = parser._subparsers._group_actions[0].choices
+        return [(command, action.option_strings[0])
+                for command, sub in commands.items() for action in sub._actions
+                if action.type is float]
+
+    def test_the_cli_has_float_flags(self):
+        assert len(self.float_flags()) == 16
+
+    @pytest.mark.parametrize("value", ["-1e3", "-2.5E-1", "-inf"])
+    def test_value_reaches_the_library(self, capsys, tmp_path, value):
+        for command, flag in self.float_flags():
+            code, out, err = run(capsys, command, *self.base(command, tmp_path), flag, value)
+            assert code in (0, 1), (command, flag, err)  # the parser exits 2
+            if code == 1:
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--sample", "F", "--x"],
+        ["estimate", "--sample", "F", "--x", "--mean", "0.5"],
+        ["ntcp", "--n", "10", "--p", "--L", "3"],
+    ])
+    def test_a_flag_without_its_value_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "expected one argument" in err
+
+    def test_argparse_keeps_its_negative_number_matcher(self):
+        # cli._Parser replaces this private attribute of every parser
+        assert argparse.ArgumentParser()._negative_number_matcher.match("-1")
+        assert cli._build_parser()._negative_number_matcher.match("-1e3")

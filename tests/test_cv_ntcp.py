@@ -192,7 +192,27 @@ class TestExactTailBits:
         assert _binomial_pmf(n, p).tobytes() == reference_pmf(n, p).tobytes()
         assert ntcp_exact_all_thresholds(n, p).tobytes() == reference_tail(n, p).tobytes()
 
-    @pytest.mark.parametrize("p", [0.42, 0.4335, 0.5, 0.58])
+    # above 1/2 the walk passes the middle and reuses its log differences
+    # there (D(n - 1 - k) = -D(k)); at 8 * C + 3 the stored counts begin
+    # inside a chunk, so they straddle chunk edges
+    @pytest.mark.parametrize("n", [8 * C + 3, 10**6])
+    @pytest.mark.parametrize("p", [0.5, 0.5 + 1e-9, 0.55, 0.6, 0.75, 0.9, 0.999])
+    def test_mirrored_log_differences_match_full_array_formula(self, n, p):
+        assert _binomial_pmf(n, p).tobytes() == reference_pmf(n, p).tobytes()
+        assert ntcp_exact_all_thresholds(n, p).tobytes() == reference_tail(n, p).tobytes()
+
+    # at each of these the walk stops a chunk short of counts whose log
+    # differences it stored from below the middle
+    @pytest.mark.parametrize("n, p", [(8 * C + 3, 0.5981), (8 * C + 3, 0.7255),
+                                      (8 * C + 3, 0.998), (10**6, 0.5045),
+                                      (10**6, 0.9064), (10**6, 0.9773)])
+    def test_zero_outside_the_window(self, n, p):
+        out, lo, hi = cv_ntcp._pmf_window(n, p)
+        assert out.shape == (n + 2,) and 0 <= lo < hi <= n + 1
+        assert not out[:lo].any() and not out[hi:].any()
+        assert out[lo:hi].sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [0.42, 0.4335, 0.5, 0.58, 0.9, 0.98])
     def test_peak_memory_is_one_array_of_n(self, p):
         # the output plus the logs of one chunk: an n-length log table
         # would take the peak to two arrays
@@ -224,6 +244,10 @@ class TestExactTailBits:
             "X86_V4": "e64adbf9107404131c44eb237561740b281b91d6fcd0c8702d733cec1666daeb",
             "X86_V3": "35dead82f910bc928ec262ba0425a107ab44b48a59514b66df381ee3b4841ecc",
         }, id="0.58-e64adbf9107404131c44eb237561740b281b91d6fcd0c8702d733cec1666daeb"),
+        pytest.param(0.9, {
+            "X86_V4": "1865656b405890cba0364d54550bb6af573d251bccfd812ddd84224e7834895e",
+            "X86_V3": "c7873dcc10ad8efcd088fec8d139c3b8fced2dab092a8bc0e0f734a80c43cdbd",
+        }, id="0.9-1865656b405890cba0364d54550bb6af573d251bccfd812ddd84224e7834895e"),
     ])
     def test_pinned_digest_at_a_million(self, p, digests):
         target = log_exp_target()

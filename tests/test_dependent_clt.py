@@ -5,7 +5,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import special
+from test_properties import PROPERTY
 
 from ntcpfields import dependent_clt, lattice_fields
 from ntcpfields.dependent_clt import (
@@ -696,6 +699,21 @@ class TestBinaryValueCheck:
         assert _checked(as_float)[0].dtype == np.float64
         assert variance_estimator(sample, config).hex() == \
             variance_estimator(as_float, config).hex()
+
+    @PROPERTY
+    @given(odd=st.lists(st.sampled_from([0.0, -0.0, 1.0, math.nan, math.inf, -math.inf,
+                                          2.0, 0.5]), min_size=1, max_size=4))
+    def test_bool_exactly_when_every_value_is_0_or_1(self, odd):
+        values = sample_field(MAJORITY, self.CUBE, 17).values.copy()
+        values.flat[:len(odd)] = odd
+        sample = FieldSample(self.CUBE, values, MAJORITY, 17)
+        if all(v in (0.0, 1.0) for v in odd):
+            assert _checked(sample)[0].dtype == bool
+        elif all(map(math.isfinite, odd)):
+            assert _checked(sample)[0].dtype == np.float64
+        else:
+            with pytest.raises(DomainError, match="^sample holds non-finite values"):
+                _checked(sample)
 
     def test_negative_zero_gives_the_bits_of_zero(self):
         config = EstimatorConfig(bandwidth=1)

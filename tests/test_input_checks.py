@@ -15,7 +15,9 @@ from ntcpfields import (
     partial_sum, sample_field, save_sample, self_normalized_statistic, variance_estimator,
     variance_gap,
 )
-from ntcpfields.cv_ntcp import ntcp_weiss_tail
+from ntcpfields.cv_ntcp import damage_volume, ntcp_weiss_tail
+from ntcpfields.dose_response import fsu_kill_probability
+from ntcpfields.experiment import run_clt_experiment, write_report
 from ntcpfields.lattice_fields import sample_fields_batch
 
 ERRORS = tuple(v for v in vars(errors).values()
@@ -58,6 +60,10 @@ ENTRY_POINTS = {
     "ExperimentConfig.model": lambda bad, tmp: ExperimentConfig(bad, 1, (2,), 10, 1),
     "ExperimentConfig.estimator": lambda bad, tmp: ExperimentConfig(
         IidBernoulli(0.5), 1, (2,), 10, 1, estimator=bad),
+    "fsu_kill_probability": lambda bad, tmp: fsu_kill_probability(SingleHit(1.0), bad, 1.0),
+    "damage_volume": lambda bad, tmp: damage_volume(bad, [0]),
+    "write_report": lambda bad, tmp: write_report(bad, tmp / "report.csv"),
+    "run_clt_experiment": lambda bad, tmp: run_clt_experiment(bad),
 }
 
 
@@ -74,6 +80,12 @@ def test_a_list_of_values_is_not_a_sample():
     with pytest.raises(errors.DomainError, match=r"^values must be an instance of ndarray, got "
                                                  r"\[0, 1, 0\]$"):
         FieldSample(LatticeCube(1, 1), [0, 1, 0], IidBernoulli(0.5), 1)
+
+
+def test_a_cell_population_is_checked_as_the_dose_model_beside_it():
+    with pytest.raises(errors.ParameterError, match="^cells must be an instance of "
+                                                    r"CellPopulation, got None$"):
+        fsu_kill_probability(SingleHit(1.0), None, 0.0)
 
 
 def test_a_dose_model_is_not_a_field_model():
